@@ -21,15 +21,6 @@
 //!   — and because the baseline figures were produced by the *same*
 //!   min-of-N estimator, a speedup below 1.0 means a real regression,
 //!   not one unlucky timing draw.
-//! * **per-phase breakdown & pipeline-distance sweep** — alongside each
-//!   throughput figure the index-generation front end is timed alone
-//!   (`run_block_frontend`: index-input advance, plan fill, prefetch
-//!   issue), the gather/commit/bookkeeping remainder derived as the rest
-//!   of the pipelined wall time, and the scalar reference drive timed
-//!   directly; a depth sweep on the flagship TAGE-SC-L+IMLI measures the
-//!   pipelined drive at depths 4–64, so the committed artifact records
-//!   both *where* the pipelined win comes from and *why* the default
-//!   pipeline depth is what it is.
 //! * **grid scheduling** — the full 12×8 paper-report grid
 //!   ([`bp_sim::paper_report_predictors`] × `paper_suite`) run once
 //!   per-cell and once with fused benchmark columns
@@ -50,10 +41,8 @@
 //! performance-trajectory artifact (sibling of `BENCH_trace_io.json`).
 
 use crate::trace_bench::{json_f64, json_string};
-use bp_components::ConditionalPredictor;
 use bp_sim::{
-    lookup, paper_report_predictors, simulate, simulate_mode, CachePolicy, DriveMode, Engine,
-    GridStrategy, SimCache,
+    lookup, paper_report_predictors, simulate, CachePolicy, Engine, GridStrategy, SimCache,
 };
 use bp_workloads::{cbp4_suite, generate, paper_suite};
 use std::path::Path;
@@ -167,30 +156,6 @@ pub const THROUGHPUT_PREDICTORS: [&str; 10] = [
     "tage-sc-l+imli",
 ];
 
-/// Per-phase wall-time decomposition of one predictor's pipelined
-/// drive, measured alongside the headline throughput.
-///
-/// The front end is measured directly: `run_block_frontend` replays the
-/// trace through the index-generation pass alone (index-input advance +
-/// plan fill + prefetch, no gathers, no training). The commit side — counter
-/// gathers, prediction resolution, bookkeeping, and training — is the
-/// remainder of the pipelined wall time, since the two passes partition
-/// the block drive. The scalar reference drive is measured directly as
-/// well, so the artifact records where the pipelined mode's win (or
-/// loss) comes from per predictor.
-#[derive(Debug, Clone)]
-pub struct PhaseBreakdown {
-    /// Min-of-N wall seconds of the index-generation front end alone.
-    pub frontend_seconds: f64,
-    /// Gather/commit/bookkeeping remainder: pipelined min wall time
-    /// minus the front-end time (clamped at zero — on a noisy box the
-    /// two independent minima can cross for trivial predictors).
-    pub commit_seconds: f64,
-    /// Min-of-N wall seconds of the scalar reference drive
-    /// ([`DriveMode::Scalar`]) over the same trace.
-    pub scalar_seconds: f64,
-}
-
 /// Measured simulate-path throughput of one predictor configuration.
 #[derive(Debug, Clone)]
 pub struct PredictorThroughput {
@@ -205,9 +170,6 @@ pub struct PredictorThroughput {
     /// Records per second of the fastest repetition (the min-of-N
     /// throughput estimator).
     pub records_per_sec: f64,
-    /// Per-phase decomposition of the pipelined drive, plus the scalar
-    /// reference time.
-    pub phases: PhaseBreakdown,
     /// The same figure from the supplied baseline report, if any.
     pub baseline_records_per_sec: Option<f64>,
 }
@@ -218,45 +180,6 @@ impl PredictorThroughput {
     pub fn speedup(&self) -> Option<f64> {
         let base = self.baseline_records_per_sec?;
         (base > 0.0).then(|| self.records_per_sec / base)
-    }
-
-    /// Scalar wall time over pipelined wall time (> 1 means the
-    /// pipelined drive won on this predictor).
-    pub fn pipelined_speedup(&self) -> f64 {
-        if self.stats.min_seconds <= 0.0 {
-            return 0.0;
-        }
-        self.phases.scalar_seconds / self.stats.min_seconds
-    }
-}
-
-/// One measured point of the pipeline-distance sweep.
-#[derive(Debug, Clone)]
-pub struct DepthSweepPoint {
-    /// Pipeline depth (`set_pipeline_depth`) of this measurement.
-    pub depth: usize,
-    /// Min-of-N records/sec of the pipelined drive at this depth.
-    pub records_per_sec: f64,
-}
-
-/// The pipeline-distance sweep on the flagship configuration: the same
-/// trace driven pipelined at each candidate depth, so the committed
-/// artifact records why `DEFAULT_PIPELINE_DEPTH` is what it is.
-#[derive(Debug, Clone)]
-pub struct DepthSweep {
-    /// Registry name the sweep drives (the flagship TAGE-SC-L+IMLI).
-    pub predictor: String,
-    /// Measured throughput per candidate depth, in sweep order.
-    pub points: Vec<DepthSweepPoint>,
-}
-
-impl DepthSweep {
-    /// The depth of the fastest measured point.
-    pub fn best_depth(&self) -> Option<usize> {
-        self.points
-            .iter()
-            .max_by(|a, b| a.records_per_sec.total_cmp(&b.records_per_sec))
-            .map(|p| p.depth)
     }
 }
 
@@ -357,8 +280,6 @@ pub struct SimBenchReport {
     pub memory: Option<MemoryNote>,
     /// Per-configuration throughput measurements.
     pub predictors: Vec<PredictorThroughput>,
-    /// The pipeline-distance sweep on the flagship configuration.
-    pub depth_sweep: DepthSweep,
     /// The per-cell vs fused grid comparison.
     pub grid: GridLeg,
     /// The uncached vs cold vs warm result-cache comparison, when the
@@ -398,8 +319,7 @@ impl SimBenchReport {
             out.push_str(&format!(
                 "    {{\"name\": {}, \"family\": {}, \"records\": {}, \"reps\": {}, \
                  \"min_seconds\": {}, \"median_seconds\": {}, \"p90_seconds\": {}, \
-                 \"records_per_sec\": {}, \"frontend_seconds\": {}, \"commit_seconds\": {}, \
-                 \"scalar_seconds\": {}, \"pipelined_speedup\": {}",
+                 \"records_per_sec\": {}",
                 json_string(&p.name),
                 json_string(&p.family),
                 p.records,
@@ -408,10 +328,6 @@ impl SimBenchReport {
                 json_f64(p.stats.median_seconds),
                 json_f64(p.stats.p90_seconds),
                 json_f64(p.records_per_sec),
-                json_f64(p.phases.frontend_seconds),
-                json_f64(p.phases.commit_seconds),
-                json_f64(p.phases.scalar_seconds),
-                json_f64(p.pipelined_speedup()),
             ));
             if let Some(base) = p.baseline_records_per_sec {
                 out.push_str(&format!(
@@ -427,23 +343,6 @@ impl SimBenchReport {
             });
         }
         out.push_str("  ],\n");
-        // The sweep object deliberately uses a "predictor" key (never
-        // "name") so [`parse_predictor_throughputs`]'s line scan cannot
-        // mistake a sweep point for a predictor entry.
-        out.push_str(&format!(
-            "  \"depth_sweep\": {{\"predictor\": {}, \"points\": [{}]}},\n",
-            json_string(&self.depth_sweep.predictor),
-            self.depth_sweep
-                .points
-                .iter()
-                .map(|p| format!(
-                    "{{\"depth\": {}, \"rate\": {}}}",
-                    p.depth,
-                    json_f64(p.records_per_sec)
-                ))
-                .collect::<Vec<_>>()
-                .join(", "),
-        ));
         let g = &self.grid;
         out.push_str(&format!(
             "  \"grid\": {{\"predictors\": {}, \"benchmarks\": {}, \"instructions\": {}, \
@@ -577,11 +476,6 @@ pub fn run_sim_bench(
     // invisible on a 140 ns/record TAGE-SC-L pass but is a double-digit
     // artifact on a 6 ns/record bimodal pass.
     let mut times: Vec<Vec<f64>> = vec![Vec::with_capacity(reps); THROUGHPUT_PREDICTORS.len()];
-    let mut frontend_times = times.clone();
-    let mut scalar_times = times.clone();
-    // The simulator's block size: the front-end probe replays the trace
-    // in the same slices the pipelined drive sees.
-    const BLOCK: usize = 4096;
     for _ in 0..reps {
         for (i, name) in THROUGHPUT_PREDICTORS.iter().enumerate() {
             let reg = lookup(name).expect("throughput predictors are registered");
@@ -590,57 +484,29 @@ pub fn run_sim_bench(
                 let _ = simulate(prime.as_mut(), &trace);
             }
             // A fresh cold predictor per rep: the CBP protocol, and the
-            // same cost a grid cell pays. `simulate` is the pipelined
-            // drive — this is the headline figure.
+            // same cost a grid cell pays.
             let mut p = reg.make();
             let ((), seconds) = timed(|| {
                 let _ = simulate(p.as_mut(), &trace);
             });
             times[i].push(seconds);
-
-            // Phase probe: the index-generation front end alone
-            // (index-input advance, plan fill, prefetch issue — no
-            // gathers, no training), on a throwaway instance in
-            // simulator-sized blocks.
-            let mut fe = reg.make();
-            let ((), seconds) = timed(|| {
-                for block in trace.records().chunks(BLOCK) {
-                    fe.run_block_frontend(block);
-                }
-            });
-            frontend_times[i].push(seconds);
-
-            // The scalar reference drive, for the per-predictor
-            // pipelined-vs-scalar figure.
-            let mut sc = reg.make();
-            let ((), seconds) = timed(|| {
-                let _ = simulate_mode(sc.as_mut(), &trace, DriveMode::Scalar);
-            });
-            scalar_times[i].push(seconds);
         }
     }
     let mut predictors = Vec::with_capacity(THROUGHPUT_PREDICTORS.len());
-    for (i, name) in THROUGHPUT_PREDICTORS.iter().enumerate() {
+    for (name, times) in THROUGHPUT_PREDICTORS.iter().zip(times) {
         let reg = lookup(name).expect("throughput predictors are registered");
-        let stats = RepStats::from_times(times[i].clone());
+        let stats = RepStats::from_times(times);
         let best = stats.min_seconds;
-        let frontend_seconds = RepStats::from_times(frontend_times[i].clone()).min_seconds;
-        let scalar_seconds = RepStats::from_times(scalar_times[i].clone()).min_seconds;
         predictors.push(PredictorThroughput {
             name: (*name).to_owned(),
             family: reg.family.to_string(),
             records,
+            stats,
             records_per_sec: if best > 0.0 {
                 records as f64 / best
             } else {
                 0.0
             },
-            phases: PhaseBreakdown {
-                frontend_seconds,
-                commit_seconds: (best - frontend_seconds).max(0.0),
-                scalar_seconds,
-            },
-            stats,
             baseline_records_per_sec: baseline
                 .iter()
                 .find(|(n, _)| n == *name)
@@ -648,38 +514,6 @@ pub fn run_sim_bench(
         });
     }
     let memory = memory_note();
-
-    // Pipeline-distance sweep on the flagship: the same trace driven
-    // pipelined at each candidate depth, best of two passes per point
-    // (repeats only smooth scheduling noise on a deterministic drive).
-    // The committed points justify `DEFAULT_PIPELINE_DEPTH`.
-    let sweep_name = "tage-sc-l+imli";
-    let sweep_reg = lookup(sweep_name).expect("flagship is registered");
-    let mut sweep_points = Vec::new();
-    for depth in [4usize, 8, 16, 32, 64] {
-        let mut point_times = Vec::with_capacity(2);
-        for _ in 0..2 {
-            let mut p = sweep_reg.make();
-            p.set_pipeline_depth(depth);
-            let ((), seconds) = timed(|| {
-                let _ = simulate(p.as_mut(), &trace);
-            });
-            point_times.push(seconds);
-        }
-        let best = RepStats::from_times(point_times).min_seconds;
-        sweep_points.push(DepthSweepPoint {
-            depth,
-            records_per_sec: if best > 0.0 {
-                records as f64 / best
-            } else {
-                0.0
-            },
-        });
-    }
-    let depth_sweep = DepthSweep {
-        predictor: sweep_name.to_owned(),
-        points: sweep_points,
-    };
 
     // Grid leg: the 12×8 paper-report grid, per-cell vs fused columns,
     // best of two passes each (both strategies are deterministic, so
@@ -766,7 +600,6 @@ pub fn run_sim_bench(
         reps,
         memory,
         predictors,
-        depth_sweep,
         grid: GridLeg {
             predictors: grid_predictors.len(),
             benchmarks: benchmarks.len(),
@@ -821,35 +654,7 @@ mod tests {
             assert!(*rate > 0.0);
             assert!(p.stats.min_seconds <= p.stats.median_seconds);
             assert!(p.stats.median_seconds <= p.stats.p90_seconds);
-            // The phase partition: front end + commit remainder cover
-            // the pipelined wall time; both probes actually ran.
-            assert!(p.phases.frontend_seconds > 0.0);
-            assert!(p.phases.scalar_seconds > 0.0);
-            let sum = p.phases.frontend_seconds + p.phases.commit_seconds;
-            assert!(sum >= p.stats.min_seconds - 1e-12);
         }
-        assert!(json.contains("\"frontend_seconds\""));
-        assert!(json.contains("\"pipelined_speedup\""));
-
-        // The depth sweep covers the documented candidate ladder and
-        // its line must not confuse the baseline scanner (checked via
-        // the parsed count above).
-        assert!(json.contains("\"depth_sweep\""));
-        assert_eq!(
-            report
-                .depth_sweep
-                .points
-                .iter()
-                .map(|p| p.depth)
-                .collect::<Vec<_>>(),
-            vec![4, 8, 16, 32, 64]
-        );
-        assert!(report
-            .depth_sweep
-            .points
-            .iter()
-            .all(|p| p.records_per_sec > 0.0));
-        assert!(report.depth_sweep.best_depth().is_some());
 
         // A second run against the first as baseline embeds speedups.
         let rerun = run_sim_bench(5_000, 3_000, 2, &parsed, None);

@@ -52,12 +52,6 @@ impl BimodalTable {
         self.direction[self.index(pc)]
     }
 
-    /// Issues a read prefetch for `pc`'s direction row (a pure hint).
-    #[inline]
-    pub fn prefetch(&self, pc: u64) {
-        crate::kernel::prefetch_read(&self.direction, self.index(pc));
-    }
-
     /// Trains toward `taken` with shared-hysteresis 2-bit dynamics.
     pub fn update(&mut self, pc: u64, taken: bool) {
         let idx = self.index(pc);

@@ -1,12 +1,11 @@
-//! Hot-path kernels: software prefetch and vector-friendly summation.
+//! Hot-path kernels: vector-friendly summation.
 //!
 //! The neural hosts (GEHL, the hashed perceptron, the TAGE statistical
 //! corrector) compute their prediction as the sign of a sum of centered
 //! counter reads. The reads are mutually independent, so the hot path
-//! splits into an *index phase* (compute every table index), a prefetch
-//! of every selected row, a *gather* of the raw counter values, and a
-//! flat summation over the gathered values — this module provides the
-//! last two pieces.
+//! splits into an *index phase* (compute every table index), a *gather*
+//! of the raw counter values, and a flat summation over the gathered
+//! values — this module provides the summation.
 //!
 //! Bit-identity: a centered read contributes `2c + 1`, so a sum of `n`
 //! reads equals `2·Σc + n`; `i32` addition is associative and the
@@ -14,30 +13,6 @@
 //! vectorizing the accumulation cannot change the result. The SSE2 path
 //! is therefore exactly equivalent to [`sum_i8_reference`], which the
 //! property tests re-prove on arbitrary inputs.
-
-/// Issues a best-effort read prefetch for `data[index]`'s cache line.
-///
-/// A prefetch is only a *hint* to the memory system: it has no
-/// architectural effect, so issuing one (with any index, even a stale
-/// or wrong one) can never change simulation results. Out-of-range
-/// indices are ignored. Compiles to nothing on non-x86_64 targets.
-#[inline(always)]
-pub fn prefetch_read<T>(data: &[T], index: usize) {
-    #[cfg(target_arch = "x86_64")]
-    if index < data.len() {
-        // SAFETY: the pointer is in bounds and prefetch does not
-        // dereference it architecturally.
-        unsafe {
-            core::arch::x86_64::_mm_prefetch::<{ core::arch::x86_64::_MM_HINT_T0 }>(
-                data.as_ptr().add(index) as *const i8,
-            );
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        let _ = (data, index);
-    }
-}
 
 /// Sums gathered counter values exactly, `i32`-widened.
 ///
@@ -154,17 +129,6 @@ mod tests {
         assert_eq!(sum_i8_reference(&vals), -128 * 64);
         let vals = [127i8; 33];
         assert_eq!(sum_i8(&vals), 127 * 33);
-    }
-
-    #[test]
-    fn prefetch_is_safe_for_any_index() {
-        let data = [1u64, 2, 3];
-        prefetch_read(&data, 0);
-        prefetch_read(&data, 2);
-        prefetch_read(&data, 3); // out of range: ignored
-        prefetch_read(&data, usize::MAX);
-        let empty: [u8; 0] = [];
-        prefetch_read(&empty, 0);
     }
 
     proptest! {

@@ -37,7 +37,6 @@ mod gshare;
 mod hash;
 mod kernel;
 mod loop_pred;
-mod pipeline;
 mod predictor;
 mod sum;
 mod threshold;
@@ -53,9 +52,8 @@ pub use config::{
 pub use counter::SaturatingCounter;
 pub use gshare::GShare;
 pub use hash::{fold_u64, mix64, pc_bits};
-pub use kernel::{prefetch_read, sum_centered, sum_centered_padded, sum_i8, sum_i8_reference};
+pub use kernel::{sum_centered, sum_centered_padded, sum_i8, sum_i8_reference};
 pub use loop_pred::{LoopPrediction, LoopPredictor, LoopPredictorConfig};
-pub use pipeline::{clamp_pipeline_depth, DriveMode, DEFAULT_PIPELINE_DEPTH, MAX_PIPELINE_DEPTH};
 pub use predictor::{AlwaysTaken, ConditionalPredictor, PredictorStats};
 pub use sum::{CounterBank, SignedCounterTable, SumComponent, SumCtx};
 pub use threshold::AdaptiveThreshold;

@@ -186,12 +186,6 @@ impl LoopPredictor {
         ((pc_bits(pc) >> self.config.log_entries) as u32) & self.tag_mask
     }
 
-    /// Issues a read prefetch for `pc`'s entry (a pure hint).
-    #[inline]
-    pub fn prefetch(&self, pc: u64) {
-        crate::kernel::prefetch_read(&self.entries, self.index(pc));
-    }
-
     /// Returns the loop prediction for `pc` if a trained entry exists.
     pub fn predict(&self, pc: u64) -> Option<LoopPrediction> {
         let e = &self.entries[self.index(pc)];

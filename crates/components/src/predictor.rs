@@ -27,34 +27,6 @@ pub trait ConditionalPredictor: StorageBudget {
     /// Predicts the direction of the conditional branch at `pc`.
     fn predict(&mut self, pc: u64) -> bool;
 
-    /// Hints that the branch at `pc` is about to be predicted, so the
-    /// predictor may prefetch the table rows its lookup will touch.
-    ///
-    /// This is the simulator's one-branch lookahead hook: it is called
-    /// with the *next* record's PC before the current record is
-    /// processed, i.e. under history that is stale by one branch.
-    /// Implementations must treat it as a pure hint — reads of
-    /// predictor state and cache prefetches only, never a state
-    /// change — so that issuing, skipping, or mis-targeting it is
-    /// invisible in the predicted stream (the determinism contract the
-    /// fused==per-cell tests enforce). The default does nothing.
-    fn prefetch(&self, pc: u64) {
-        let _ = pc;
-    }
-
-    /// Whether the simulator's one-branch lookahead should call
-    /// [`prefetch`](ConditionalPredictor::prefetch) at all. The peek +
-    /// virtual dispatch + prefetch instructions cost a few nanoseconds
-    /// per record, which is a measurable *regression* for predictors
-    /// whose whole working set is L1-resident (bimodal, gshare, the
-    /// small neural hosts) — so the default is `false`, and only
-    /// predictors whose hinted rows actually live beyond L1 opt in.
-    /// Purely a performance capability flag: answering `true` or
-    /// `false` cannot change any prediction.
-    fn wants_prefetch(&self) -> bool {
-        false
-    }
-
     /// Predicts like [`predict`](ConditionalPredictor::predict) and also
     /// reports *which component provided* the prediction.
     ///
@@ -97,10 +69,7 @@ pub trait ConditionalPredictor: StorageBudget {
 
     /// Drives this predictor through a block of records with the CBP
     /// protocol (predict/update conditionals, notify the rest),
-    /// accumulating outcomes into `stats` — including the one-record
-    /// lookahead [`prefetch`](ConditionalPredictor::prefetch) hint for
-    /// predictors that opt in via
-    /// [`wants_prefetch`](ConditionalPredictor::wants_prefetch).
+    /// accumulating outcomes into `stats`.
     ///
     /// A provided method rather than a simulator-side loop so that each
     /// concrete predictor gets a *monomorphized* copy: when the
@@ -108,99 +77,21 @@ pub trait ConditionalPredictor: StorageBudget {
     /// body's `predict`/`update`/`notify_nonconditional` calls dispatch
     /// statically (and inline) inside the predictor's own copy, costing
     /// one virtual call per **block** instead of three per **record**.
-    ///
-    /// This is the [`DriveMode::Pipelined`](crate::DriveMode) entry
-    /// point: table-backed hosts override it with their decoupled
-    /// front-end/back-end block loop. Overrides must implement the
-    /// **identical protocol bit-for-bit** — same predictions, same
-    /// training, same post-run storage state as
-    /// [`run_block_scalar`](ConditionalPredictor::run_block_scalar) —
-    /// and be allocation-free in steady state; the pipelined
-    /// equivalence tests and the CI grid cmp pin the semantics. The
-    /// default is the scalar protocol.
+    /// It defines the protocol, so implementations never override it.
     fn run_block(&mut self, block: &[BranchRecord], stats: &mut PredictorStats) {
-        self.run_block_scalar(block, stats);
-    }
-
-    /// The reference scalar block drive: one record at a time with the
-    /// CBP protocol, including the one-record lookahead
-    /// [`prefetch`](ConditionalPredictor::prefetch) hint for predictors
-    /// that opt in via
-    /// [`wants_prefetch`](ConditionalPredictor::wants_prefetch).
-    ///
-    /// This is the [`DriveMode::Scalar`](crate::DriveMode) entry point
-    /// and the oracle the pipelined overrides are tested against.
-    /// Implementations must **never** override it — it defines the
-    /// protocol.
-    fn run_block_scalar(&mut self, block: &[BranchRecord], stats: &mut PredictorStats) {
-        if self.wants_prefetch() {
-            for (i, record) in block.iter().enumerate() {
-                // Peek one record ahead and hint its lookup rows so the
-                // loads overlap the current record's work. Stale-by-one
-                // history is fine: `prefetch` is architecturally a
-                // no-op, so results stay bit-identical either way.
-                if let Some(peek) = block.get(i + 1) {
-                    if peek.is_conditional() {
-                        self.prefetch(peek.pc);
-                    }
-                }
-                step_record(self, record, stats);
-            }
-        } else {
-            for record in block {
-                step_record(self, record, stats);
+        for record in block {
+            if record.is_conditional() {
+                let pred = self.predict(record.pc);
+                stats.record(pred == record.taken);
+                self.update(record);
+            } else {
+                self.notify_nonconditional(record);
             }
         }
     }
 
-    /// Runs only the pipelined *front-end* over `block`: index/tag
-    /// planning, prefetch issue, and the pure index-input advance — no
-    /// predictions, no prediction-dependent training.
-    ///
-    /// A benchmarking probe (the per-phase timing breakdown in
-    /// `bp bench --sim` times this pass alone, on a throwaway predictor
-    /// instance — the front end advances the index inputs, so a probed
-    /// predictor must not then be used for accuracy measurements); the
-    /// default for non-pipelined predictors does nothing.
-    fn run_block_frontend(&mut self, block: &[BranchRecord]) {
-        let _ = block;
-    }
-
-    /// Sets the pipeline distance D — how many branches the pipelined
-    /// front-end plans and prefetches ahead of the commit loop.
-    ///
-    /// Implementations clamp to
-    /// [`1..=MAX_PIPELINE_DEPTH`](crate::MAX_PIPELINE_DEPTH) against
-    /// pre-sized scratch, so this never allocates and any depth is
-    /// safe. A pure performance knob: predictions are bit-identical at
-    /// every depth (the purity invariant — see [`crate::DriveMode`]).
-    /// The default (for predictors without a pipelined path) ignores
-    /// it.
-    fn set_pipeline_depth(&mut self, depth: usize) {
-        let _ = depth;
-    }
-
     /// A short human-readable configuration name, e.g. `"TAGE-GSC+IMLI"`.
     fn name(&self) -> &str;
-}
-
-/// One CBP-protocol step: predict/update a conditional record, notify a
-/// non-conditional one. Shared by the provided
-/// [`ConditionalPredictor::run_block`] so the per-record protocol cannot
-/// drift between the prefetching and plain loops.
-#[inline]
-fn step_record<P: ConditionalPredictor + ?Sized>(
-    predictor: &mut P,
-    record: &BranchRecord,
-    stats: &mut PredictorStats,
-) {
-    if record.is_conditional() {
-        let pred = predictor.predict(record.pc);
-        stats.record(pred == record.taken);
-        predictor.update(record);
-    } else {
-        predictor.notify_nonconditional(record);
-    }
 }
 
 /// Boxed predictors forward the whole protocol, so composed predictors
@@ -208,18 +99,11 @@ fn step_record<P: ConditionalPredictor + ?Sized>(
 /// `Box<dyn ConditionalPredictor + Send>` built from a configuration
 /// value. `predict_attributed` forwards explicitly — falling back to
 /// the trait default would silently drop the inner predictor's
-/// attribution.
+/// attribution — and so does `run_block`, so a boxed drive runs the
+/// inner predictor's monomorphized loop for one virtual call per block.
 impl ConditionalPredictor for Box<dyn ConditionalPredictor + Send> {
     fn predict(&mut self, pc: u64) -> bool {
         (**self).predict(pc)
-    }
-
-    fn prefetch(&self, pc: u64) {
-        (**self).prefetch(pc)
-    }
-
-    fn wants_prefetch(&self) -> bool {
-        (**self).wants_prefetch()
     }
 
     fn predict_attributed(&mut self, pc: u64) -> (bool, PredictionAttribution) {
@@ -240,18 +124,6 @@ impl ConditionalPredictor for Box<dyn ConditionalPredictor + Send> {
 
     fn run_block(&mut self, block: &[BranchRecord], stats: &mut PredictorStats) {
         (**self).run_block(block, stats)
-    }
-
-    fn run_block_scalar(&mut self, block: &[BranchRecord], stats: &mut PredictorStats) {
-        (**self).run_block_scalar(block, stats)
-    }
-
-    fn run_block_frontend(&mut self, block: &[BranchRecord]) {
-        (**self).run_block_frontend(block)
-    }
-
-    fn set_pipeline_depth(&mut self, depth: usize) {
-        (**self).set_pipeline_depth(depth)
     }
 
     fn name(&self) -> &str {

@@ -132,8 +132,8 @@ impl SignedCounterTable {
 /// hashed perceptron, and the statistical corrector read one counter
 /// from each of their tables per prediction, and a single backing
 /// allocation keeps those mutually independent probes on the same
-/// cache-friendly base pointer (and gives the two-phase
-/// index/prefetch/gather hot path one slice to prefetch into).
+/// cache-friendly base pointer (and gives the index/gather hot path one
+/// slice to gather from).
 ///
 /// ```
 /// use bp_components::CounterBank;
@@ -260,13 +260,6 @@ impl CounterBank {
         }
     }
 
-    /// Issues a read prefetch for the selected row (a pure hint; see
-    /// [`crate::prefetch_read`]).
-    #[inline]
-    pub fn prefetch(&self, table: usize, index: u64) {
-        crate::prefetch_read(&self.counters, self.slot(table, index));
-    }
-
     /// Storage in bits of one table.
     pub fn table_storage_bits(&self) -> u64 {
         (self.entries() as u64) * u64::from(self.bits)
@@ -336,7 +329,6 @@ mod tests {
             let taken = x & 1 == 1;
             assert_eq!(bank.read(t, idx), tables[t].read(idx));
             assert_eq!(i32::from(bank.value(t, idx)), (tables[t].read(idx) - 1) / 2);
-            bank.prefetch(t, idx);
             bank.train(t, idx, taken);
             tables[t].train(idx, taken);
         }

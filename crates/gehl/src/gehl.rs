@@ -1,10 +1,9 @@
 //! The GEHL predictor (Seznec 2005), with IMLI and FTL extensions.
 
 use bp_components::{
-    clamp_pipeline_depth, mix64, pc_bits, sum_centered_padded, AdaptiveThreshold,
-    ConditionalPredictor, ConfidenceBucket, ConfigError, ConfigValue, CounterBank, LoopPredictor,
-    LoopPredictorConfig, PredictionAttribution, PredictorConfig, PredictorStats, ProviderComponent,
-    StorageBudget, StorageItem, SumCtx, DEFAULT_PIPELINE_DEPTH, MAX_PIPELINE_DEPTH,
+    mix64, pc_bits, sum_centered_padded, AdaptiveThreshold, ConditionalPredictor, ConfidenceBucket,
+    ConfigError, ConfigValue, CounterBank, LoopPredictor, LoopPredictorConfig,
+    PredictionAttribution, PredictorConfig, ProviderComponent, StorageBudget, StorageItem, SumCtx,
 };
 use bp_history::{HistoryState, LocalHistoryTable};
 use bp_trace::BranchRecord;
@@ -324,19 +323,6 @@ pub struct Gehl {
     /// the paired predict/update pair sees identical indices.
     indices: [u64; GEHL_MAX_ADDENDS],
     last_pred: bool,
-    /// Per-branch contexts captured by the pipelined front end
-    /// ([`Gehl::plan_record`]), one row per in-flight branch. Every
-    /// index input evolves as a pure function of `(pc, outcome)` from
-    /// the trace, so the front end advances the *architectural* state
-    /// itself — no duplicated fold work — and the commit loop replays
-    /// the captured context instead of re-reading history that has
-    /// already run ahead.
-    plan_ctxs: Vec<SumCtx>,
-    /// Planned table indices, `plan_stride` per in-flight branch
-    /// (globals first, then locals), allocated once at construction.
-    plans: Vec<u64>,
-    plan_stride: usize,
-    pipeline_depth: usize,
 }
 
 impl Gehl {
@@ -358,16 +344,10 @@ impl Gehl {
             hist_lens.push(hlen as u64);
         }
         let entries = 1usize << config.log_entries;
-        let n_local = config.local.map_or(0, |(_, tables)| tables);
-        let plan_stride = config.num_tables + n_local;
         Gehl {
             tables: CounterBank::new(config.num_tables, entries, config.counter_bits),
             folds,
             hist_lens,
-            plan_ctxs: vec![SumCtx::default(); MAX_PIPELINE_DEPTH],
-            plans: vec![0u64; MAX_PIPELINE_DEPTH * plan_stride],
-            plan_stride,
-            pipeline_depth: DEFAULT_PIPELINE_DEPTH,
             history,
             local_history: config
                 .local
@@ -395,18 +375,13 @@ impl Gehl {
         self.imli.as_ref()
     }
 
-    /// Index of global table `i` against an explicit history view —
-    /// always the architectural [`Gehl::history`]: the scalar path reads
-    /// it at predict time, the pipelined front end at plan time (before
-    /// the commit loop trains, which the purity invariant makes
-    /// order-equivalent).
     #[inline]
-    fn table_index(&self, hist: &HistoryState, i: usize, pc: u64, imli_count: u32) -> u64 {
+    fn table_index(&self, i: usize, pc: u64, imli_count: u32) -> u64 {
         let mut v = pc_bits(pc) ^ ((i as u64) << 59);
         if let Some(fold) = self.folds[i] {
             let hlen = self.hist_lens[i];
-            v ^= u64::from(hist.fold(fold)) ^ (hlen << 13);
-            v ^= hist.path() & 0x3F;
+            v ^= u64::from(self.history.fold(fold)) ^ (hlen << 13);
+            v ^= self.history.path() & 0x3F;
         }
         // Paper §4.2: folding the IMLI counter into two of the global
         // table indices increases the SIC benefit.
@@ -452,7 +427,7 @@ impl Gehl {
     /// [`predict`]: ConditionalPredictor::predict
     /// [`predict_attributed`]: ConditionalPredictor::predict_attributed
     #[inline]
-    fn make_ctx(&self, pc: u64) -> SumCtx {
+    fn predict_full(&mut self, pc: u64) -> (bool, PredictionAttribution) {
         let mut ctx = SumCtx {
             pc,
             ghist: self.history.global().low_bits(64),
@@ -465,12 +440,6 @@ impl Gehl {
         if let Some(imli) = &self.imli {
             imli.fill_ctx(&mut ctx);
         }
-        ctx
-    }
-
-    #[inline]
-    fn predict_full(&mut self, pc: u64) -> (bool, PredictionAttribution) {
-        let ctx = self.make_ctx(pc);
 
         // Fused index+gather pass per bank: compute each table's index
         // (mixing and fold reads), stash it for verbatim reuse by
@@ -483,7 +452,7 @@ impl Gehl {
         let n_global = self.tables.tables();
         let mut values = [0i8; GEHL_MAX_ADDENDS];
         for (i, value) in values[..n_global].iter_mut().enumerate() {
-            let idx = self.table_index(&self.history, i, pc, ctx.imli_count);
+            let idx = self.table_index(i, pc, ctx.imli_count);
             self.indices[i] = idx;
             *value = self.tables.value(i, idx);
         }
@@ -495,44 +464,10 @@ impl Gehl {
                 *value = local.value(i, idx);
             }
         }
-        self.finish_predict(ctx, &values, n_global + n_local)
-    }
 
-    /// Back-end half of the pipelined drive: gathers counters through
-    /// the indices planned by [`Gehl::plan_record`], under the context
-    /// captured at plan time (the architectural history has run ahead
-    /// by then), and finishes the prediction exactly like
-    /// [`Gehl::predict_full`]. The planned indices are copied into
-    /// [`Gehl::indices`] first, so the paired training step trains
-    /// through them verbatim, same as the scalar path.
-    fn predict_planned(&mut self, row: usize) -> (bool, PredictionAttribution) {
-        let ctx = self.plan_ctxs[row];
-        let n_global = self.tables.tables();
-        let n_local = self.local_tables.as_ref().map_or(0, CounterBank::tables);
-        let n = n_global + n_local;
-        let base = row * self.plan_stride;
-        self.indices[..n].copy_from_slice(&self.plans[base..base + n]);
-        let mut values = [0i8; GEHL_MAX_ADDENDS];
-        self.tables
-            .gather(&self.indices[..n_global], &mut values[..n_global]);
-        if let Some(local) = &self.local_tables {
-            local.gather(&self.indices[n_global..n], &mut values[n_global..n]);
-        }
-        self.finish_predict(ctx, &values, n)
-    }
-
-    /// Shared prediction tail: reduce, IMLI addends, loop-predictor
-    /// override, attribution, and the `lookup` stash for `update`.
-    #[inline]
-    fn finish_predict(
-        &mut self,
-        ctx: SumCtx,
-        values: &[i8; GEHL_MAX_ADDENDS],
-        n: usize,
-    ) -> (bool, PredictionAttribution) {
         // Reduce: Σ (2c+1) over the gathered counters, exactly the sum
         // the per-table `read` loop used to accumulate.
-        let mut sum = sum_centered_padded(values, n);
+        let mut sum = sum_centered_padded(&values, n_global + n_local);
         if let Some(imli) = &self.imli {
             sum += imli.read(&ctx);
         }
@@ -545,7 +480,7 @@ impl Gehl {
         );
         let mut loop_used = false;
         if let Some(lp) = &self.loop_pred {
-            if let Some(loop_pred) = lp.predict(ctx.pc) {
+            if let Some(loop_pred) = lp.predict(pc) {
                 if loop_pred.high_confidence {
                     attribution = PredictionAttribution::new(
                         ProviderComponent::Loop,
@@ -561,76 +496,18 @@ impl Gehl {
         self.last_pred = pred;
         (pred, attribution)
     }
+}
 
-    /// Front-end pass for one in-flight branch: captures the branch's
-    /// sum context, computes every table index, stashes both in row
-    /// `row` of the plan scratch, and advances the architectural index
-    /// inputs past the record. Advancing the real state here (instead
-    /// of replaying a shadow copy) is what the purity invariant buys:
-    /// the fold work runs **once** per branch, same as the scalar
-    /// drive, just earlier — the prediction-dependent training in
-    /// [`Gehl::train_planned`] never touches an index input.
-    ///
-    /// Deliberately issues **no** prefetches: the counter banks are the
-    /// same L1/L2-resident ~26 KB working set for which the one-branch
-    /// lookahead hint ([`ConditionalPredictor::prefetch`]) already
-    /// restricts itself to a single exact row — per-row plan prefetches
-    /// were measured as pure front-end overhead here, unlike the
-    /// L1-overflowing TAGE-SC banks.
-    #[inline]
-    fn plan_record(&mut self, row: usize, record: &BranchRecord) {
-        if record.is_conditional() {
-            let ctx = self.make_ctx(record.pc);
-            let n_global = self.tables.tables();
-            let base = row * self.plan_stride;
-            for i in 0..n_global {
-                self.plans[base + i] =
-                    self.table_index(&self.history, i, record.pc, ctx.imli_count);
-            }
-            if let Some(local) = &self.local_tables {
-                for i in 0..local.tables() {
-                    self.plans[base + n_global + i] =
-                        self.local_index(i, record.pc, ctx.local_history);
-                }
-            }
-            self.plan_ctxs[row] = ctx;
-            self.advance_conditional(record);
-        } else {
-            self.advance_nonconditional(record);
-        }
+impl ConditionalPredictor for Gehl {
+    fn predict(&mut self, pc: u64) -> bool {
+        self.predict_full(pc).0
     }
 
-    /// Advances every index input past a conditional record: IMLI
-    /// observation, local history, folded global/path history. Pure in
-    /// `(pc, outcome)` — the scalar `update` tail and the pipelined
-    /// front end share it, so the two drives walk identical state.
-    #[inline]
-    fn advance_conditional(&mut self, record: &BranchRecord) {
-        if let Some(imli) = &mut self.imli {
-            imli.observe(record);
-        }
-        if let Some(lh) = &mut self.local_history {
-            lh.update(record.pc, record.taken);
-        }
-        self.history.push(record.taken, record.pc);
+    fn predict_attributed(&mut self, pc: u64) -> (bool, PredictionAttribution) {
+        self.predict_full(pc)
     }
 
-    /// Advances the index inputs past a non-conditional record.
-    #[inline]
-    fn advance_nonconditional(&mut self, record: &BranchRecord) {
-        if let Some(imli) = &mut self.imli {
-            imli.observe(record);
-        }
-        self.history.push_path_only(record.pc);
-    }
-
-    /// The prediction-dependent half of [`ConditionalPredictor::update`]:
-    /// loop-predictor training, threshold-gated counter training through
-    /// the stashed indices, and threshold adaptation. Touches no index
-    /// input, which is what lets the pipelined front end run the history
-    /// ahead of it.
-    #[inline]
-    fn train_planned(&mut self, record: &BranchRecord) {
+    fn update(&mut self, record: &BranchRecord) {
         // bp-lint: allow(panic-surface, "CBP protocol contract: update() without a pending predict() is caller error, not data-dependent")
         let (ctx, sum, _loop_used) = self.lookup.take().expect("update without pending predict");
         let taken = record.taken;
@@ -645,7 +522,8 @@ impl Gehl {
 
         if self.threshold.should_update(sum_abs, neural_mispredicted) {
             // Train through the indices stashed by the paired predict:
-            // they are the rows the prediction actually read.
+            // history has not advanced since, so they are the rows the
+            // prediction actually read.
             let n_global = self.tables.tables();
             self.tables.train_all(&self.indices[..n_global], taken);
             if let Some(local) = &mut self.local_tables {
@@ -657,21 +535,14 @@ impl Gehl {
             }
         }
         self.threshold.adapt(sum_abs, neural_mispredicted);
-    }
-}
 
-impl ConditionalPredictor for Gehl {
-    fn predict(&mut self, pc: u64) -> bool {
-        self.predict_full(pc).0
-    }
-
-    fn predict_attributed(&mut self, pc: u64) -> (bool, PredictionAttribution) {
-        self.predict_full(pc)
-    }
-
-    fn update(&mut self, record: &BranchRecord) {
-        self.train_planned(record);
-        self.advance_conditional(record);
+        if let Some(imli) = &mut self.imli {
+            imli.observe(record);
+        }
+        if let Some(lh) = &mut self.local_history {
+            lh.update(record.pc, taken);
+        }
+        self.history.push(taken, record.pc);
     }
 
     fn flush_history(&mut self) {
@@ -685,53 +556,10 @@ impl ConditionalPredictor for Gehl {
     }
 
     fn notify_nonconditional(&mut self, record: &BranchRecord) {
-        self.advance_nonconditional(record);
-    }
-
-    fn run_block(&mut self, block: &[BranchRecord], stats: &mut PredictorStats) {
-        for chunk in block.chunks(self.pipeline_depth) {
-            // Front end: plan (and prefetch) every branch of the chunk,
-            // advancing the architectural index inputs up to
-            // `pipeline_depth` branches ahead of the commit loop.
-            // Non-conditionals are fully handled here.
-            for (row, record) in chunk.iter().enumerate() {
-                self.plan_record(row, record);
-            }
-            // Back end: gather through the precomputed addresses and
-            // apply the prediction-dependent training, in trace order.
-            for (row, record) in chunk.iter().enumerate() {
-                if record.is_conditional() {
-                    let (pred, _) = self.predict_planned(row);
-                    stats.record(pred == record.taken);
-                    self.train_planned(record);
-                }
-            }
+        if let Some(imli) = &mut self.imli {
+            imli.observe(record);
         }
-    }
-
-    fn run_block_frontend(&mut self, block: &[BranchRecord]) {
-        for chunk in block.chunks(self.pipeline_depth) {
-            for (row, record) in chunk.iter().enumerate() {
-                self.plan_record(row, record);
-            }
-        }
-    }
-
-    fn set_pipeline_depth(&mut self, depth: usize) {
-        self.pipeline_depth = clamp_pipeline_depth(depth);
-    }
-
-    fn prefetch(&self, pc: u64) {
-        // Pure hint, issued one branch ahead by the simulator. Table 0
-        // is PC-indexed so its row is exact; the history-indexed rows
-        // all live in an L1/L2-resident ~26 KB bank where extra
-        // prefetches were measured as pure overhead, so only the exact
-        // row (and the loop predictor's) are requested.
-        self.tables
-            .prefetch(0, self.table_index(&self.history, 0, pc, 0));
-        if let Some(lp) = &self.loop_pred {
-            lp.prefetch(pc);
-        }
+        self.history.push_path_only(record.pc);
     }
 
     fn name(&self) -> &str {

@@ -220,7 +220,6 @@ pub fn default_policy() -> Policy {
             "crates/perceptron/src/lib.rs",
             "crates/components/src/sum.rs",
             "crates/components/src/kernel.rs",
-            "crates/components/src/pipeline.rs",
             "crates/components/src/predictor.rs",
             "crates/history/src/state.rs",
             "crates/sim/src/run.rs",
@@ -228,7 +227,6 @@ pub fn default_policy() -> Policy {
         ],
         deterministic_modules: &[
             "crates/cache/src/lib.rs",
-            "crates/components/src/pipeline.rs",
             "crates/sim/src/cache.rs",
             "crates/sim/src/report.rs",
             "crates/sim/src/scenario.rs",

@@ -15,10 +15,9 @@
 #![warn(missing_docs)]
 
 use bp_components::{
-    clamp_pipeline_depth, mix64, pc_bits, sum_centered, AdaptiveThreshold, ConditionalPredictor,
-    ConfidenceBucket, ConfigError, ConfigValue, CounterBank, PredictionAttribution,
-    PredictorConfig, PredictorStats, ProviderComponent, StorageBudget, StorageItem, SumCtx,
-    DEFAULT_PIPELINE_DEPTH, MAX_PIPELINE_DEPTH,
+    mix64, pc_bits, sum_centered, AdaptiveThreshold, ConditionalPredictor, ConfidenceBucket,
+    ConfigError, ConfigValue, CounterBank, PredictionAttribution, PredictorConfig,
+    ProviderComponent, StorageBudget, StorageItem, SumCtx,
 };
 use bp_history::HistoryState;
 use bp_trace::BranchRecord;
@@ -207,18 +206,6 @@ pub struct HashedPerceptron {
     /// `update`, so the paired predict/update sees identical indices).
     indices: [u64; HP_MAX_TABLES],
     last_pred: bool,
-    /// Per-branch pure contexts captured by the pipelined front end
-    /// ([`HashedPerceptron::plan_record`]), one row per in-flight
-    /// branch. The front end advances the architectural history itself
-    /// (legal because every index input evolves purely from
-    /// `(pc, outcome)`), so the context must be snapshotted here before
-    /// the history moves past the branch.
-    plan_ctxs: Vec<SumCtx>,
-    /// Planned weight-table indices, one `plan_stride`-wide row per
-    /// in-flight branch, allocated once at construction.
-    plans: Vec<u64>,
-    plan_stride: usize,
-    pipeline_depth: usize,
 }
 
 impl HashedPerceptron {
@@ -239,14 +226,9 @@ impl HashedPerceptron {
             .map(|&len| (len > 0).then(|| history.add_fold(len, config.log_entries)))
             .collect();
         let entries = 1usize << config.log_entries;
-        let plan_stride = config.segments.len();
         HashedPerceptron {
             tables: CounterBank::new(config.segments.len(), entries, config.weight_bits),
             folds,
-            plan_ctxs: vec![SumCtx::default(); MAX_PIPELINE_DEPTH],
-            plans: vec![0u64; MAX_PIPELINE_DEPTH * plan_stride],
-            plan_stride,
-            pipeline_depth: DEFAULT_PIPELINE_DEPTH,
             history,
             imli: config.imli.as_ref().map(ImliState::new),
             threshold: AdaptiveThreshold::new(config.threshold_init, config.threshold_max),
@@ -277,92 +259,14 @@ impl HashedPerceptron {
         self.imli.as_ref()
     }
 
-    /// Index of weight table `i` against an explicit history view —
-    /// always the architectural [`HashedPerceptron::history`]: the
-    /// scalar path reads it at predict time, the pipelined front end at
-    /// plan time (before the commit loop trains, which the purity
-    /// invariant makes order-equivalent).
     #[inline]
-    fn table_index(&self, hist: &HistoryState, i: usize, pc: u64) -> u64 {
+    fn table_index(&self, i: usize, pc: u64) -> u64 {
         let mut v = pc_bits(pc).wrapping_mul(0x9E37_79B9) ^ ((i as u64) << 55);
         if let Some(fold) = self.folds[i] {
-            v ^= mix64(u64::from(hist.fold(fold)) ^ ((i as u64) << 33));
-            v ^= hist.path() & 0x1F;
+            v ^= mix64(u64::from(self.history.fold(fold)) ^ ((i as u64) << 33));
+            v ^= self.history.path() & 0x1F;
         }
         v
-    }
-
-    /// Front-end pass for one in-flight branch: snapshots the pure
-    /// context, computes every weight index into row `row` of the plan
-    /// scratch, and advances the architectural index inputs past the
-    /// record. Advancing the real state here (instead of replaying a
-    /// shadow copy) is what the purity invariant buys: the fold work
-    /// runs **once** per branch, same as the scalar drive, just earlier
-    /// — [`HashedPerceptron::train_planned`] never touches an index
-    /// input.
-    ///
-    /// Deliberately issues **no** prefetches: the ~12 KB weight bank is
-    /// L1-resident, where the one-branch lookahead hint
-    /// ([`ConditionalPredictor::prefetch`]) already restricts itself to
-    /// the single exact PC-indexed row — per-row plan prefetches were
-    /// measured as pure front-end overhead here.
-    #[inline]
-    fn plan_record(&mut self, row: usize, record: &BranchRecord) {
-        if record.is_conditional() {
-            let ctx = self.make_ctx(record.pc);
-            let base = row * self.plan_stride;
-            for i in 0..self.plan_stride {
-                self.plans[base + i] = self.table_index(&self.history, i, record.pc);
-            }
-            self.plan_ctxs[row] = ctx;
-            self.advance_conditional(record);
-        } else {
-            self.advance_nonconditional(record);
-        }
-    }
-
-    /// Advances every index input past a conditional record — the pure
-    /// half of [`ConditionalPredictor::update`].
-    #[inline]
-    fn advance_conditional(&mut self, record: &BranchRecord) {
-        if let Some(imli) = &mut self.imli {
-            imli.observe(record);
-        }
-        self.history.push(record.taken, record.pc);
-    }
-
-    /// Advances every index input past a non-conditional record — the
-    /// whole of [`ConditionalPredictor::notify_nonconditional`].
-    #[inline]
-    fn advance_nonconditional(&mut self, record: &BranchRecord) {
-        if let Some(imli) = &mut self.imli {
-            imli.observe(record);
-        }
-        self.history.push_path_only(record.pc);
-    }
-
-    /// The prediction-dependent half of [`ConditionalPredictor::update`]:
-    /// consumes the stashed lookup and trains the weight tables and IMLI
-    /// counters through the indices the paired prediction actually read.
-    /// Never touches an index input, so the pipelined commit loop can
-    /// run it after the front end has advanced the history.
-    #[inline]
-    fn train_planned(&mut self, record: &BranchRecord) {
-        // bp-lint: allow(panic-surface, "CBP protocol contract: update() without a pending predict() is caller error, not data-dependent")
-        let (ctx, sum) = self.lookup.take().expect("update without pending predict");
-        let taken = record.taken;
-        let mispredicted = self.last_pred != taken;
-        let sum_abs = sum.abs();
-        if self.threshold.should_update(sum_abs, mispredicted) {
-            // Train through the indices stashed by the paired predict:
-            // they are the rows the prediction actually read.
-            let n = self.tables.tables();
-            self.tables.train_all(&self.indices[..n], taken);
-            if let Some(imli) = &mut self.imli {
-                imli.train(&ctx, taken);
-            }
-        }
-        self.threshold.adapt(sum_abs, mispredicted);
     }
 }
 
@@ -373,7 +277,7 @@ impl HashedPerceptron {
     /// [`predict`]: ConditionalPredictor::predict
     /// [`predict_attributed`]: ConditionalPredictor::predict_attributed
     #[inline]
-    fn make_ctx(&self, pc: u64) -> SumCtx {
+    fn predict_full(&mut self, pc: u64) -> (bool, PredictionAttribution) {
         let mut ctx = SumCtx {
             pc,
             ghist: self.history.global().low_bits(64),
@@ -383,12 +287,6 @@ impl HashedPerceptron {
         if let Some(imli) = &self.imli {
             imli.fill_ctx(&mut ctx);
         }
-        ctx
-    }
-
-    #[inline]
-    fn predict_full(&mut self, pc: u64) -> (bool, PredictionAttribution) {
-        let ctx = self.make_ctx(pc);
         // Two-phase lookup: the index phase (hash mixing + fold reads)
         // fills the stashed index buffer, the gather phase pulls the
         // weights into a flat `i8` buffer, and the vector-friendly
@@ -402,30 +300,8 @@ impl HashedPerceptron {
         // unrolled scalar remainder.
         let n = self.tables.tables();
         for i in 0..n {
-            self.indices[i] = self.table_index(&self.history, i, pc);
+            self.indices[i] = self.table_index(i, pc);
         }
-        self.finish_predict(ctx, n)
-    }
-
-    /// Back-end half of the pipelined drive: loads the context and
-    /// indices planned by [`HashedPerceptron::plan_record`] into the
-    /// stash (so [`HashedPerceptron::train_planned`] trains through them
-    /// verbatim) and finishes the prediction exactly like
-    /// [`HashedPerceptron::predict_full`]. The architectural history has
-    /// already run ahead, so the plan-time snapshot is the *only* source
-    /// of the pure context here.
-    fn predict_planned(&mut self, row: usize) -> (bool, PredictionAttribution) {
-        let ctx = self.plan_ctxs[row];
-        let n = self.tables.tables();
-        let base = row * self.plan_stride;
-        self.indices[..n].copy_from_slice(&self.plans[base..base + n]);
-        self.finish_predict(ctx, n)
-    }
-
-    /// Shared prediction tail over the stashed indices: gather, reduce,
-    /// IMLI addends, attribution, and the `lookup` stash for `update`.
-    #[inline]
-    fn finish_predict(&mut self, ctx: SumCtx, n: usize) -> (bool, PredictionAttribution) {
         let mut values = [0i8; HP_MAX_TABLES];
         self.tables.gather(&self.indices[..n], &mut values[..n]);
         let mut sum = sum_centered(&values[..n]);
@@ -455,11 +331,26 @@ impl ConditionalPredictor for HashedPerceptron {
     }
 
     fn update(&mut self, record: &BranchRecord) {
-        // The scalar protocol is literally train-then-advance — the
-        // same two halves the pipelined drive runs at commit and plan
-        // time respectively, so the two drives cannot diverge.
-        self.train_planned(record);
-        self.advance_conditional(record);
+        // bp-lint: allow(panic-surface, "CBP protocol contract: update() without a pending predict() is caller error, not data-dependent")
+        let (ctx, sum) = self.lookup.take().expect("update without pending predict");
+        let taken = record.taken;
+        let mispredicted = self.last_pred != taken;
+        let sum_abs = sum.abs();
+        if self.threshold.should_update(sum_abs, mispredicted) {
+            // Train through the indices stashed by the paired predict:
+            // history has not advanced since, so they are the rows the
+            // prediction actually read.
+            let n = self.tables.tables();
+            self.tables.train_all(&self.indices[..n], taken);
+            if let Some(imli) = &mut self.imli {
+                imli.train(&ctx, taken);
+            }
+        }
+        self.threshold.adapt(sum_abs, mispredicted);
+        if let Some(imli) = &mut self.imli {
+            imli.observe(record);
+        }
+        self.history.push(taken, record.pc);
     }
 
     fn flush_history(&mut self) {
@@ -470,47 +361,10 @@ impl ConditionalPredictor for HashedPerceptron {
     }
 
     fn notify_nonconditional(&mut self, record: &BranchRecord) {
-        self.advance_nonconditional(record);
-    }
-
-    fn run_block(&mut self, block: &[BranchRecord], stats: &mut PredictorStats) {
-        // Front end: plan + advance every record (non-conditionals are
-        // fully handled there). Commit: gather + train conditionals
-        // only, in trace order.
-        for chunk in block.chunks(self.pipeline_depth) {
-            for (row, record) in chunk.iter().enumerate() {
-                self.plan_record(row, record);
-            }
-            for (row, record) in chunk.iter().enumerate() {
-                if record.is_conditional() {
-                    let (pred, _) = self.predict_planned(row);
-                    stats.record(pred == record.taken);
-                    self.train_planned(record);
-                }
-            }
+        if let Some(imli) = &mut self.imli {
+            imli.observe(record);
         }
-    }
-
-    fn run_block_frontend(&mut self, block: &[BranchRecord]) {
-        for chunk in block.chunks(self.pipeline_depth) {
-            for (row, record) in chunk.iter().enumerate() {
-                self.plan_record(row, record);
-            }
-        }
-    }
-
-    fn set_pipeline_depth(&mut self, depth: usize) {
-        self.pipeline_depth = clamp_pipeline_depth(depth);
-    }
-
-    fn prefetch(&self, pc: u64) {
-        // Pure hint, issued one branch ahead by the simulator. Table 0
-        // is segment-0 (PC-only) in every stock configuration, so its
-        // row is exact; the remaining rows sit in an L1/L2-resident
-        // ~12 KB bank where extra prefetches were measured as pure
-        // overhead.
-        self.tables
-            .prefetch(0, self.table_index(&self.history, 0, pc));
+        self.history.push_path_only(record.pc);
     }
 
     fn name(&self) -> &str {

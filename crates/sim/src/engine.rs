@@ -29,9 +29,9 @@
 
 use crate::cache::{grid_cell_key, CacheKey, SimCache};
 use crate::registry::PredictorSpec;
-use crate::run::{simulate_stream_mode, simulate_stream_multi_mode, SimResult};
+use crate::run::{simulate_stream, simulate_stream_multi, SimResult};
 use crate::suite::SuiteResult;
-use bp_components::{ConditionalPredictor, DriveMode};
+use bp_components::ConditionalPredictor;
 use bp_workloads::BenchmarkSpec;
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
@@ -91,7 +91,6 @@ pub struct Engine {
     jobs: usize,
     strategy: GridStrategy,
     cache: Option<SimCache>,
-    drive_mode: DriveMode,
 }
 
 impl Default for Engine {
@@ -107,7 +106,6 @@ impl Engine {
             jobs: std::thread::available_parallelism().map_or(4, NonZeroUsize::get),
             strategy: GridStrategy::default(),
             cache: None,
-            drive_mode: DriveMode::default(),
         }
     }
 
@@ -118,23 +116,7 @@ impl Engine {
             jobs: jobs.max(1),
             strategy: GridStrategy::default(),
             cache: None,
-            drive_mode: DriveMode::default(),
         }
-    }
-
-    /// Sets the [`DriveMode`] every grid cell is simulated with
-    /// (default: [`DriveMode::Pipelined`]). The two modes are
-    /// bit-identical by contract, so this is an escape hatch /
-    /// verification knob, not a results knob.
-    #[must_use]
-    pub fn with_drive_mode(mut self, drive_mode: DriveMode) -> Self {
-        self.drive_mode = drive_mode;
-        self
-    }
-
-    /// The configured drive mode.
-    pub fn drive_mode(&self) -> DriveMode {
-        self.drive_mode
     }
 
     /// Sets the grid scheduling strategy (default:
@@ -219,11 +201,7 @@ impl Engine {
                 let spec = &predictors[idx / benchmarks.len()];
                 let bench = &benchmarks[idx % benchmarks.len()];
                 let mut predictor = spec.make();
-                let result = simulate_stream_mode(
-                    predictor.as_mut(),
-                    bench.stream(instructions),
-                    self.drive_mode,
-                );
+                let result = simulate_stream(predictor.as_mut(), bench.stream(instructions));
                 let label = CellLabel {
                     predictor: &spec.name,
                     benchmark: &bench.name,
@@ -338,11 +316,7 @@ impl Engine {
                         .iter()
                         .map(|&p| predictors[p].make())
                         .collect();
-                    let results = simulate_stream_multi_mode(
-                        &mut column,
-                        bench.stream(instructions),
-                        self.drive_mode,
-                    );
+                    let results = simulate_stream_multi(&mut column, bench.stream(instructions));
                     let labels = column_preds[b]
                         .iter()
                         .zip(&results)
@@ -375,11 +349,7 @@ impl Engine {
                     let spec = &predictors[idx / n_b];
                     let bench = &benchmarks[idx % n_b];
                     let mut predictor = spec.make();
-                    let result = simulate_stream_mode(
-                        predictor.as_mut(),
-                        bench.stream(instructions),
-                        self.drive_mode,
-                    );
+                    let result = simulate_stream(predictor.as_mut(), bench.stream(instructions));
                     let label = CellLabel {
                         predictor: &spec.name,
                         benchmark: &bench.name,
@@ -456,11 +426,7 @@ impl Engine {
                 let bench = &benchmarks[b];
                 let mut column: Vec<Box<dyn ConditionalPredictor + Send>> =
                     predictors.iter().map(PredictorSpec::make).collect();
-                let results = simulate_stream_multi_mode(
-                    &mut column,
-                    bench.stream(instructions),
-                    self.drive_mode,
-                );
+                let results = simulate_stream_multi(&mut column, bench.stream(instructions));
                 let labels = predictors
                     .iter()
                     .zip(&results)

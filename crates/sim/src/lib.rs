@@ -43,7 +43,6 @@ mod sweep;
 mod table;
 
 pub use analysis::{learning_curve, BranchProfile, MispredictionProfile};
-pub use bp_components::DriveMode;
 pub use cache::{
     grid_cell_key, report_cell_key, scenario_cell_key, CacheKey, CachePolicy, CacheStats,
     CacheStore, GcOutcome, SimCache,
@@ -59,10 +58,7 @@ pub use report::{
     simulate_stream_attributed_multi, AttributedRun, AttributionSummary, ComponentTally,
     PhaseSummary, ReportRow, SuiteReport,
 };
-pub use run::{
-    drive_block, drive_block_mode, simulate, simulate_mode, simulate_stream, simulate_stream_mode,
-    simulate_stream_multi, simulate_stream_multi_mode, Mpki, SimResult,
-};
+pub use run::{drive_block, simulate, simulate_stream, simulate_stream_multi, Mpki, SimResult};
 pub use scenario::{
     adversarial_search, parse_scenario_file, run_scenario, run_scenario_with_cache,
     scenario_by_name, scenario_report_predictors, simulate_scenario, simulate_scenario_multi,

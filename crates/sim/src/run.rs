@@ -1,6 +1,6 @@
 //! Single-benchmark simulation.
 
-use bp_components::{ConditionalPredictor, DriveMode, PredictorStats};
+use bp_components::{ConditionalPredictor, PredictorStats};
 use bp_trace::{BranchStream, Trace};
 use std::fmt;
 
@@ -93,29 +93,14 @@ impl fmt::Display for Mpki {
 /// construct a fresh predictor per trace (as [`crate::run_suite`] does).
 ///
 /// Drives the materialized record slice directly through
-/// [`drive_block`] — the same CBP protocol and one-record lookahead as
-/// [`simulate_stream`], minus the per-record stream-cursor overhead,
-/// and bit-identical to it on the equivalent stream (the lookahead
-/// peek is `block[i + 1]` either way).
-pub fn simulate<P: ConditionalPredictor + ?Sized>(predictor: &mut P, trace: &Trace) -> SimResult {
-    simulate_mode(predictor, trace, DriveMode::default())
-}
-
-/// [`simulate`] with an explicit [`DriveMode`]: `Pipelined` drives the
-/// predictor's planned front-end/back-end block loop
-/// ([`ConditionalPredictor::run_block`]), `Scalar` the reference
-/// per-record protocol ([`ConditionalPredictor::run_block_scalar`]).
-/// The two produce bit-identical results for every predictor in the
-/// registry (`tests/pipelined_equivalence.rs`).
+/// [`drive_block`] — the same CBP protocol as [`simulate_stream`],
+/// minus the per-record stream-cursor overhead, and bit-identical to it
+/// on the equivalent stream.
 // bp-lint: allow-item(hot-path-alloc, "per-run setup and result assembly, once per benchmark; the per-branch loop is drive_block, which is allocation-free (tests/hotpath_allocations.rs)")
-pub fn simulate_mode<P: ConditionalPredictor + ?Sized>(
-    predictor: &mut P,
-    trace: &Trace,
-    mode: DriveMode,
-) -> SimResult {
+pub fn simulate<P: ConditionalPredictor + ?Sized>(predictor: &mut P, trace: &Trace) -> SimResult {
     let records = trace.records();
     let mut stats = PredictorStats::default();
-    drive_block_mode(predictor, records, &mut stats, mode);
+    drive_block(predictor, records, &mut stats);
     SimResult {
         benchmark: trace.name().to_owned(),
         predictor: predictor.name().to_owned(),
@@ -134,23 +119,13 @@ pub fn simulate_mode<P: ConditionalPredictor + ?Sized>(
 /// This is the simulator's native entry point: paired with a streaming
 /// producer (`bp_workloads::stream_benchmark`, `bp_trace::TraceReader`)
 /// it runs a benchmark of any length in O(`MULTI_BLOCK_RECORDS`)
-/// memory — the stream is pulled in blocks so the predictor's block
-/// drive (pipelined by default, see [`DriveMode`]) gets whole-record
-/// slices to plan over. Produces bit-identical [`SimResult`]s to
-/// [`simulate`] on the materialized equivalent of the same stream: the
-/// only cross-block difference is prefetch-hint timing, and
-/// [`ConditionalPredictor::prefetch`] is architecturally a no-op.
-pub fn simulate_stream<P, S>(predictor: &mut P, stream: S) -> SimResult
-where
-    P: ConditionalPredictor + ?Sized,
-    S: BranchStream,
-{
-    simulate_stream_mode(predictor, stream, DriveMode::default())
-}
-
-/// [`simulate_stream`] with an explicit [`DriveMode`].
+/// memory — the stream is pulled in blocks of `MULTI_BLOCK_RECORDS`
+/// records and each block is handed to [`drive_block`]. Produces
+/// bit-identical [`SimResult`]s to [`simulate`] on the materialized
+/// equivalent of the same stream: block boundaries are invisible to the
+/// per-record protocol.
 // bp-lint: allow-item(hot-path-alloc, "per-run setup, block buffer, and result assembly, once per benchmark; the per-branch loop is drive_block, which is allocation-free (tests/hotpath_allocations.rs)")
-pub fn simulate_stream_mode<P, S>(predictor: &mut P, mut stream: S, mode: DriveMode) -> SimResult
+pub fn simulate_stream<P, S>(predictor: &mut P, mut stream: S) -> SimResult
 where
     P: ConditionalPredictor + ?Sized,
     S: BranchStream,
@@ -165,7 +140,7 @@ where
         if block.is_empty() {
             break;
         }
-        drive_block_mode(predictor, &block, &mut stats, mode);
+        drive_block(predictor, &block, &mut stats);
         if block.len() < MULTI_BLOCK_RECORDS {
             break;
         }
@@ -210,10 +185,9 @@ pub(crate) fn fill_multi_block<S: BranchStream>(
 }
 
 /// Drives one predictor through one block of records with the CBP
-/// protocol, including the one-record lookahead prefetch hint for
-/// predictors that opt in (see [`simulate_stream`]). Shared by the
-/// fused sweep and the hot-path allocation tests so the steady-state
-/// loop they exercise is the one that actually runs.
+/// protocol. Shared by every plain simulation entry point and the
+/// hot-path allocation tests so the steady-state loop they exercise is
+/// the one that actually runs.
 ///
 /// Delegates to [`ConditionalPredictor::run_block`]: the loop lives as
 /// a provided trait method so every concrete predictor carries a
@@ -227,26 +201,6 @@ pub fn drive_block<P: ConditionalPredictor + ?Sized>(
     stats: &mut PredictorStats,
 ) {
     predictor.run_block(block, stats);
-}
-
-/// [`drive_block`] with an explicit [`DriveMode`]:
-/// [`DriveMode::Pipelined`] dispatches the predictor's (possibly
-/// overridden, history-ahead) [`ConditionalPredictor::run_block`],
-/// [`DriveMode::Scalar`] the reference per-record loop
-/// ([`ConditionalPredictor::run_block_scalar`]), which no predictor may
-/// override. Bit-identical by contract; `tests/pipelined_equivalence.rs`
-/// pins it for every registry configuration.
-#[inline]
-pub fn drive_block_mode<P: ConditionalPredictor + ?Sized>(
-    predictor: &mut P,
-    block: &[bp_trace::BranchRecord],
-    stats: &mut PredictorStats,
-    mode: DriveMode,
-) {
-    match mode {
-        DriveMode::Pipelined => predictor.run_block(block, stats),
-        DriveMode::Scalar => predictor.run_block_scalar(block, stats),
-    }
 }
 
 /// Simulates *several* predictors over **one** pass of a
@@ -267,22 +221,10 @@ pub fn drive_block_mode<P: ConditionalPredictor + ?Sized>(
 /// over equal streams.
 ///
 /// Returns one [`SimResult`] per predictor, in input order.
+// bp-lint: allow-item(hot-path-alloc, "per-run block buffer and result assembly, amortized over whole blocks; the per-branch loop is drive_block, which is allocation-free")
 pub fn simulate_stream_multi<S>(
     predictors: &mut [Box<dyn ConditionalPredictor + Send>],
-    stream: S,
-) -> Vec<SimResult>
-where
-    S: BranchStream,
-{
-    simulate_stream_multi_mode(predictors, stream, DriveMode::default())
-}
-
-/// [`simulate_stream_multi`] with an explicit [`DriveMode`].
-// bp-lint: allow-item(hot-path-alloc, "per-run block buffer and result assembly, amortized over whole blocks; the per-branch loop is drive_block, which is allocation-free")
-pub fn simulate_stream_multi_mode<S>(
-    predictors: &mut [Box<dyn ConditionalPredictor + Send>],
     mut stream: S,
-    mode: DriveMode,
 ) -> Vec<SimResult>
 where
     S: BranchStream,
@@ -298,7 +240,7 @@ where
             break;
         }
         for (predictor, stats) in predictors.iter_mut().zip(stats.iter_mut()) {
-            drive_block_mode(predictor, &block, stats, mode);
+            drive_block(predictor, &block, stats);
         }
         if block.len() < MULTI_BLOCK_RECORDS {
             break;

@@ -1,11 +1,11 @@
 //! The composed TAGE + SC (+ loop predictor) predictors of the paper.
 
-use crate::sc::{LocalScConfig, ScConfig, ScLookup, StatisticalCorrector};
-use crate::tage::{Tage, TageConfig, TageLookup, TagePlan};
+use crate::sc::{LocalScConfig, ScConfig, StatisticalCorrector};
+use crate::tage::{Tage, TageConfig};
 use bp_components::{
-    clamp_pipeline_depth, ConditionalPredictor, ConfidenceBucket, ConfigError, ConfigValue,
-    LoopPredictor, LoopPredictorConfig, PredictionAttribution, PredictorConfig, PredictorStats,
-    ProviderComponent, StorageBudget, StorageItem, DEFAULT_PIPELINE_DEPTH, MAX_PIPELINE_DEPTH,
+    ConditionalPredictor, ConfidenceBucket, ConfigError, ConfigValue, LoopPredictor,
+    LoopPredictorConfig, PredictionAttribution, PredictorConfig, ProviderComponent, StorageBudget,
+    StorageItem,
 };
 use bp_trace::BranchRecord;
 use imli::{ImliCheckpoint, ImliConfig};
@@ -200,14 +200,6 @@ pub struct TageSc {
     name: String,
     last_pred: bool,
     ghist_window: usize,
-    /// Pipeline distance D of the pipelined block drive: how many
-    /// branches the front end plans (and prefetches) ahead of the
-    /// commit loop.
-    pipeline_depth: usize,
-    /// Per-chunk plan scratch of the pipelined drive, pre-sized to the
-    /// maximum depth at construction (`TagePlan` is `Copy`, so this is
-    /// one inline array — no steady-state allocation, no heap at all).
-    plans: [TagePlan; MAX_PIPELINE_DEPTH],
 }
 
 impl TageSc {
@@ -225,8 +217,6 @@ impl TageSc {
             name: config.name,
             last_pred: false,
             ghist_window: max_global.min(64),
-            pipeline_depth: DEFAULT_PIPELINE_DEPTH,
-            plans: [TagePlan::default(); MAX_PIPELINE_DEPTH],
         }
     }
 
@@ -273,21 +263,6 @@ impl TageSc {
         let ghist = self.tage.history().global().low_bits(self.ghist_window);
         let path = self.tage.history().path();
         let sl = self.sc.predict(pc, tl.pred, tl.low_confidence, ghist, path);
-        self.finish_predict(pc, tl, sl)
-    }
-
-    /// Everything downstream of the TAGE and corrector lookups: the
-    /// possible corrector revert, loop override, attribution. One
-    /// function behind both the scalar path (lookups from architectural
-    /// state) and the pipelined path (lookups through front-end plans),
-    /// so the decision flow cannot diverge between drive modes.
-    #[inline]
-    fn finish_predict(
-        &mut self,
-        pc: u64,
-        tl: TageLookup,
-        sl: ScLookup,
-    ) -> (bool, PredictionAttribution) {
         let mut pred = sl.pred;
         let mut attribution = if sl.pred != tl.pred {
             // The corrector reverted TAGE; the alternate is TAGE itself.
@@ -325,45 +300,18 @@ impl TageSc {
         self.last_pred = pred;
         (pred, attribution)
     }
+}
 
-    /// The pipelined front end over one chunk of up to `pipeline_depth`
-    /// records: for every conditional, plan the TAGE row addresses and
-    /// the corrector's history-indexed rows from the architectural
-    /// state (prefetching them), hint the bias and loop rows — then
-    /// advance the architectural index inputs past the record.
-    /// Advancing the real state here (instead of replaying a shadow
-    /// copy) is what the purity invariant buys: the history-fold work
-    /// runs **once** per branch, same as the scalar drive, just earlier
-    /// — [`TageSc::train_planned`] never touches an index input.
-    #[inline]
-    fn plan_chunk(&mut self, chunk: &[BranchRecord]) {
-        for (row, record) in chunk.iter().enumerate() {
-            if record.is_conditional() {
-                self.tage.plan_conditional(record.pc, &mut self.plans[row]);
-                let ghist = self.tage.history().global().low_bits(self.ghist_window);
-                let path = self.tage.history().path();
-                self.sc.plan_row(row, record.pc, ghist, path);
-                // The bias/loop rows are functions of the PC (and the
-                // running prediction bias), so they need no plan — hint
-                // them directly, chunk-depth branches early.
-                self.sc.prefetch(record.pc, self.last_pred);
-                if let Some(lp) = &self.loop_pred {
-                    lp.prefetch(record.pc);
-                }
-                self.advance_conditional(record);
-            } else {
-                self.advance_nonconditional(record);
-            }
-        }
+impl ConditionalPredictor for TageSc {
+    fn predict(&mut self, pc: u64) -> bool {
+        self.predict_full(pc).0
     }
 
-    /// The prediction-dependent half of [`ConditionalPredictor::update`]:
-    /// loop-table training, corrector training through the stashed
-    /// lookup, TAGE allocation/training through the stashed lookup.
-    /// Never touches an index input, so the pipelined commit loop can
-    /// run it after the front end has advanced the histories.
-    #[inline]
-    fn train_planned(&mut self, record: &BranchRecord) {
+    fn predict_attributed(&mut self, pc: u64) -> (bool, PredictionAttribution) {
+        self.predict_full(pc)
+    }
+
+    fn update(&mut self, record: &BranchRecord) {
         let mispredicted = self.last_pred != record.taken;
         if let Some(lp) = &mut self.loop_pred {
             // Allocate only for backward (loop-closing) branches so that
@@ -377,55 +325,8 @@ impl TageSc {
         }
         self.sc.update(record.taken);
         self.tage.update(record.pc, record.taken);
-    }
-
-    /// Advances every index input past a conditional record — the pure
-    /// half of [`ConditionalPredictor::update`].
-    #[inline]
-    fn advance_conditional(&mut self, record: &BranchRecord) {
         self.sc.observe(record);
         self.tage.push_history(record.pc, record.taken);
-    }
-
-    /// Advances every index input past a non-conditional record — the
-    /// whole of [`ConditionalPredictor::notify_nonconditional`].
-    #[inline]
-    fn advance_nonconditional(&mut self, record: &BranchRecord) {
-        self.sc.observe(record);
-        self.tage.push_path(record.pc);
-    }
-}
-
-impl ConditionalPredictor for TageSc {
-    fn predict(&mut self, pc: u64) -> bool {
-        self.predict_full(pc).0
-    }
-
-    fn prefetch(&self, pc: u64) {
-        self.tage.prefetch(pc);
-        self.sc.prefetch(pc, self.last_pred);
-        if let Some(lp) = &self.loop_pred {
-            lp.prefetch(pc);
-        }
-    }
-
-    // The composed predictor's tables (~90 KB with the corrector) are
-    // the one working set in the registry that overflows L1, so the
-    // lookahead hint is worth its dispatch cost here.
-    fn wants_prefetch(&self) -> bool {
-        true
-    }
-
-    fn predict_attributed(&mut self, pc: u64) -> (bool, PredictionAttribution) {
-        self.predict_full(pc)
-    }
-
-    fn update(&mut self, record: &BranchRecord) {
-        // The scalar protocol is literally train-then-advance — the
-        // same two halves the pipelined drive runs at commit and plan
-        // time respectively, so the two drives cannot diverge.
-        self.train_planned(record);
-        self.advance_conditional(record);
     }
 
     fn flush_history(&mut self) {
@@ -434,49 +335,8 @@ impl ConditionalPredictor for TageSc {
     }
 
     fn notify_nonconditional(&mut self, record: &BranchRecord) {
-        self.advance_nonconditional(record);
-    }
-
-    /// The pipelined block drive (`DriveMode::Pipelined`): per chunk of
-    /// `pipeline_depth` records, a front-end pass plans every upcoming
-    /// conditional's table addresses (issuing their prefetches a full
-    /// chunk early) and advances the architectural index inputs, then
-    /// the commit pass predicts through the precomputed addresses and
-    /// performs the prediction-dependent training, in trace order.
-    ///
-    /// Bit-identical to [`run_block_scalar`] by the purity invariant —
-    /// index inputs evolve only with the trace's `(PC, outcome)` stream,
-    /// so capturing them at plan time of branch *i* (after branches
-    /// `< i` advanced them) reads exactly the state the scalar drive
-    /// would at predict time, and the commit pass is the same
-    /// train-then-gather code the scalar path runs. Allocation-free in
-    /// steady state: the plan scratch is pre-sized at construction.
-    ///
-    /// [`run_block_scalar`]: ConditionalPredictor::run_block_scalar
-    fn run_block(&mut self, block: &[BranchRecord], stats: &mut PredictorStats) {
-        for chunk in block.chunks(self.pipeline_depth) {
-            self.plan_chunk(chunk);
-            for (row, record) in chunk.iter().enumerate() {
-                if record.is_conditional() {
-                    let plan = self.plans[row];
-                    let tl = self.tage.lookup_planned(record.pc, &plan);
-                    let sl = self.sc.predict_planned(row, tl.pred, tl.low_confidence);
-                    let (pred, _) = self.finish_predict(record.pc, tl, sl);
-                    stats.record(pred == record.taken);
-                    self.train_planned(record);
-                }
-            }
-        }
-    }
-
-    fn run_block_frontend(&mut self, block: &[BranchRecord]) {
-        for chunk in block.chunks(self.pipeline_depth) {
-            self.plan_chunk(chunk);
-        }
-    }
-
-    fn set_pipeline_depth(&mut self, depth: usize) {
-        self.pipeline_depth = clamp_pipeline_depth(depth);
+        self.sc.observe(record);
+        self.tage.push_path(record.pc);
     }
 
     fn name(&self) -> &str {

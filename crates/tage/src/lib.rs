@@ -20,7 +20,7 @@ mod tage;
 
 pub use composed::{TageSc, TageScConfig};
 pub use sc::{LocalScConfig, ScConfig, StatisticalCorrector};
-pub use tage::{Tage, TageConfig, TageLookup, TagePlan, MAX_TAGE_TABLES};
+pub use tage::{Tage, TageConfig, TageLookup, MAX_TAGE_TABLES};
 
 /// The paper's TAGE-GSC reference predictor (TAGE + global-history
 /// statistical corrector, no local history, no loop predictor, no IMLI).

@@ -9,7 +9,7 @@
 
 use bp_components::{
     mix64, pc_bits, sum_centered_padded, AdaptiveThreshold, ConfigError, ConfigValue, CounterBank,
-    StorageItem, SumCtx, MAX_PIPELINE_DEPTH,
+    StorageItem, SumCtx,
 };
 use bp_history::LocalHistoryTable;
 use bp_trace::BranchRecord;
@@ -326,18 +326,9 @@ pub struct StatisticalCorrector {
     /// Row addresses computed by the index phase of
     /// [`StatisticalCorrector::predict`] (bias pair first, then
     /// globals, then locals). `update` trains through these instead of
-    /// recomputing: they are the rows the paired prediction read.
+    /// recomputing: history only advances after the paired
+    /// predict/update, so they are the rows the prediction read.
     indices: [u64; SC_MAX_ADDENDS],
-    /// Per-branch pure contexts captured by the pipelined front end
-    /// ([`StatisticalCorrector::plan_row`]), one row per in-flight
-    /// branch — snapshotted before the host advances the index inputs
-    /// past the branch, completed with the TAGE verdict at commit time.
-    plan_ctxs: Vec<SumCtx>,
-    /// Planned history-indexed row addresses (globals then locals), one
-    /// `plan_stride`-wide row per in-flight branch; the two bias rows
-    /// depend on the commit-time TAGE verdict and are computed then.
-    plans: Vec<u64>,
-    plan_stride: usize,
     /// `(1 << global_lengths[i]) - 1` (saturating at 64 bits), hoisted
     /// out of the per-branch index phase.
     global_masks: Vec<u64>,
@@ -369,15 +360,6 @@ impl StatisticalCorrector {
             threshold: AdaptiveThreshold::new(config.threshold_init, config.threshold_max),
             lookup: None,
             indices: [0; SC_MAX_ADDENDS],
-            plan_ctxs: vec![SumCtx::default(); MAX_PIPELINE_DEPTH],
-            plans: vec![
-                0u64;
-                MAX_PIPELINE_DEPTH
-                    * (config.global_lengths.len()
-                        + config.local.as_ref().map_or(0, |l| l.lengths.len()))
-            ],
-            plan_stride: config.global_lengths.len()
-                + config.local.as_ref().map_or(0, |l| l.lengths.len()),
             global_masks: config
                 .global_lengths
                 .iter()
@@ -437,17 +419,6 @@ impl StatisticalCorrector {
         pc_bits(ctx.pc) ^ mix64(hist.rotate_left(i as u32 * 11) ^ ((i as u64 + 1) << 49))
     }
 
-    /// Issues read prefetches for the corrector rows of `pc` that are
-    /// addressable from the PC alone (the two bias rows). A pure hint
-    /// for the simulator's one-branch lookahead; the history-indexed
-    /// rows are skipped because their addresses change with the
-    /// in-flight branch.
-    pub fn prefetch(&self, pc: u64, tage_pred: bool) {
-        self.bias
-            .prefetch(0, (pc_bits(pc) << 1) | u64::from(tage_pred));
-        self.bias.prefetch(1, pc_bits(pc) << 2);
-    }
-
     /// Computes the corrector sum and prediction for `pc`.
     ///
     /// `ghist`/`path` come from the host's history state; `tage_pred` and
@@ -468,35 +439,10 @@ impl StatisticalCorrector {
         ghist: u64,
         path: u64,
     ) -> ScLookup {
-        let mut ctx = self.make_ctx(pc, ghist, path);
-        ctx.main_pred = tage_pred;
-        ctx.main_conf_low = tage_conf_low;
-
-        // Index phase for the history-indexed rows: every address, no
-        // table reads yet. The addresses are stashed on the struct so
-        // the paired `update` can train through them without
-        // recomputing.
-        let n_global = self.config.global_lengths.len();
-        for i in 0..n_global {
-            self.indices[2 + i] = self.global_index(i, &ctx);
-        }
-        let n_local = self.local_tables.as_ref().map_or(0, CounterBank::tables);
-        for i in 0..n_local {
-            self.indices[2 + n_global + i] = self.local_index(i, &ctx);
-        }
-        self.finish_predict(ctx)
-    }
-
-    /// The pure per-branch context of `pc`: everything the corrector's
-    /// history-indexed rows and IMLI addends depend on, minus the
-    /// commit-time TAGE verdict (`main_pred`/`main_conf_low`, patched in
-    /// by the caller). One function behind the scalar predict and the
-    /// pipelined [`StatisticalCorrector::plan_row`], which differ only
-    /// in *when* they capture it.
-    #[inline]
-    fn make_ctx(&self, pc: u64, ghist: u64, path: u64) -> SumCtx {
         let mut ctx = SumCtx {
             pc,
+            main_pred: tage_pred,
+            main_conf_low: tage_conf_low,
             ghist,
             path,
             ..SumCtx::default()
@@ -507,70 +453,21 @@ impl StatisticalCorrector {
         if let Some(imli) = &self.imli {
             imli.fill_ctx(&mut ctx);
         }
-        ctx
-    }
 
-    /// Front-end step of the pipelined drive for one in-flight branch:
-    /// snapshots the pure context into row `row`, computes the
-    /// history-indexed row addresses into the plan scratch, and issues
-    /// read prefetches for them. The host advances the index inputs
-    /// (local histories, IMLI state) past the branch afterwards via
-    /// [`StatisticalCorrector::observe`]; the commit loop completes the
-    /// prediction with [`StatisticalCorrector::predict_planned`] once
-    /// the TAGE verdict is known.
-    #[inline]
-    pub fn plan_row(&mut self, row: usize, pc: u64, ghist: u64, path: u64) {
-        let ctx = self.make_ctx(pc, ghist, path);
+        // Index phase: every row address, no table reads yet. The
+        // addresses are stashed on the struct so the paired `update`
+        // can train through them without recomputing.
         let n_global = self.config.global_lengths.len();
-        let base = row * self.plan_stride;
-        for i in 0..n_global {
-            let idx = self.global_index(i, &ctx);
-            self.plans[base + i] = idx;
-            self.global_tables.prefetch(i, idx);
-        }
-        if let Some(local) = &self.local_tables {
-            for i in 0..local.tables() {
-                let idx = self.local_index(i, &ctx);
-                self.plans[base + n_global + i] = idx;
-                local.prefetch(i, idx);
-            }
-        }
-        self.plan_ctxs[row] = ctx;
-    }
-
-    /// Back-end half of the pipelined drive: completes the plan of row
-    /// `row` with the commit-time TAGE verdict and finishes the
-    /// prediction exactly like [`StatisticalCorrector::predict`]. The
-    /// index inputs have already run ahead, so the plan-time snapshot is
-    /// the *only* source of the pure context here.
-    #[inline]
-    pub fn predict_planned(
-        &mut self,
-        row: usize,
-        tage_pred: bool,
-        tage_conf_low: bool,
-    ) -> ScLookup {
-        let mut ctx = self.plan_ctxs[row];
-        ctx.main_pred = tage_pred;
-        ctx.main_conf_low = tage_conf_low;
-        let n = self.plan_stride;
-        let base = row * n;
-        self.indices[2..2 + n].copy_from_slice(&self.plans[base..base + n]);
-        self.finish_predict(ctx)
-    }
-
-    /// Shared prediction tail over the stashed history-indexed
-    /// addresses: bias addressing (a pure function of the context and
-    /// the TAGE verdict), gather, reduction, IMLI addends, and the
-    /// `lookup` stash for the paired `update`.
-    #[inline]
-    fn finish_predict(&mut self, ctx: SumCtx) -> ScLookup {
-        let n_global = self.config.global_lengths.len();
-        let n_local = self.local_tables.as_ref().map_or(0, CounterBank::tables);
-        let pcb = pc_bits(ctx.pc);
-        self.indices[0] = (pcb << 1) | u64::from(ctx.main_pred);
+        self.indices[0] = (pc_bits(pc) << 1) | u64::from(tage_pred);
         self.indices[1] =
-            (pcb << 2) | (u64::from(ctx.main_pred) << 1) | u64::from(ctx.main_conf_low);
+            (pc_bits(pc) << 2) | (u64::from(tage_pred) << 1) | u64::from(tage_conf_low);
+        for i in 0..n_global {
+            self.indices[2 + i] = self.global_index(i, &ctx);
+        }
+        let n_local = self.local_tables.as_ref().map_or(0, CounterBank::tables);
+        for i in 0..n_local {
+            self.indices[2 + n_global + i] = self.local_index(i, &ctx);
+        }
 
         // Gather phase: read the selected counters into a flat buffer.
         let mut values = [0i8; SC_MAX_ADDENDS];
@@ -584,7 +481,7 @@ impl StatisticalCorrector {
             );
         }
 
-        let mut sum = self.config.tage_weight * (2 * i32::from(ctx.main_pred) - 1);
+        let mut sum = self.config.tage_weight * (2 * i32::from(tage_pred) - 1);
         sum += sum_centered_padded(&values, 2 + n_global + n_local);
         if let Some(imli) = &self.imli {
             sum += imli.read(&ctx);
@@ -613,7 +510,8 @@ impl StatisticalCorrector {
         let sum_abs = lookup.sum.abs();
         if self.threshold.should_update(sum_abs, mispredicted) {
             // Train through the indices stashed by the paired predict:
-            // they are the rows the prediction actually read.
+            // history has not advanced since, so they are the rows the
+            // prediction actually read.
             self.bias.train_all(&self.indices[..2], taken);
             let n_global = self.global_tables.tables();
             self.global_tables

@@ -280,30 +280,6 @@ impl TageLookup {
     }
 }
 
-/// Planned table addresses for one upcoming conditional branch,
-/// computed by the pipelined front end from the architectural history
-/// *before* it advances past the branch (see
-/// [`Tage::plan_conditional`]) — exactly what [`Tage::lookup`] would
-/// compute at that point in the trace, just captured earlier so the
-/// rows can be prefetched while other branches commit.
-///
-/// A plain `Copy` value like [`TageLookup`], so per-block plan scratch
-/// is a flat pre-sized array and planning never touches the heap.
-#[derive(Debug, Clone, Copy)]
-pub struct TagePlan {
-    indices: [u32; MAX_TAGE_TABLES],
-    tags: [u16; MAX_TAGE_TABLES],
-}
-
-impl Default for TagePlan {
-    fn default() -> Self {
-        TagePlan {
-            indices: [0; MAX_TAGE_TABLES],
-            tags: [0; MAX_TAGE_TABLES],
-        }
-    }
-}
-
 /// The TAGE predictor: a bimodal base plus `N` partially tagged tables
 /// indexed with geometrically increasing global-history folds; the
 /// longest history match provides the prediction (PPM-like prediction by
@@ -462,7 +438,7 @@ impl Tage {
     /// test, hence unused in release builds.
     #[cfg_attr(not(any(debug_assertions, test)), allow(dead_code))]
     #[inline]
-    fn table_index(&self, hist: &HistoryState, pcb: u64, path: u64, i: usize) -> u32 {
+    fn table_index(&self, pcb: u64, path: u64, i: usize) -> u32 {
         let log = self.config.tagged_log_entries;
         let fold_bits = log.min(16) as u32;
         let fold_mask = low_mask(fold_bits as usize);
@@ -475,7 +451,7 @@ impl Tage {
         }
         let v = pcb
             ^ (pcb >> self.pc_shifts[i])
-            ^ u64::from(hist.fold(self.index_folds[i]))
+            ^ u64::from(self.history.fold(self.index_folds[i]))
             ^ path_fold;
         (v & low_mask(log)) as u32
     }
@@ -483,25 +459,10 @@ impl Tage {
     /// Reference form for the fused lookup loop's debug assertions.
     #[cfg_attr(not(debug_assertions), allow(dead_code))]
     #[inline]
-    fn table_tag(&self, hist: &HistoryState, pcb: u64, i: usize) -> u16 {
+    fn table_tag(&self, pcb: u64, i: usize) -> u16 {
         let (f1, f2) = self.tag_folds[i];
-        let v = pcb ^ u64::from(hist.fold(f1)) ^ (u64::from(hist.fold(f2)) << 1);
+        let v = pcb ^ u64::from(self.history.fold(f1)) ^ (u64::from(self.history.fold(f2)) << 1);
         (v as u16) & self.tag_masks[i]
-    }
-
-    /// Issues a read prefetch for the one lookup row whose address is an
-    /// exact function of `pc` alone: the bimodal base row.
-    ///
-    /// A pure hint — reads and cache prefetches only, no state change —
-    /// so calling it one branch early (the simulator's lookahead) or not
-    /// at all cannot change any prediction. The tagged-bank rows are
-    /// deliberately *not* hinted: their addresses require the
-    /// folded-history index computation, and re-running that one branch
-    /// ahead was measured to cost more (~12 fold reads + mixes +
-    /// prefetch instructions per branch) than the L2-hit latency it
-    /// hides while the ~72 KB bank array stays cache-resident.
-    pub fn prefetch(&self, pc: u64) {
-        self.base.prefetch(pc);
     }
 
     /// Performs the TAGE lookup for `pc` and returns the lookup record
@@ -513,46 +474,25 @@ impl Tage {
     /// the current history, so they pipeline), and only then does the
     /// *probe phase* walk the banks longest-history-first — with all
     /// row addresses known up front, the bank reads issue and overlap
-    /// instead of serializing behind the match scan. Software prefetch
-    /// between the phases was measured and rejected here: with the
-    /// probe loads issuing nanoseconds later the prefetches were pure
-    /// overhead (~25% slower); the place where prefetching these rows
-    /// *does* pay is one branch early, via [`Tage::prefetch`].
+    /// instead of serializing behind the match scan.
     pub fn lookup(&mut self, pc: u64) -> TageLookup {
+        let n = self.config.num_tables();
+        let pcb = pc_bits(pc);
+        let path = self.history.path();
         let mut indices = [0u32; MAX_TAGE_TABLES];
         let mut tags = [0u16; MAX_TAGE_TABLES];
-        self.index_phase(&self.history, pc_bits(pc), &mut indices, &mut tags);
-        self.probe(pc, indices, tags)
-    }
-
-    /// The index phase of a lookup, over an arbitrary history view:
-    /// [`Tage::table_index`]/[`Tage::table_tag`] fused into one
-    /// zipped-iterator loop. Per-table `Vec`/array indexing in those
-    /// helpers costs ~8 bounds checks per table, and at 12 tables that
-    /// overhead crowds the out-of-order window that should be filled
-    /// with the probe loads of *neighbouring branches*. The debug
-    /// assertion at the end pins the fused loop to the reference
-    /// helpers term by term.
-    ///
-    /// `hist` is always the architectural history: a scalar lookup
-    /// reads it at predict time, a pipelined plan at plan time (before
-    /// [`Tage::push_history`] advances it past the branch) — the same
-    /// point in the trace, so the two paths cannot drift.
-    #[inline]
-    fn index_phase(
-        &self,
-        hist: &HistoryState,
-        pcb: u64,
-        indices: &mut [u32; MAX_TAGE_TABLES],
-        tags: &mut [u16; MAX_TAGE_TABLES],
-    ) {
-        let n = self.config.num_tables();
-        let path = hist.path();
+        // The index phase is [`Tage::table_index`]/[`Tage::table_tag`]
+        // fused into one zipped-iterator loop: per-table `Vec`/array
+        // indexing in those helpers costs ~8 bounds checks per table,
+        // and at 12 tables that overhead crowds the out-of-order window
+        // that should be filled with the probe loads of *neighbouring
+        // branches*. The debug assertion below pins the fused loop to
+        // the reference helpers term by term.
         let log = self.config.tagged_log_entries;
         let fold_bits = log.min(16) as u32;
         let fold_mask = low_mask(fold_bits as usize);
         let index_mask = low_mask(log);
-        let comps = hist.folds();
+        let comps = self.history.folds();
         for (((((index, tag), &fid), &(tf1, tf2)), &pc_shift), (&path_mask, &tag_mask)) in indices
             [..n]
             .iter_mut()
@@ -576,25 +516,9 @@ impl Tage {
         }
         #[cfg(debug_assertions)]
         for i in 0..n {
-            assert_eq!(indices[i], self.table_index(hist, pcb, path, i));
-            assert_eq!(tags[i], self.table_tag(hist, pcb, i));
+            assert_eq!(indices[i], self.table_index(pcb, path, i));
+            assert_eq!(tags[i], self.table_tag(pcb, i));
         }
-    }
-
-    /// The probe phase of a lookup: walk the banks longest-history-first
-    /// through the given row addresses, resolve provider/alternate and
-    /// the `use_alt_on_na` policy, and cache the result for the
-    /// subsequent [`Tage::update`]. Shared verbatim by the scalar
-    /// [`Tage::lookup`] and the pipelined [`Tage::lookup_planned`], so
-    /// the match/decision logic is one piece of code in both modes.
-    #[inline]
-    fn probe(
-        &mut self,
-        pc: u64,
-        indices: [u32; MAX_TAGE_TABLES],
-        tags: [u16; MAX_TAGE_TABLES],
-    ) -> TageLookup {
-        let n = self.config.num_tables();
         let mut provider = None;
         let mut alt = None;
         for i in (0..n).rev() {
@@ -635,42 +559,6 @@ impl Tage {
         };
         self.lookup = Some(lookup);
         lookup
-    }
-
-    /// Front-end step for an upcoming conditional branch: computes every
-    /// bank's index and tag from the architectural history into `plan`
-    /// and issues read prefetches for the planned tagged rows and the
-    /// bimodal base row. The caller advances the history past the branch
-    /// afterwards ([`Tage::push_history`]) — the fold work runs **once**
-    /// per branch, same as the scalar drive, just before the commit loop
-    /// instead of inside it. Legal because index inputs evolve purely
-    /// from the trace's `(PC, outcome)` stream, and [`Tage::update`]
-    /// (prediction-dependent training) never touches one.
-    #[inline]
-    pub fn plan_conditional(&mut self, pc: u64, plan: &mut TagePlan) {
-        self.index_phase(
-            &self.history,
-            pc_bits(pc),
-            &mut plan.indices,
-            &mut plan.tags,
-        );
-        let n = self.config.num_tables();
-        let log = self.config.tagged_log_entries;
-        for (i, &index) in plan.indices[..n].iter().enumerate() {
-            bp_components::prefetch_read(&self.tables, (i << log) | index as usize);
-        }
-        self.base.prefetch(pc);
-    }
-
-    /// [`Tage::lookup`] through a front-end [`TagePlan`]: skips the
-    /// index phase and probes the banks through the planned (and
-    /// already prefetched) row addresses. Caches the lookup for the
-    /// subsequent [`Tage::update`] exactly like `lookup`. The
-    /// architectural history has already run ahead when this is called,
-    /// so the plan is the *only* source of the row addresses here.
-    #[inline]
-    pub fn lookup_planned(&mut self, pc: u64, plan: &TagePlan) -> TageLookup {
-        self.probe(pc, plan.indices, plan.tags)
     }
 
     #[inline]
@@ -987,7 +875,7 @@ mod tests {
                         ^ bp_components::fold_u64((path & tage.path_masks[i]).max(1), log.min(16)))
                         & low_mask(log);
                     assert_eq!(
-                        u64::from(tage.table_index(&tage.history, pcb, path, i)),
+                        u64::from(tage.table_index(pcb, path, i)),
                         expected,
                         "table {i} at step {step}"
                     );

@@ -18,11 +18,8 @@
 //! bp compare <bench> [instr]    all registered predictors on one benchmark
 //! bp grid <suite> [--jobs N] [--json] [--instr N]
 //!         [--family F] [--predictors a,b,c]
-//!         [--drive-mode scalar|pipelined]
 //!                               the full (predictor × benchmark) grid on
-//!                               the parallel engine (pipelined drive by
-//!                               default; --drive-mode scalar is the
-//!                               reference escape hatch)
+//!                               the parallel engine
 //! bp report <suite> [--jobs N] [--instr N] [--warmup N] [--json]
 //!           [--family F] [--predictors a,b,c] [--config FILE]
 //!           [--out-dir D]
@@ -89,9 +86,9 @@ use imli_repro::sim::{
     family_members, lookup, make_predictor, paper_report_predictors, parse_predictor_file,
     parse_scenario_file, parse_sweep_file, registry, run_report_with_cache,
     run_scenario_with_cache, run_sweep_with_cache, scenario_by_name, scenario_report_predictors,
-    simulate, simulate_stream, CachePolicy, CacheStore, DriveMode, Engine, GridStrategy,
-    MispredictionProfile, PredictorFamily, PredictorSpec, SimCache, TextTable, SCENARIO_NAMES,
-    STANDARD_BUDGETS_KBIT, SWEEP_FAMILIES,
+    simulate, simulate_stream, CachePolicy, CacheStore, Engine, GridStrategy, MispredictionProfile,
+    PredictorFamily, PredictorSpec, SimCache, TextTable, SCENARIO_NAMES, STANDARD_BUDGETS_KBIT,
+    SWEEP_FAMILIES,
 };
 use imli_repro::trace::{read_trace, write_trace, Trace, TraceReader};
 use imli_repro::workloads::{
@@ -107,8 +104,7 @@ fn usage() -> ExitCode {
          bp simulate <config> <bench-or-file> [instr]\n  bp profile <config> <bench> [instr] [top]\n  \
          bp compare <bench> [instr]\n  \
          bp grid <suite> [--jobs N] [--json] [--instr N] [--family F] [--predictors a,b,c] \
-         [--config FILE] [--strategy auto|cell|fused] [--drive-mode scalar|pipelined] \
-         [--cache [DIR]] [--cache-mode M]\n  \
+         [--config FILE] [--strategy auto|cell|fused] [--cache [DIR]] [--cache-mode M]\n  \
          bp report <suite> [--jobs N] [--instr N] [--warmup N] [--json] [--family F] \
          [--predictors a,b,c] [--config FILE] [--out-dir D] [--cache [DIR]] [--cache-mode M]\n  \
          bp scenario <name-or-file> [--jobs N] [--instr N] [--json] [--family F] \
@@ -353,7 +349,6 @@ struct SweepFlags {
     warmup: Option<u64>,
     out_dir: String,
     strategy: GridStrategy,
-    drive_mode: DriveMode,
     cache: Option<SimCache>,
 }
 
@@ -361,7 +356,7 @@ struct SweepFlags {
 /// `--family`, `--predictors`, `--cache [DIR]`, `--cache-mode M`).
 /// `command` names the subcommand for error messages; `report_flags`
 /// additionally enables `--warmup` and `--out-dir`, while `grid` alone
-/// takes `--strategy` and `--drive-mode`.
+/// takes `--strategy`.
 fn parse_sweep_flags(
     command: &str,
     flags: &[String],
@@ -377,7 +372,6 @@ fn parse_sweep_flags(
         warmup: None,
         out_dir: ".".to_owned(),
         strategy: GridStrategy::Auto,
-        drive_mode: DriveMode::default(),
         cache: None,
     };
     let mut cache_dir: Option<String> = None;
@@ -451,11 +445,6 @@ fn parse_sweep_flags(
                     other => return Err(format!("unknown strategy {other} (auto, cell, fused)")),
                 };
             }
-            "--drive-mode" if !report_flags => {
-                let v = value("drive mode")?;
-                parsed.drive_mode = DriveMode::parse(v)
-                    .ok_or_else(|| format!("unknown drive mode {v} (scalar, pipelined)"))?;
-            }
             "--warmup" if report_flags => {
                 parsed.warmup = Some(parse_u64(value("instruction count")?, "instruction count")?);
             }
@@ -480,7 +469,6 @@ fn run_grid(suite_name: &str, flags: &[String]) -> Result<(), String> {
         instructions,
         predictors,
         strategy,
-        drive_mode,
         cache,
         ..
     } = parse_sweep_flags("grid", flags, 1_000_000, registry(), false)?;
@@ -488,7 +476,6 @@ fn run_grid(suite_name: &str, flags: &[String]) -> Result<(), String> {
     let engine = jobs
         .map_or_else(Engine::new, Engine::with_jobs)
         .with_strategy(strategy)
-        .with_drive_mode(drive_mode)
         .with_cache(cache);
     let started = std::time::Instant::now();
     let show_progress = !json;
@@ -574,7 +561,6 @@ fn run_report_cmd(suite_name: &str, flags: &[String]) -> Result<(), String> {
         warmup,
         out_dir,
         strategy: _,
-        drive_mode: _,
         cache,
     } = parse_sweep_flags("report", flags, 500_000, default_predictors, true)?;
     // Default warmup: the first fifth of each benchmark.
@@ -1288,16 +1274,7 @@ fn run_sim_bench_cmd(
         .predictors
         .iter()
         .any(|p| p.baseline_records_per_sec.is_some());
-    let mut headers = vec![
-        "config",
-        "family",
-        "Mrec/s",
-        "median ms",
-        "p90 ms",
-        "fe ms",
-        "commit ms",
-        "vs scalar",
-    ];
+    let mut headers = vec!["config", "family", "Mrec/s", "median ms", "p90 ms"];
     if with_baseline {
         headers.push("baseline Mrec/s");
         headers.push("speedup");
@@ -1310,9 +1287,6 @@ fn run_sim_bench_cmd(
             format!("{:.2}", p.records_per_sec / 1e6),
             format!("{:.1}", p.stats.median_seconds * 1e3),
             format!("{:.1}", p.stats.p90_seconds * 1e3),
-            format!("{:.1}", p.phases.frontend_seconds * 1e3),
-            format!("{:.1}", p.phases.commit_seconds * 1e3),
-            format!("{:.2}x", p.pipelined_speedup()),
         ];
         if with_baseline {
             row.push(
@@ -1327,24 +1301,8 @@ fn run_sim_bench_cmd(
         table.row(row);
     }
     println!(
-        "simulate throughput on {} ({} records, min of {} reps after warmup; \
-         fe = pipelined index-generation front end, commit = gather/commit remainder)\n{table}",
+        "simulate throughput on {} ({} records, min of {} reps after warmup)\n{table}",
         report.benchmark, report.predictors[0].records, report.reps
-    );
-    println!(
-        "pipeline depth sweep ({}): {} (best: {})",
-        report.depth_sweep.predictor,
-        report
-            .depth_sweep
-            .points
-            .iter()
-            .map(|p| format!("{}:{:.2}", p.depth, p.records_per_sec / 1e6))
-            .collect::<Vec<_>>()
-            .join(" "),
-        report
-            .depth_sweep
-            .best_depth()
-            .map_or_else(|| "-".to_owned(), |d| d.to_string()),
     );
     if let Some(m) = &report.memory {
         println!(

@@ -9,7 +9,7 @@
 //! window of predict/update/notify calls must perform **zero**
 //! allocations for every predictor the acceptance criteria name.
 
-use imli_repro::sim::{drive_block, drive_block_mode, make_predictor, scenario_by_name, DriveMode};
+use imli_repro::sim::{drive_block, make_predictor, scenario_by_name};
 use imli_repro::workloads::{cbp4_suite, ScenarioEvent};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -111,19 +111,26 @@ fn steady_state_predict_update_is_allocation_free() {
     }
 
     // The same guarantee for the drive loop the simulator actually
-    // runs: `drive_block` adds the one-record lookahead and the
-    // `prefetch` hint for predictors that opt in (TAGE-SC-L's two-phase
-    // index/probe lookup behind a prefetched base row), and none of
-    // that may allocate either. Driven here for a prefetching and a
-    // non-prefetching predictor so both branches of the loop are
-    // measured.
-    for name in ["tage-sc-l", "gehl"] {
+    // runs, in simulator-sized blocks: `drive_block` is the monomorphized
+    // per-predictor block loop behind every plain simulation entry
+    // point, driven here for one host of each table-backed family.
+    for name in [
+        "tage-sc-l",
+        "tage-sc-l+imli",
+        "gehl",
+        "ftl+imli",
+        "perceptron+imli",
+    ] {
         let mut predictor = make_predictor(name).expect("registered");
         let mut stats = imli_repro::components::PredictorStats::default();
-        drive_block(predictor.as_mut(), warmup, &mut stats);
+        for block in warmup.chunks(4096) {
+            drive_block(predictor.as_mut(), block, &mut stats);
+        }
 
         let before = ALLOCATIONS.load(Ordering::Relaxed);
-        drive_block(predictor.as_mut(), measured, &mut stats);
+        for block in measured.chunks(4096) {
+            drive_block(predictor.as_mut(), block, &mut stats);
+        }
         let after = ALLOCATIONS.load(Ordering::Relaxed);
 
         assert!(stats.predicted > 20_000, "{name}: drive_block ran");
@@ -133,36 +140,6 @@ fn steady_state_predict_update_is_allocation_free() {
             "{name}: steady-state drive_block allocated {} times",
             after - before,
         );
-    }
-
-    // Both explicit drive modes, driven in simulator-sized blocks so
-    // the pipelined path's plan/commit chunk loop (context snapshots,
-    // plan fills, planned gathers, trained commits) is inside the
-    // measured window. The plan buffers are allocated at predictor
-    // construction; steady state must stay allocation-free in both
-    // modes for every pipelined host family.
-    for name in ["tage-sc-l+imli", "ftl+imli", "perceptron+imli"] {
-        for mode in [DriveMode::Pipelined, DriveMode::Scalar] {
-            let mut predictor = make_predictor(name).expect("registered");
-            let mut stats = imli_repro::components::PredictorStats::default();
-            for block in warmup.chunks(4096) {
-                drive_block_mode(predictor.as_mut(), block, &mut stats, mode);
-            }
-
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
-            for block in measured.chunks(4096) {
-                drive_block_mode(predictor.as_mut(), block, &mut stats, mode);
-            }
-            let after = ALLOCATIONS.load(Ordering::Relaxed);
-
-            assert!(stats.predicted > 20_000, "{name}: {mode:?} drive ran");
-            assert_eq!(
-                after - before,
-                0,
-                "{name}: steady-state {mode:?} block drive allocated {} times",
-                after - before,
-            );
-        }
     }
 
     // The scenario drive loop: multi-tenant records plus partial
