@@ -223,6 +223,7 @@ pub fn default_policy() -> Policy {
             "crates/components/src/predictor.rs",
             "crates/history/src/state.rs",
             "crates/sim/src/run.rs",
+            "crates/sim/src/column.rs",
             "crates/workloads/src/combinators.rs",
         ],
         deterministic_modules: &[

@@ -31,7 +31,6 @@ use crate::cache::{grid_cell_key, CacheKey, SimCache};
 use crate::registry::PredictorSpec;
 use crate::run::{simulate_stream, simulate_stream_multi, SimResult};
 use crate::suite::SuiteResult;
-use bp_components::ConditionalPredictor;
 use bp_workloads::BenchmarkSpec;
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
@@ -312,11 +311,11 @@ impl Engine {
                 |ci| {
                     let b = miss_columns[ci];
                     let bench = &benchmarks[b];
-                    let mut column: Vec<Box<dyn ConditionalPredictor + Send>> = column_preds[b]
+                    let specs: Vec<PredictorSpec> = column_preds[b]
                         .iter()
-                        .map(|&p| predictors[p].make())
+                        .map(|&p| predictors[p].clone())
                         .collect();
-                    let results = simulate_stream_multi(&mut column, bench.stream(instructions));
+                    let results = simulate_stream_multi(&specs, bench.stream(instructions));
                     let labels = column_preds[b]
                         .iter()
                         .zip(&results)
@@ -424,9 +423,7 @@ impl Engine {
             predictors.len() * benchmarks.len(),
             |b| {
                 let bench = &benchmarks[b];
-                let mut column: Vec<Box<dyn ConditionalPredictor + Send>> =
-                    predictors.iter().map(PredictorSpec::make).collect();
-                let results = simulate_stream_multi(&mut column, bench.stream(instructions));
+                let results = simulate_stream_multi(predictors, bench.stream(instructions));
                 let labels = predictors
                     .iter()
                     .zip(&results)

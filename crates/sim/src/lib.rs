@@ -8,6 +8,11 @@
 //! * [`simulate`] / [`simulate_stream`] / [`Mpki`] — single benchmark
 //!   runs, over materialized traces or any
 //!   [`bp_trace::BranchStream`] in O(1) memory;
+//! * [`Column`] / [`plan_column`] — the hosts of one fused column:
+//!   plain TAGE-SC specs of one TAGE geometry share a TAGE front as
+//!   lanes of one host, behind every fused drive
+//!   ([`simulate_stream_multi`], [`simulate_stream_attributed_multi`],
+//!   [`simulate_scenario_multi`]);
 //! * [`Engine`] — the parallel (predictor × benchmark) grid runner:
 //!   dynamic self-scheduling across worker threads, lazy per-cell
 //!   generation, deterministic grid-ordered results, progress
@@ -32,6 +37,7 @@
 
 mod analysis;
 mod cache;
+mod column;
 mod engine;
 mod registry;
 mod report;
@@ -47,6 +53,7 @@ pub use cache::{
     grid_cell_key, report_cell_key, scenario_cell_key, CacheKey, CachePolicy, CacheStats,
     CacheStore, GcOutcome, SimCache,
 };
+pub use column::{plan_column, Column, HostPlan};
 pub use engine::{CellUpdate, Engine, GridResult, GridStrategy};
 pub use registry::{
     configs, family_members, lookup, make_predictor, paper_report_predictors, registry,

@@ -18,13 +18,14 @@
 //!   is what makes them diffable artifacts of record.
 
 use crate::cache::{report_cell_key, CacheKey, SimCache};
+use crate::column::Column;
 use crate::engine::{
     auto_fuses, run_columns, run_indexed, transpose_columns, CellLabel, CellUpdate,
 };
 use crate::registry::PredictorSpec;
 use crate::run::{fill_multi_block, Mpki, SimResult, MULTI_BLOCK_RECORDS};
 use bp_components::{ConditionalPredictor, PredictionAttribution, PredictorStats, StorageItem};
-use bp_trace::BranchStream;
+use bp_trace::{BranchRecord, BranchStream};
 use bp_workloads::BenchmarkSpec;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -256,20 +257,22 @@ struct MultiAccum {
     steady: PhaseSummary,
 }
 
-/// [`simulate_stream_attributed`] for *several* predictors over **one**
-/// pass of the stream — the attributed twin of
+/// [`simulate_stream_attributed`] for *several* predictor specs over
+/// **one** pass of the stream — the attributed twin of
 /// [`crate::simulate_stream_multi`], and the core of the fused report
 /// path.
 ///
-/// The stream is pulled once in blocks; each predictor consumes the
-/// whole block before the next (cache-friendly, exactly like the plain
-/// fused path). The warmup boundary is applied per record from the
-/// running instruction total, which is a pure function of the record
-/// sequence — so every predictor sees the identical warmup/steady
-/// split, and every returned [`AttributedRun`] is bit-identical to a
-/// solo [`simulate_stream_attributed`] over an equal stream.
+/// The specs are built into one [`Column`] (TAGE-SC variants of one
+/// TAGE geometry share a front), and the stream is pulled once in
+/// blocks; each host consumes the whole block before the next
+/// (cache-friendly, exactly like the plain fused path). The warmup
+/// boundary is a pure function of the record sequence: the running
+/// instruction total only grows, so each block splits once into a
+/// warmup prefix and a steady suffix, and every spec sees the identical
+/// split. Every returned [`AttributedRun`] is bit-identical to a solo
+/// [`simulate_stream_attributed`] over an equal stream.
 pub fn simulate_stream_attributed_multi<S>(
-    predictors: &mut [Box<dyn ConditionalPredictor + Send>],
+    specs: &[PredictorSpec],
     mut stream: S,
     warmup_instructions: u64,
 ) -> Vec<AttributedRun>
@@ -277,49 +280,57 @@ where
     S: BranchStream,
 {
     let benchmark = stream.name().to_owned();
-    let mut accums: Vec<MultiAccum> = predictors.iter().map(|_| MultiAccum::default()).collect();
+    let mut column = Column::build(specs);
+    let mut accums: Vec<MultiAccum> = specs.iter().map(|_| MultiAccum::default()).collect();
     let mut instructions = 0u64;
     let mut records = 0u64;
     let mut block = Vec::with_capacity(MULTI_BLOCK_RECORDS);
     loop {
-        let block_start = instructions;
+        let mut running = instructions;
         fill_multi_block(&mut stream, &mut block, &mut instructions, &mut records);
         if block.is_empty() {
             break;
         }
-        for (predictor, accum) in predictors.iter_mut().zip(accums.iter_mut()) {
-            let mut running = block_start;
-            for record in &block {
+        let split = block
+            .iter()
+            .position(|record| {
                 running += record.instructions();
-                let phase = if running <= warmup_instructions {
-                    &mut accum.warmup
-                } else {
+                running > warmup_instructions
+            })
+            .unwrap_or(block.len());
+        let (warm, steady) = block.split_at(split);
+        let warm_instructions: u64 = warm.iter().map(BranchRecord::instructions).sum();
+        let steady_instructions: u64 = steady.iter().map(BranchRecord::instructions).sum();
+        for accum in &mut accums {
+            accum.warmup.instructions += warm_instructions;
+            accum.steady.instructions += steady_instructions;
+        }
+        for (part, is_steady) in [(warm, false), (steady, true)] {
+            column.run_block_attributed(part, |spec, record, pred, attribution| {
+                let accum = &mut accums[spec];
+                let phase = if is_steady {
                     &mut accum.steady
-                };
-                phase.instructions += record.instructions();
-                if record.is_conditional() {
-                    let (pred, attribution) = predictor.predict_attributed(record.pc);
-                    let correct = pred == record.taken;
-                    accum.stats.record(correct);
-                    phase.stats.record(correct);
-                    phase.attribution.record(&attribution, pred, record.taken);
-                    predictor.update(record);
                 } else {
-                    predictor.notify_nonconditional(record);
-                }
-            }
+                    &mut accum.warmup
+                };
+                let correct = pred == record.taken;
+                accum.stats.record(correct);
+                phase.stats.record(correct);
+                phase.attribution.record(&attribution, pred, record.taken);
+            });
         }
         if block.len() < MULTI_BLOCK_RECORDS {
             break;
         }
     }
-    predictors
-        .iter()
+    column
+        .names()
+        .into_iter()
         .zip(accums)
         .map(|(predictor, accum)| AttributedRun {
             result: SimResult {
                 benchmark: benchmark.clone(),
-                predictor: predictor.name().to_owned(),
+                predictor,
                 instructions,
                 records,
                 stats: accum.stats,
@@ -485,10 +496,8 @@ pub fn run_report_with_cache(
             total,
             |b| {
                 let bench = &benchmarks[b];
-                let mut column: Vec<Box<dyn ConditionalPredictor + Send>> =
-                    predictors.iter().map(PredictorSpec::make).collect();
                 let runs = simulate_stream_attributed_multi(
-                    &mut column,
+                    predictors,
                     bench.stream(instructions),
                     warmup_instructions,
                 );
@@ -643,10 +652,10 @@ fn run_attributed_cached(
             |ci| {
                 let (b, preds) = &miss_columns[ci];
                 let bench = &benchmarks[*b];
-                let mut column: Vec<Box<dyn ConditionalPredictor + Send>> =
-                    preds.iter().map(|&p| predictors[p].make()).collect();
+                let specs: Vec<PredictorSpec> =
+                    preds.iter().map(|&p| predictors[p].clone()).collect();
                 let runs = simulate_stream_attributed_multi(
-                    &mut column,
+                    &specs,
                     bench.stream(instructions),
                     warmup_instructions,
                 );
@@ -1039,10 +1048,8 @@ mod tests {
     #[test]
     fn fused_attributed_runs_match_solo_runs_exactly() {
         let (predictors, benchmarks) = small_inputs();
-        let mut column: Vec<Box<dyn ConditionalPredictor + Send>> =
-            predictors.iter().map(PredictorSpec::make).collect();
         let fused =
-            simulate_stream_attributed_multi(&mut column, benchmarks[0].stream(30_000), 10_000);
+            simulate_stream_attributed_multi(&predictors, benchmarks[0].stream(30_000), 10_000);
         assert_eq!(fused.len(), predictors.len());
         for (spec, run) in predictors.iter().zip(&fused) {
             let solo = simulate_stream_attributed(

@@ -1,5 +1,7 @@
 //! Single-benchmark simulation.
 
+use crate::column::Column;
+use crate::registry::PredictorSpec;
 use bp_components::{ConditionalPredictor, PredictorStats};
 use bp_trace::{BranchStream, Trace};
 use std::fmt;
@@ -203,34 +205,34 @@ pub fn drive_block<P: ConditionalPredictor + ?Sized>(
     predictor.run_block(block, stats);
 }
 
-/// Simulates *several* predictors over **one** pass of a
+/// Simulates *several* predictor specs over **one** pass of a
 /// [`BranchStream`] with the CBP protocol — the shared-decode core of
 /// the engine's fused column mode.
 ///
-/// The stream is pulled once, in blocks of 4096 records
-/// (`MULTI_BLOCK_RECORDS`); each predictor consumes the whole block before the
-/// next predictor starts. Per-record broadcast (predictor-inner loop)
-/// would touch every predictor's tables on every record and thrash the
-/// cache; the blocked sweep keeps one predictor's working set hot for
-/// thousands of records while still generating/decoding the stream
-/// exactly once instead of `N` times.
+/// The specs are built into one [`Column`]: plain TAGE-SC specs of one
+/// TAGE geometry share a TAGE front as lanes of one host, every other
+/// spec is a host of its own. The stream is pulled once, in blocks of
+/// 4096 records (`MULTI_BLOCK_RECORDS`); each host consumes the whole
+/// block before the next host starts. Per-record broadcast
+/// (host-inner loop) would touch every host's tables on every record
+/// and thrash the cache; the blocked sweep keeps one host's working set
+/// hot for thousands of records while still generating/decoding the
+/// stream exactly once instead of `N` times.
 ///
-/// Because the predictors are independent state machines driven with
-/// the identical record sequence, the returned results are
-/// **bit-identical** to running [`simulate_stream`] once per predictor
-/// over equal streams.
+/// Hosts are independent state machines driven with the identical
+/// record sequence, and lanes of a shared front predict exactly as solo
+/// hosts, so the returned results are **bit-identical** to running
+/// [`simulate_stream`] once per spec over equal streams.
 ///
-/// Returns one [`SimResult`] per predictor, in input order.
-// bp-lint: allow-item(hot-path-alloc, "per-run block buffer and result assembly, amortized over whole blocks; the per-branch loop is drive_block, which is allocation-free")
-pub fn simulate_stream_multi<S>(
-    predictors: &mut [Box<dyn ConditionalPredictor + Send>],
-    mut stream: S,
-) -> Vec<SimResult>
+/// Returns one [`SimResult`] per spec, in input order.
+// bp-lint: allow-item(hot-path-alloc, "per-run block buffer and result assembly, amortized over whole blocks; the per-branch loop is Column::run_block, which is allocation-free")
+pub fn simulate_stream_multi<S>(specs: &[PredictorSpec], mut stream: S) -> Vec<SimResult>
 where
     S: BranchStream,
 {
     let benchmark = stream.name().to_owned();
-    let mut stats = vec![PredictorStats::default(); predictors.len()];
+    let mut column = Column::build(specs);
+    let mut stats = vec![PredictorStats::default(); specs.len()];
     let mut instructions = 0u64;
     let mut records = 0u64;
     let mut block = Vec::with_capacity(MULTI_BLOCK_RECORDS);
@@ -239,19 +241,18 @@ where
         if block.is_empty() {
             break;
         }
-        for (predictor, stats) in predictors.iter_mut().zip(stats.iter_mut()) {
-            drive_block(predictor, &block, stats);
-        }
+        column.run_block(&block, &mut stats);
         if block.len() < MULTI_BLOCK_RECORDS {
             break;
         }
     }
-    predictors
-        .iter()
+    column
+        .names()
+        .into_iter()
         .zip(stats)
         .map(|(predictor, stats)| SimResult {
             benchmark: benchmark.clone(),
-            predictor: predictor.name().to_owned(),
+            predictor,
             instructions,
             records,
             stats,
@@ -336,27 +337,21 @@ mod tests {
                 t.push(BranchRecord::call(0x100, 0x1000));
             }
         }
-        let mut predictors: Vec<Box<dyn ConditionalPredictor + Send>> = vec![
-            Box::new(AlwaysTaken),
-            Box::new(Bimodal::new(64)),
-            Box::new(Bimodal::new(1024)),
-        ];
-        let fused = simulate_stream_multi(&mut predictors, t.stream());
-        assert_eq!(fused.len(), 3);
-        let solo = [
-            simulate(&mut AlwaysTaken, &t),
-            simulate(&mut Bimodal::new(64), &t),
-            simulate(&mut Bimodal::new(1024), &t),
-        ];
-        for (f, s) in fused.iter().zip(solo.iter()) {
-            assert_eq!(f, s, "fused cell must equal the per-predictor run");
+        let specs: Vec<PredictorSpec> = ["bimodal", "tage-gsc", "gshare", "tage-sc-l+imli"]
+            .iter()
+            .map(|n| crate::registry::lookup(n).expect("registered"))
+            .collect();
+        let fused = simulate_stream_multi(&specs, t.stream());
+        assert_eq!(fused.len(), 4);
+        for (f, spec) in fused.iter().zip(&specs) {
+            let solo = simulate(spec.make().as_mut(), &t);
+            assert_eq!(f, &solo, "fused cell must equal the per-predictor run");
         }
     }
 
     #[test]
     fn multi_stream_with_no_predictors_is_empty() {
         let t = biased_trace(10, true);
-        let mut none: Vec<Box<dyn ConditionalPredictor + Send>> = Vec::new();
-        assert!(simulate_stream_multi(&mut none, t.stream()).is_empty());
+        assert!(simulate_stream_multi(&[], t.stream()).is_empty());
     }
 }

@@ -18,7 +18,7 @@
 //!   renderings (`bp scenario`), identical across worker counts;
 //! * [`simulate_scenario_multi`] — the fused core: every predictor
 //!   consumes the one event stream block-wise, applying flush events
-//!   in place (partial: [`ConditionalPredictor::flush_history`]; full:
+//!   in place (partial: [`flush_history`](bp_components::ConditionalPredictor::flush_history); full:
 //!   a cold rebuild from the spec);
 //! * [`adversarial_search`] — the seeded hill-climb over
 //!   [`Genome`]s maximizing MPKI against one registry config. No
@@ -26,15 +26,14 @@
 //!   identical worst-case stream.
 
 use crate::cache::{scenario_cell_key, CacheKey, SimCache};
+use crate::column::Column;
 use crate::engine::{
     auto_fuses, run_columns, run_indexed, transpose_columns, CellLabel, CellUpdate,
 };
 use crate::registry::{lookup, PredictorSpec};
 use crate::report::AttributionSummary;
 use crate::run::{simulate_stream, Mpki};
-use bp_components::{
-    json_string as json_str, ConditionalPredictor, ConfigError, ConfigValue, PredictorStats,
-};
+use bp_components::{json_string as json_str, ConfigError, ConfigValue, PredictorStats};
 use bp_trace::BranchStream;
 use bp_workloads::{
     context_switch, find_benchmark, interleave, EventStream, FlushMode, Genome, InterleaveSchedule,
@@ -409,20 +408,21 @@ impl ScenarioRun {
 /// record-block fusion in `bp-sim`'s grid core.
 const SCENARIO_BLOCK_EVENTS: usize = 4096;
 
-/// Per-predictor accumulation state of one fused scenario pass.
+/// Per-spec accumulation state of one fused scenario pass. Instruction
+/// and flush counts are the same for every spec and kept once.
 struct ScenarioAccum {
     stats: PredictorStats,
-    flushes: u64,
     tenants: Vec<TenantTally>,
 }
 
-/// Drives every predictor through **one** pass of the scenario's event
-/// stream — the scenario twin of the fused grid path. Events are
-/// pulled once in blocks; each predictor consumes the whole block
-/// before the next. Flush events apply per predictor in stream
-/// position: a partial flush calls
-/// [`ConditionalPredictor::flush_history`], a full flush rebuilds the
-/// predictor cold from its spec.
+/// Drives every spec through **one** pass of the scenario's event
+/// stream — the scenario twin of the fused grid path. The specs are
+/// built into one [`Column`] (TAGE-SC variants of one TAGE geometry
+/// share a front). Events are pulled once in blocks; each host consumes
+/// the whole block before the next. Flush events apply per host in
+/// stream position: a partial flush calls
+/// [`flush_history`](bp_components::ConditionalPredictor::flush_history), a full flush rebuilds the
+/// whole host cold from its specs.
 ///
 /// The result is a pure function of `(specs, events)` — identical
 /// across runs, worker counts, and against one-predictor-at-a-time
@@ -432,19 +432,19 @@ pub fn simulate_scenario_multi(
     events: &mut dyn EventStream,
 ) -> Vec<ScenarioRun> {
     let tenant_count = events.tenant_count() as usize;
-    let mut predictors: Vec<Box<dyn ConditionalPredictor + Send>> =
-        specs.iter().map(PredictorSpec::make).collect();
+    let mut column = Column::build(specs);
     let mut accums: Vec<ScenarioAccum> = specs
         .iter()
         .map(|_| ScenarioAccum {
             stats: PredictorStats::default(),
-            flushes: 0,
             tenants: vec![TenantTally::default(); tenant_count],
         })
         .collect();
+    let mut tenant_instructions = vec![0u64; tenant_count];
     let mut block: Vec<ScenarioEvent> = Vec::with_capacity(SCENARIO_BLOCK_EVENTS);
     let mut instructions = 0u64;
     let mut records = 0u64;
+    let mut flushes = 0u64;
     loop {
         block.clear();
         while block.len() < SCENARIO_BLOCK_EVENTS {
@@ -457,40 +457,30 @@ pub fn simulate_scenario_multi(
             break;
         }
         for ev in &block {
-            if let ScenarioEvent::Record { record, .. } = ev {
-                instructions += record.instructions();
-                records += 1;
+            match ev {
+                ScenarioEvent::Record { record, tenant } => {
+                    instructions += record.instructions();
+                    tenant_instructions[*tenant as usize] += record.instructions();
+                    records += 1;
+                }
+                ScenarioEvent::Flush(_) => flushes += 1,
             }
         }
-        for ((spec, predictor), accum) in specs
-            .iter()
-            .zip(predictors.iter_mut())
-            .zip(accums.iter_mut())
-        {
+        for host in column.hosts_mut() {
             for ev in &block {
                 match ev {
                     ScenarioEvent::Record { record, tenant } => {
-                        let tally = &mut accum.tenants[*tenant as usize];
-                        tally.instructions += record.instructions();
-                        if record.is_conditional() {
-                            let (pred, attribution) = predictor.predict_attributed(record.pc);
+                        host.step(record, |spec, pred, attribution| {
+                            let accum = &mut accums[spec];
+                            let tally = &mut accum.tenants[*tenant as usize];
                             let correct = pred == record.taken;
                             accum.stats.record(correct);
                             tally.stats.record(correct);
                             tally.attribution.record(&attribution, pred, record.taken);
-                            predictor.update(record);
-                        } else {
-                            predictor.notify_nonconditional(record);
-                        }
+                        });
                     }
-                    ScenarioEvent::Flush(FlushMode::Partial) => {
-                        predictor.flush_history();
-                        accum.flushes += 1;
-                    }
-                    ScenarioEvent::Flush(FlushMode::Full) => {
-                        *predictor = spec.make();
-                        accum.flushes += 1;
-                    }
+                    ScenarioEvent::Flush(FlushMode::Partial) => host.flush_history(),
+                    ScenarioEvent::Flush(FlushMode::Full) => host.rebuild(specs),
                 }
             }
         }
@@ -498,16 +488,22 @@ pub fn simulate_scenario_multi(
             break;
         }
     }
-    predictors
-        .iter()
+    column
+        .names()
+        .into_iter()
         .zip(accums)
-        .map(|(predictor, accum)| ScenarioRun {
-            predictor: predictor.name().to_owned(),
-            instructions,
-            records,
-            stats: accum.stats,
-            flushes: accum.flushes,
-            tenants: accum.tenants,
+        .map(|(predictor, mut accum)| {
+            for (tally, &instructions) in accum.tenants.iter_mut().zip(&tenant_instructions) {
+                tally.instructions = instructions;
+            }
+            ScenarioRun {
+                predictor,
+                instructions,
+                records,
+                stats: accum.stats,
+                flushes,
+                tenants: accum.tenants,
+            }
         })
         .collect()
 }

@@ -172,6 +172,40 @@ impl<K: Copy> Best<K> {
     }
 }
 
+/// One [`Best`] per target, all offered every candidate of a single
+/// walk of a family's lattice: the lattice does not depend on the
+/// target, so one walk picks for every budget of a sweep, each pick
+/// exactly as a walk of its own would.
+struct Picks<K>(Vec<Best<K>>);
+
+impl<K: Copy> Picks<K> {
+    fn new(targets: &[u64]) -> Self {
+        Picks(targets.iter().map(|&target| Best::new(target)).collect())
+    }
+
+    fn offer(&mut self, bits: u64, quality: i64, knobs: K) {
+        for best in &mut self.0 {
+            best.offer(bits, quality, knobs);
+        }
+    }
+
+    /// Each target's pick, turned into a configuration by `config`
+    /// (given the target in bits), in target order.
+    fn finish<C>(
+        self,
+        family: &str,
+        mut config: impl FnMut(u64, K) -> C,
+    ) -> Vec<Result<C, ConfigError>> {
+        self.0
+            .into_iter()
+            .map(|best| {
+                let target = best.target as u64;
+                best.take(family).map(|knobs| config(target, knobs))
+            })
+            .collect()
+    }
+}
+
 /// Fixed (non-scaled) pieces of an IMLI-carrying configuration: the
 /// paper treats the IMLI components as a fixed ~708-byte design point,
 /// so the solver never scales them.
@@ -188,40 +222,37 @@ fn neural_quality(tables: usize, counter_bits: usize, log_entries: usize) -> i64
     -((tables as i64 - 8).abs() * 100 + (counter_bits as i64 - 6).abs() * 10) + log_entries as i64
 }
 
-fn solve_bimodal(target_bits: u64) -> Result<BimodalConfig, ConfigError> {
-    let mut best = Best::new(target_bits);
+fn solve_bimodal(targets: &[u64]) -> Vec<Result<BimodalConfig, ConfigError>> {
+    let mut picks = Picks::new(targets);
     for log_entries in 2..=24usize {
-        best.offer((1u64 << log_entries) * 2, 0, log_entries);
+        picks.offer((1u64 << log_entries) * 2, 0, log_entries);
     }
-    Ok(BimodalConfig {
-        log_entries: best.take("bimodal")?,
-    })
+    picks.finish("bimodal", |_, log_entries| BimodalConfig { log_entries })
 }
 
-fn solve_gshare(target_bits: u64) -> Result<GShareConfig, ConfigError> {
-    let mut best = Best::new(target_bits);
+fn solve_gshare(targets: &[u64]) -> Vec<Result<GShareConfig, ConfigError>> {
+    let mut picks = Picks::new(targets);
     for log_entries in 4..=24usize {
         let history_bits = (log_entries - 2).min(24);
-        best.offer(
+        picks.offer(
             (1u64 << log_entries) * 2 + history_bits as u64,
             0,
             (log_entries, history_bits),
         );
     }
-    let (log_entries, history_bits) = best.take("gshare")?;
-    Ok(GShareConfig {
+    picks.finish("gshare", |_, (log_entries, history_bits)| GShareConfig {
         log_entries,
         history_bits,
     })
 }
 
-fn solve_perceptron(target_bits: u64) -> Result<PerceptronConfig, ConfigError> {
-    let mut best = Best::new(target_bits);
+fn solve_perceptron(targets: &[u64]) -> Vec<Result<PerceptronConfig, ConfigError>> {
+    let mut picks = Picks::new(targets);
     for tables in 2..=24usize {
         for weight_bits in 4..=7usize {
             for log_entries in 6..=16usize {
                 let bits = tables as u64 * weight_bits as u64 * (1u64 << log_entries);
-                best.offer(
+                picks.offer(
                     bits,
                     neural_quality(tables, weight_bits, log_entries),
                     (tables, weight_bits, log_entries),
@@ -229,26 +260,30 @@ fn solve_perceptron(target_bits: u64) -> Result<PerceptronConfig, ConfigError> {
             }
         }
     }
-    let (tables, weight_bits, log_entries) = best.take("perceptron")?;
-    let mut segments = vec![0];
-    segments.extend(geometric_lengths(4, 256, tables - 1));
-    Ok(PerceptronConfig {
-        log_entries,
-        weight_bits,
-        segments,
-        name: format!("HP/{}Kb", (target_bits + 512) / 1024),
-        ..PerceptronConfig::base()
-    })
+    picks.finish(
+        "perceptron",
+        |target_bits, (tables, weight_bits, log_entries)| {
+            let mut segments = vec![0];
+            segments.extend(geometric_lengths(4, 256, tables - 1));
+            PerceptronConfig {
+                log_entries,
+                weight_bits,
+                segments,
+                name: format!("HP/{}Kb", (target_bits + 512) / 1024),
+                ..PerceptronConfig::base()
+            }
+        },
+    )
 }
 
-fn solve_gehl(target_bits: u64, with_imli: bool) -> Result<GehlConfig, ConfigError> {
+fn solve_gehl(targets: &[u64], with_imli: bool) -> Vec<Result<GehlConfig, ConfigError>> {
     let fixed = if with_imli { imli_bits() } else { 0 };
-    let mut best = Best::new(target_bits);
+    let mut picks = Picks::new(targets);
     for tables in 2..=40usize {
         for counter_bits in 3..=7usize {
             for log_entries in 6..=16usize {
                 let bits = fixed + tables as u64 * counter_bits as u64 * (1u64 << log_entries);
-                best.offer(
+                picks.offer(
                     bits,
                     neural_quality(tables, counter_bits, log_entries),
                     (tables, counter_bits, log_entries),
@@ -256,16 +291,18 @@ fn solve_gehl(target_bits: u64, with_imli: bool) -> Result<GehlConfig, ConfigErr
             }
         }
     }
-    let (num_tables, counter_bits, log_entries) = best.take("gehl")?;
     let suffix = if with_imli { "+IMLI" } else { "" };
-    Ok(GehlConfig {
-        log_entries,
-        counter_bits,
-        num_tables,
-        imli: with_imli.then(ImliConfig::default),
-        name: format!("GEHL{suffix}/{}Kb", (target_bits + 512) / 1024),
-        ..GehlConfig::base()
-    })
+    picks.finish(
+        "gehl",
+        |target_bits, (num_tables, counter_bits, log_entries)| GehlConfig {
+            log_entries,
+            counter_bits,
+            num_tables,
+            imli: with_imli.then(ImliConfig::default),
+            name: format!("GEHL{suffix}/{}Kb", (target_bits + 512) / 1024),
+            ..GehlConfig::base()
+        },
+    )
 }
 
 /// Which optional components a solved TAGE configuration carries.
@@ -278,9 +315,10 @@ struct TageVariant {
 
 /// One point of `solve_tage`'s candidate lattice, fully materialized as
 /// a config. The solver costs every candidate with the config layer's
-/// own [`PredictorConfig::storage_bits_estimate`] (allocation-free
-/// arithmetic), so the lattice can never drift from the real
-/// accounting.
+/// own [`PredictorConfig::storage_bits_estimate`], so the lattice can
+/// never drift from the real accounting. Materializing a candidate
+/// allocates (its tag widths, SC lengths and local shape), which is why
+/// `solve_tage` costs each candidate once for all of its targets.
 fn tage_candidate(
     variant: TageVariant,
     knobs: (usize, usize, usize, usize, usize),
@@ -317,8 +355,8 @@ fn tage_candidate(
     }
 }
 
-fn solve_tage(target_bits: u64, variant: TageVariant) -> Result<TageScConfig, ConfigError> {
-    let mut best = Best::new(target_bits);
+fn solve_tage(targets: &[u64], variant: TageVariant) -> Vec<Result<TageScConfig, ConfigError>> {
+    let mut picks = Picks::new(targets);
     let loop_logs: &[usize] = if variant.local { &[2, 4, 6] } else { &[0] };
     for n_tables in 2..=12usize {
         for t_log in 2..=13usize {
@@ -332,24 +370,25 @@ fn solve_tage(target_bits: u64, variant: TageVariant) -> Result<TageScConfig, Co
                         // tables and spends most of its budget there);
                         // the SC size is a tie-breaker.
                         let quality = n_tables as i64 * 100 + t_log as i64 * 10 + sc_log as i64;
-                        best.offer(candidate.storage_bits_estimate(), quality, knobs);
+                        picks.offer(candidate.storage_bits_estimate(), quality, knobs);
                     }
                 }
             }
         }
     }
-    let knobs = best.take("tage")?;
     let label = match (variant.local, variant.imli) {
         (false, false) => "TAGE-GSC",
         (false, true) => "TAGE-GSC+IMLI",
         (true, false) => "TAGE-SC-L",
         (true, true) => "TAGE-SC-L+IMLI",
     };
-    Ok(tage_candidate(
-        variant,
-        knobs,
-        format!("{label}/{}Kb", (target_bits + 512) / 1024),
-    ))
+    picks.finish("tage", |target_bits, knobs| {
+        tage_candidate(
+            variant,
+            knobs,
+            format!("{label}/{}Kb", (target_bits + 512) / 1024),
+        )
+    })
 }
 
 /// Solves one sweep family for a target budget: returns a configuration
@@ -361,50 +400,64 @@ fn solve_tage(target_bits: u64, variant: TageVariant) -> Result<TageScConfig, Co
 /// lattice searched per family does not depend on the target, so for
 /// any two targets `a <= b`, `solve_budget(f, a)` never returns more
 /// storage than `solve_budget(f, b)` (monotonicity; property-tested).
+/// This is the one-target case of the walk a sweep makes once per
+/// family for all its budgets.
 pub fn solve_budget(family: &str, target_bits: u64) -> Result<RegistryConfig, ConfigError> {
-    let config = match family {
-        "bimodal" => RegistryConfig::plain(FamilyConfig::Bimodal(solve_bimodal(target_bits)?)),
-        "gshare" => RegistryConfig::plain(FamilyConfig::GShare(solve_gshare(target_bits)?)),
-        "perceptron" => {
-            RegistryConfig::plain(FamilyConfig::Perceptron(solve_perceptron(target_bits)?))
-        }
-        "gehl" => RegistryConfig::plain(FamilyConfig::Gehl(solve_gehl(target_bits, false)?)),
-        "gehl+imli" => RegistryConfig::plain(FamilyConfig::Gehl(solve_gehl(target_bits, true)?)),
-        "tage-gsc" => RegistryConfig::plain(FamilyConfig::TageSc(solve_tage(
-            target_bits,
-            TageVariant {
-                imli: false,
-                local: false,
-            },
-        )?)),
-        "tage-gsc+imli" => RegistryConfig::plain(FamilyConfig::TageSc(solve_tage(
-            target_bits,
-            TageVariant {
-                imli: true,
-                local: false,
-            },
-        )?)),
-        "tage-sc-l" => RegistryConfig::plain(FamilyConfig::TageSc(solve_tage(
-            target_bits,
-            TageVariant {
-                imli: false,
-                local: true,
-            },
-        )?)),
-        "tage-sc-l+imli" => RegistryConfig::plain(FamilyConfig::TageSc(solve_tage(
-            target_bits,
-            TageVariant {
-                imli: true,
-                local: true,
-            },
-        )?)),
+    solve_family(family, &[target_bits])
+        .pop()
+        .unwrap_or_else(|| Err(ConfigError::new(format!("{family}: no solution"))))
+}
+
+/// [`solve_budget`] for every target of `targets` from one walk of the
+/// family's candidate lattice, in target order.
+fn solve_family(family: &str, targets: &[u64]) -> Vec<Result<RegistryConfig, ConfigError>> {
+    fn plain<C>(
+        solved: Vec<Result<C, ConfigError>>,
+        family: impl Fn(C) -> FamilyConfig,
+    ) -> Vec<Result<RegistryConfig, ConfigError>> {
+        solved
+            .into_iter()
+            .map(|config| config.map(|c| RegistryConfig::plain(family(c))))
+            .collect()
+    }
+    let tage = |imli, local| {
+        plain(
+            solve_tage(targets, TageVariant { imli, local }),
+            FamilyConfig::TageSc,
+        )
+    };
+    let solved = match family {
+        "bimodal" => plain(solve_bimodal(targets), FamilyConfig::Bimodal),
+        "gshare" => plain(solve_gshare(targets), FamilyConfig::GShare),
+        "perceptron" => plain(solve_perceptron(targets), FamilyConfig::Perceptron),
+        "gehl" => plain(solve_gehl(targets, false), FamilyConfig::Gehl),
+        "gehl+imli" => plain(solve_gehl(targets, true), FamilyConfig::Gehl),
+        "tage-gsc" => tage(false, false),
+        "tage-gsc+imli" => tage(true, false),
+        "tage-sc-l" => tage(false, true),
+        "tage-sc-l+imli" => tage(true, true),
         other => {
-            return Err(ConfigError::new(format!(
+            let unknown = ConfigError::new(format!(
                 "unknown sweep family `{other}` (available: {})",
                 SWEEP_FAMILIES.join(", ")
-            )))
+            ));
+            return targets.iter().map(|_| Err(unknown.clone())).collect();
         }
     };
+    solved
+        .into_iter()
+        .zip(targets)
+        .map(|(config, &target_bits)| check_solution(family, config?, target_bits))
+        .collect()
+}
+
+/// Accepts a solved configuration if it validates and lands within
+/// [`BUDGET_TOLERANCE`] of `target_bits`.
+fn check_solution(
+    family: &str,
+    config: RegistryConfig,
+    target_bits: u64,
+) -> Result<RegistryConfig, ConfigError> {
     PredictorConfig::validate(&config).map_err(|e| {
         ConfigError::new(format!("solver produced an invalid {family} config: {e}"))
     })?;
@@ -530,13 +583,21 @@ pub fn run_sweep_with_cache(
             return Err(ConfigError::new(format!("duplicate family `{family}`")));
         }
     }
+    // Each family's lattice is walked once for every budget; the
+    // budget-major loop below then reports the first error exactly
+    // where solving budget by budget would.
+    let targets: Vec<u64> = budgets_kbit.iter().map(|&budget| budget * 1024).collect();
+    let solved: Vec<Vec<Result<RegistryConfig, ConfigError>>> = families
+        .iter()
+        .map(|family| solve_family(family, &targets))
+        .collect();
     let mut specs = Vec::with_capacity(budgets_kbit.len() * families.len());
-    for &budget in budgets_kbit {
+    for (b, &budget) in budgets_kbit.iter().enumerate() {
         if budget == 0 {
             return Err(ConfigError::new("budgets must be positive Kbit values"));
         }
-        for family in families {
-            let config = solve_budget(family, budget * 1024)?;
+        for (family, solutions) in families.iter().zip(&solved) {
+            let config = solutions[b].clone()?;
             specs.push(PredictorSpec::new(
                 format!("{family}@{budget}"),
                 format!("budget sweep: {budget} Kbit target"),

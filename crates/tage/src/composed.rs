@@ -1,12 +1,13 @@
 //! The composed TAGE + SC (+ loop predictor) predictors of the paper.
 
 use crate::sc::{LocalScConfig, ScConfig, StatisticalCorrector};
-use crate::tage::{Tage, TageConfig};
+use crate::tage::{Tage, TageConfig, TageLookup};
 use bp_components::{
     ConditionalPredictor, ConfidenceBucket, ConfigError, ConfigValue, LoopPredictor,
     LoopPredictorConfig, PredictionAttribution, PredictorConfig, ProviderComponent, StorageBudget,
     StorageItem,
 };
+use bp_history::HistoryState;
 use bp_trace::BranchRecord;
 use imli::{ImliCheckpoint, ImliConfig};
 
@@ -185,16 +186,10 @@ impl PredictorConfig for TageScConfig {
     }
 }
 
-/// A TAGE predictor backed by a statistical corrector and an optional
-/// loop predictor — the composed predictor family the paper evaluates
-/// (TAGE-GSC, TAGE-GSC+IMLI, TAGE-SC-L, TAGE-SC-L+IMLI).
-///
-/// Prediction flow per the paper's Figure 4: TAGE produces the main
-/// prediction and a confidence; the corrector sums its components
-/// (including the TAGE vote) and may revert; a confident loop predictor
-/// overrides everything.
-pub struct TageSc {
-    tage: Tage,
+/// One variant downstream of a TAGE front: its statistical corrector,
+/// optional loop predictor, display name, last prediction and global
+/// history window. The lanes of one [`TageSc`] share its TAGE.
+struct Lane {
     sc: StatisticalCorrector,
     loop_pred: Option<LoopPredictor>,
     name: String,
@@ -202,16 +197,10 @@ pub struct TageSc {
     ghist_window: usize,
 }
 
-impl TageSc {
-    /// Builds the composed predictor.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any sub-configuration fails validation.
-    pub fn new(config: TageScConfig) -> Self {
+impl Lane {
+    fn new(config: TageScConfig) -> Self {
         let max_global = config.sc.global_lengths.iter().copied().max().unwrap_or(0);
-        TageSc {
-            tage: Tage::new(config.tage),
+        Lane {
             sc: StatisticalCorrector::new(config.sc),
             loop_pred: config.loop_predictor.map(LoopPredictor::new),
             name: config.name,
@@ -220,49 +209,21 @@ impl TageSc {
         }
     }
 
-    /// Read-only access to the embedded TAGE.
-    pub fn tage(&self) -> &Tage {
-        &self.tage
-    }
-
-    /// Read-only access to the corrector.
-    pub fn corrector(&self) -> &StatisticalCorrector {
-        &self.sc
-    }
-
-    /// The IMLI speculative checkpoint, when IMLI is configured — the
-    /// paper's 26-bit speculation argument, surfaced for the simulator's
-    /// speculative-fetch model.
-    pub fn imli_checkpoint(&self) -> Option<ImliCheckpoint> {
-        self.sc.imli().map(|s| s.checkpoint())
-    }
-
-    /// Storage breakdown: (component, bits).
-    // bp-lint: allow-item(hot-path-alloc, "reporting helper, cold; never on the per-branch path")
-    pub fn budget_breakdown(&self) -> Vec<(String, u64)> {
-        let mut parts = vec![
-            ("tage".to_owned(), self.tage.storage_bits()),
-            ("sc".to_owned(), self.sc.storage_bits()),
-        ];
-        if let Some(lp) = &self.loop_pred {
-            parts.push(("loop".to_owned(), lp.storage_bits()));
-        }
-        parts
-    }
-
-    /// The shared prediction path behind both [`predict`] and
-    /// [`predict_attributed`]: one flow, so the two can never diverge;
-    /// the attribution is assembled from values the prediction needs
-    /// anyway and optimizes away when the caller drops it.
-    ///
-    /// [`predict`]: ConditionalPredictor::predict
-    /// [`predict_attributed`]: ConditionalPredictor::predict_attributed
+    /// This lane's prediction from the shared TAGE lookup `tl` and the
+    /// front's histories, with its attribution. The attribution is
+    /// assembled from values the prediction needs anyway and optimizes
+    /// away when the caller drops it.
     #[inline]
-    fn predict_full(&mut self, pc: u64) -> (bool, PredictionAttribution) {
-        let tl = self.tage.lookup(pc);
-        let ghist = self.tage.history().global().low_bits(self.ghist_window);
-        let path = self.tage.history().path();
-        let sl = self.sc.predict(pc, tl.pred, tl.low_confidence, ghist, path);
+    fn predict(
+        &mut self,
+        pc: u64,
+        tl: &TageLookup,
+        history: &HistoryState,
+    ) -> (bool, PredictionAttribution) {
+        let ghist = history.global().low_bits(self.ghist_window);
+        let sl = self
+            .sc
+            .predict(pc, tl.pred, tl.low_confidence, ghist, history.path());
         let mut pred = sl.pred;
         let mut attribution = if sl.pred != tl.pred {
             // The corrector reverted TAGE; the alternate is TAGE itself.
@@ -300,17 +261,10 @@ impl TageSc {
         self.last_pred = pred;
         (pred, attribution)
     }
-}
 
-impl ConditionalPredictor for TageSc {
-    fn predict(&mut self, pc: u64) -> bool {
-        self.predict_full(pc).0
-    }
-
-    fn predict_attributed(&mut self, pc: u64) -> (bool, PredictionAttribution) {
-        self.predict_full(pc)
-    }
-
+    /// Trains this lane with the resolved branch and advances its own
+    /// histories (IMLI, local).
+    #[inline]
     fn update(&mut self, record: &BranchRecord) {
         let mispredicted = self.last_pred != record.taken;
         if let Some(lp) = &mut self.loop_pred {
@@ -324,29 +278,183 @@ impl ConditionalPredictor for TageSc {
             );
         }
         self.sc.update(record.taken);
-        self.tage.update(record.pc, record.taken);
         self.sc.observe(record);
+    }
+}
+
+/// A TAGE predictor backed by a statistical corrector and an optional
+/// loop predictor — the composed predictor family the paper evaluates
+/// (TAGE-GSC, TAGE-GSC+IMLI, TAGE-SC-L, TAGE-SC-L+IMLI).
+///
+/// Prediction flow per the paper's Figure 4: TAGE produces the main
+/// prediction and a confidence; the corrector sums its components
+/// (including the TAGE vote) and may revert; a confident loop predictor
+/// overrides everything.
+///
+/// The host is one TAGE *front* feeding one or more *lanes*
+/// ([`TageSc::with_lanes`]). A lane is everything downstream of TAGE:
+/// the corrector, the optional loop predictor, the name and the last
+/// prediction. Variants that differ only there share one front, and
+/// each lane predicts exactly as a solo host of its configuration
+/// would: TAGE trains on its own prediction, its histories take only
+/// outcomes and PCs, and the lanes read TAGE's lookup and history but
+/// never write them. [`TageSc::new`] is the one-lane case. Through
+/// [`ConditionalPredictor`] (and [`StorageBudget`]) a host is its first
+/// lane; [`TageSc::predict_lanes`] reports every lane.
+pub struct TageSc {
+    tage: Tage,
+    lanes: Vec<Lane>,
+}
+
+impl TageSc {
+    /// Builds the composed predictor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any sub-configuration fails validation.
+    // bp-lint: allow-item(hot-path-alloc, "host construction is cold, once per predictor")
+    pub fn new(config: TageScConfig) -> Self {
+        TageSc::with_lanes(vec![config])
+    }
+
+    /// Builds one TAGE front feeding one lane per configuration, in
+    /// order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `configs` is empty, if the configurations do not all
+    /// share one TAGE geometry, or if any sub-configuration fails
+    /// validation.
+    // bp-lint: allow-item(hot-path-alloc, "host construction is cold; steady-state predict/update is allocation-free (tests/hotpath_allocations.rs)")
+    pub fn with_lanes(configs: Vec<TageScConfig>) -> Self {
+        // bp-lint: allow(panic-surface, "constructor contract documented above: callers group configs by TAGE geometry first")
+        let tage = configs.first().expect("at least one lane").tage.clone();
+        assert!(
+            configs.iter().all(|c| c.tage == tage),
+            "lanes of one TAGE front must share its geometry"
+        );
+        TageSc {
+            tage: Tage::new(tage),
+            lanes: configs.into_iter().map(Lane::new).collect(),
+        }
+    }
+
+    /// The number of lanes this front feeds.
+    pub fn lanes(&self) -> usize {
+        self.lanes.len()
+    }
+
+    /// The display name of lane `lane`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `lane` is out of range.
+    pub fn lane_name(&self, lane: usize) -> &str {
+        &self.lanes[lane].name
+    }
+
+    /// Read-only access to the embedded TAGE.
+    pub fn tage(&self) -> &Tage {
+        &self.tage
+    }
+
+    /// Read-only access to the first lane's corrector.
+    pub fn corrector(&self) -> &StatisticalCorrector {
+        &self.lanes[0].sc
+    }
+
+    /// The first lane's IMLI speculative checkpoint, when IMLI is
+    /// configured — the paper's 26-bit speculation argument, surfaced
+    /// for the simulator's speculative-fetch model.
+    pub fn imli_checkpoint(&self) -> Option<ImliCheckpoint> {
+        self.lanes[0].sc.imli().map(|s| s.checkpoint())
+    }
+
+    /// Storage breakdown of the first lane's predictor: (component,
+    /// bits).
+    // bp-lint: allow-item(hot-path-alloc, "reporting helper, cold; never on the per-branch path")
+    pub fn budget_breakdown(&self) -> Vec<(String, u64)> {
+        let lane = &self.lanes[0];
+        let mut parts = vec![
+            ("tage".to_owned(), self.tage.storage_bits()),
+            ("sc".to_owned(), lane.sc.storage_bits()),
+        ];
+        if let Some(lp) = &lane.loop_pred {
+            parts.push(("loop".to_owned(), lp.storage_bits()));
+        }
+        parts
+    }
+
+    /// The one prediction flow: one TAGE lookup for `pc`, then every
+    /// lane's prediction, handed to `sink` as `(lane, prediction,
+    /// attribution)` in lane order. Behind [`predict`] and
+    /// [`predict_attributed`] too, so no path can diverge; a
+    /// [`ConditionalPredictor::update`] for the same branch trains the
+    /// front and every lane.
+    ///
+    /// [`predict`]: ConditionalPredictor::predict
+    /// [`predict_attributed`]: ConditionalPredictor::predict_attributed
+    #[inline]
+    pub fn predict_lanes(
+        &mut self,
+        pc: u64,
+        mut sink: impl FnMut(usize, bool, PredictionAttribution),
+    ) {
+        let tl = self.tage.lookup(pc);
+        let history = self.tage.history();
+        for (i, lane) in self.lanes.iter_mut().enumerate() {
+            let (pred, attribution) = lane.predict(pc, &tl, history);
+            sink(i, pred, attribution);
+        }
+    }
+}
+
+impl ConditionalPredictor for TageSc {
+    fn predict(&mut self, pc: u64) -> bool {
+        self.predict_attributed(pc).0
+    }
+
+    fn predict_attributed(&mut self, pc: u64) -> (bool, PredictionAttribution) {
+        let mut first = (false, PredictionAttribution::unattributed());
+        self.predict_lanes(pc, |lane, pred, attribution| {
+            if lane == 0 {
+                first = (pred, attribution);
+            }
+        });
+        first
+    }
+
+    fn update(&mut self, record: &BranchRecord) {
+        for lane in &mut self.lanes {
+            lane.update(record);
+        }
+        self.tage.update(record.pc, record.taken);
         self.tage.push_history(record.pc, record.taken);
     }
 
     fn flush_history(&mut self) {
         self.tage.flush_history();
-        self.sc.flush_history();
+        for lane in &mut self.lanes {
+            lane.sc.flush_history();
+        }
     }
 
     fn notify_nonconditional(&mut self, record: &BranchRecord) {
-        self.sc.observe(record);
+        for lane in &mut self.lanes {
+            lane.sc.observe(record);
+        }
         self.tage.push_path(record.pc);
     }
 
     fn name(&self) -> &str {
-        &self.name
+        &self.lanes[0].name
     }
 }
 
 // bp-lint: allow-item(hot-path-alloc, "storage accounting is cold; never on the per-branch path")
 impl StorageBudget for TageSc {
     fn storage_items(&self) -> Vec<StorageItem> {
+        let lane = &self.lanes[0];
         let mut items: Vec<StorageItem> = self
             .tage
             .storage_items()
@@ -354,12 +462,12 @@ impl StorageBudget for TageSc {
             .map(|i| i.prefixed("tage"))
             .collect();
         items.extend(
-            self.sc
+            lane.sc
                 .storage_items()
                 .into_iter()
                 .map(|i| i.prefixed("sc")),
         );
-        if let Some(lp) = &self.loop_pred {
+        if let Some(lp) = &lane.loop_pred {
             items.push(StorageItem::new("loop", lp.storage_bits()));
         }
         items
@@ -441,6 +549,58 @@ mod tests {
         assert_eq!(TageSc::tage_sc_l().name(), "TAGE-SC-L");
         assert_eq!(TageSc::tage_sc_l_imli().name(), "TAGE-SC-L+IMLI");
         assert_eq!(TageSc::tage_gsc_sic().name(), "TAGE-GSC+SIC");
+    }
+
+    #[test]
+    fn lanes_predict_exactly_like_solo_hosts() {
+        let configs = [
+            TageScConfig::gsc(),
+            TageScConfig::sc_l_imli(),
+            TageScConfig::gsc_imli(),
+            TageScConfig::sc_l(),
+        ];
+        let mut shared = TageSc::with_lanes(configs.to_vec());
+        let mut solo: Vec<TageSc> = configs.iter().cloned().map(TageSc::new).collect();
+        assert_eq!(shared.lanes(), 4);
+        assert_eq!(shared.lane_name(1), "TAGE-SC-L+IMLI");
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for i in 0..30_000u64 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let pc = 0x400 + (x % 24) * 0x40;
+            if i % 11 == 0 {
+                let record = BranchRecord::call(pc, 0x9000);
+                shared.notify_nonconditional(&record);
+                solo.iter_mut()
+                    .for_each(|p| p.notify_nonconditional(&record));
+                continue;
+            }
+            let taken = (i % (3 + x % 5)) != 0;
+            let mut lanes = [(false, PredictionAttribution::unattributed()); 4];
+            shared.predict_lanes(pc, |lane, pred, attribution| {
+                lanes[lane] = (pred, attribution)
+            });
+            for (p, lane) in solo.iter_mut().zip(lanes) {
+                assert_eq!(p.predict_attributed(pc), lane, "branch {i}");
+            }
+            let record = BranchRecord::conditional(pc, pc - 0x80, taken);
+            shared.update(&record);
+            solo.iter_mut().for_each(|p| p.update(&record));
+            if i % 7_000 == 0 {
+                shared.flush_history();
+                solo.iter_mut()
+                    .for_each(ConditionalPredictor::flush_history);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "share its geometry")]
+    fn lanes_must_share_the_tage_geometry() {
+        let mut small = TageScConfig::gsc();
+        small.tage.tagged_log_entries = 8;
+        let _ = TageSc::with_lanes(vec![TageScConfig::gsc(), small]);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! blocks through [`drive_block`] (the predictor's monomorphized
 //! `run_block`): [`simulate`] as one whole-trace block,
 //! [`simulate_stream_multi`] in simulator-sized blocks shared by a
-//! fleet of predictors. Block boundaries must be invisible. For
+//! column of predictor hosts. Block boundaries must be invisible. For
 //! **every** registry configuration, each of those drives must produce
 //! the same prediction statistics as a bare hand-rolled predict/update
 //! loop, at every block split — including a block per record and
@@ -100,9 +100,9 @@ fn fused_multi_drive_matches_plain_loop_for_every_registry_config() {
     let specs = registry();
 
     // One fused pass over all registry predictors (block-sliced drive
-    // over one shared stream)...
-    let mut fleet: Vec<_> = specs.iter().map(|s| s.make()).collect();
-    let fused = simulate_stream_multi(&mut fleet, stream_benchmark(spec, INSTRUCTIONS));
+    // over one shared stream, the plain TAGE-SC configs as lanes of
+    // one shared TAGE front)...
+    let fused = simulate_stream_multi(&specs, stream_benchmark(spec, INSTRUCTIONS));
 
     // ...must match the bare per-predictor loop, prediction for
     // prediction.

@@ -9,7 +9,7 @@
 //! window of predict/update/notify calls must perform **zero**
 //! allocations for every predictor the acceptance criteria name.
 
-use imli_repro::sim::{drive_block, make_predictor, scenario_by_name};
+use imli_repro::sim::{drive_block, lookup, make_predictor, scenario_by_name, Column};
 use imli_repro::workloads::{cbp4_suite, ScenarioEvent};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -139,6 +139,70 @@ fn steady_state_predict_update_is_allocation_free() {
             0,
             "{name}: steady-state drive_block allocated {} times",
             after - before,
+        );
+    }
+
+    // A fused column with shared TAGE lanes: five TAGE-SC variants on
+    // one TAGE front beside a solo host, driven plain
+    // (`Column::run_block`, behind `simulate_stream_multi`) and through
+    // the attribution channel (`Column::run_block_attributed`, behind
+    // the fused report and scenario drives). Lane state is sized when
+    // the column is built, so neither drive may allocate afterwards.
+    {
+        let specs: Vec<_> = [
+            "tage-gsc",
+            "tage-gsc+sic",
+            "tage-gsc+imli",
+            "tage-sc-l",
+            "tage-sc-l+imli",
+            "gehl+imli",
+        ]
+        .iter()
+        .map(|n| lookup(n).expect("registered"))
+        .collect();
+        let mut plain = Column::build(&specs);
+        let mut stats = vec![imli_repro::components::PredictorStats::default(); specs.len()];
+        for block in warmup.chunks(4096) {
+            plain.run_block(block, &mut stats);
+        }
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for block in measured.chunks(4096) {
+            plain.run_block(block, &mut stats);
+        }
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        assert!(stats.iter().all(|s| s.predicted > 20_000), "column ran");
+        assert_eq!(
+            after - before,
+            0,
+            "shared-lane column run_block allocated {} times",
+            after - before
+        );
+
+        let mut attributed = Column::build(&specs);
+        let mut reverts = vec![0u64; specs.len()];
+        let mut tally =
+            |spec: usize,
+             _: &imli_repro::trace::BranchRecord,
+             _: bool,
+             attribution: imli_repro::components::PredictionAttribution| {
+                reverts[spec] += u64::from(
+                    attribution.component == imli_repro::components::ProviderComponent::Corrector,
+                );
+            };
+        for block in warmup.chunks(4096) {
+            attributed.run_block_attributed(block, &mut tally);
+        }
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for block in measured.chunks(4096) {
+            attributed.run_block_attributed(block, &mut tally);
+        }
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        assert!(reverts[..5].iter().all(|&r| r > 0), "lanes attributed");
+        assert_eq!(
+            after - before,
+            0,
+            "shared-lane column run_block_attributed allocated {} times",
+            after - before
         );
     }
 
