@@ -43,6 +43,7 @@ impl OuterHistory {
     ///
     /// Panics if the sizes are not powers of two, `table_bits < 64`, or
     /// `pipe_bits` exceeds 16 or `table_bits`.
+    // bp-lint: allow-item(hot-path-alloc, "bit-table construction is cold, once per predictor; lookups and updates are allocation-free (tests/hotpath_allocations.rs)")
     pub fn new(table_bits: usize, pipe_bits: usize, delay: usize) -> Self {
         assert!(
             table_bits.is_power_of_two() && table_bits >= 64,
@@ -65,7 +66,8 @@ impl OuterHistory {
         }
     }
 
-    /// Hash of a branch PC onto a tracked-branch slot.
+    /// Hash of a branch PC onto a tracked-branch slot: straight-line
+    /// code, read three times per branch (two lookups and the update).
     #[inline]
     fn branch_slot(&self, pc: u64) -> u32 {
         (fold_u64(pc_bits(pc), 4) as u32) & self.pipe_mask

@@ -32,6 +32,12 @@ impl GlobalHistoryCheckpoint {
 /// never clobbered (as long as the wrong path is shorter than the buffer,
 /// which holds by construction for any realistic in-flight window).
 ///
+/// The newest 64 outcomes are also kept in a register (`recent`, bit 0
+/// newest), so [`low_bits`](Self::low_bits) — read on every prediction
+/// by the neural hosts and the TAGE corrector — is a mask, not a gather.
+/// The register is exact because the capacity is at least 64 and
+/// outcomes older than the first push read as 0 in both views.
+///
 /// ```
 /// use bp_history::GlobalHistory;
 /// let mut h = GlobalHistory::new(256);
@@ -45,6 +51,9 @@ pub struct GlobalHistory {
     words: Vec<u64>,
     mask: u64,
     head: u64,
+    /// The newest 64 outcomes, bit 0 newest: always equal to
+    /// `bit(0..64)` packed.
+    recent: u64,
 }
 
 impl GlobalHistory {
@@ -53,6 +62,7 @@ impl GlobalHistory {
     /// # Panics
     ///
     /// Panics if `capacity` is not a power of two or is smaller than 64.
+    // bp-lint: allow-item(hot-path-alloc, "buffer construction is cold; push/low_bits/evicted are allocation-free (tests/hotpath_allocations.rs)")
     pub fn new(capacity: usize) -> Self {
         assert!(
             capacity.is_power_of_two() && capacity >= 64,
@@ -62,6 +72,7 @@ impl GlobalHistory {
             words: vec![0; capacity / 64],
             mask: capacity as u64 - 1,
             head: 0,
+            recent: 0,
         }
     }
 
@@ -88,6 +99,7 @@ impl GlobalHistory {
             self.words[word] &= !(1 << bit);
         }
         self.head += 1;
+        self.recent = (self.recent << 1) | u64::from(taken);
     }
 
     /// Returns the direction of the branch `age` occurrences ago
@@ -103,13 +115,34 @@ impl GlobalHistory {
         (self.words[word] >> (slot % 64)) & 1 == 1
     }
 
+    /// The outcome pushed `len` pushes ago as 0/1 — `bit(len - 1)` —
+    /// or 0 while `len` exceeds the pushes so far.
+    ///
+    /// This is the eviction tap of a fold over the `len` newest
+    /// outcomes ([`HistoryState::push`](crate::HistoryState::push)),
+    /// read once per branch per distinct fold length. Unlike
+    /// [`bit`](Self::bit) it does not test `len` against the capacity:
+    /// fold lengths are shorter than the capacity by construction
+    /// (checked in debug builds). The `head` guard stays — it is what
+    /// keeps a restore to fewer than `len` pushes reading zeros.
+    #[inline]
+    pub fn evicted(&self, len: usize) -> u32 {
+        debug_assert!(
+            len >= 1 && len < self.capacity(),
+            "eviction tap {len} outside 1..capacity"
+        );
+        if len as u64 > self.head {
+            return 0;
+        }
+        let slot = (self.head - len as u64) & self.mask;
+        ((self.words[(slot / 64) as usize] >> (slot % 64)) & 1) as u32
+    }
+
     /// Packs the `n` most recent outcomes into the low bits of a `u64`
     /// (bit 0 = most recent). `n` must be at most 64.
     ///
-    /// Word-based: the window is gathered from at most two backing
-    /// words and bit-reversed into place, instead of `n` per-bit
-    /// `bit()` probes — this runs once per prediction in every
-    /// neural-summation host (GEHL, the perceptron, the TAGE
+    /// A mask of the `recent` register: this runs once per prediction
+    /// in every neural-summation host (GEHL, the perceptron, the TAGE
     /// statistical corrector path).
     ///
     /// # Panics
@@ -118,29 +151,11 @@ impl GlobalHistory {
     #[inline]
     pub fn low_bits(&self, n: usize) -> u64 {
         assert!(n <= 64, "low_bits supports at most 64 bits, got {n}");
-        // Bits older than the first push read as not-taken.
-        let avail = self.head.min(n as u64) as u32;
-        if avail == 0 {
-            return 0;
+        if n == 64 {
+            self.recent
+        } else {
+            self.recent & ((1u64 << n) - 1)
         }
-        // Gather `raw`, the window [head - avail, head) packed oldest
-        // in bit 0. The capacity is a power of two and a multiple of
-        // 64, so circular wrap always lands on a word boundary and a
-        // <= 64-bit window spans at most two words.
-        let start = (self.head - u64::from(avail)) & self.mask;
-        let word = (start / 64) as usize;
-        let off = (start % 64) as u32;
-        let mut raw = self.words[word] >> off;
-        if off != 0 {
-            raw |= self.words[(word + 1) % self.words.len()] << (64 - off);
-        }
-        if avail < 64 {
-            raw &= (1u64 << avail) - 1;
-        }
-        // Newest-in-bit-0 means reversing the window: pad the missing
-        // old bits as zeros at the top, reverse, and keep `n` bits.
-        let padded = raw << (n as u32 - avail);
-        padded.reverse_bits() >> (64 - n as u32)
     }
 
     /// Erases every recorded outcome (a context-switch flush): all bits
@@ -155,6 +170,7 @@ impl GlobalHistory {
     /// outcome: a flush destroys history, repair cannot resurrect it.
     pub fn flush(&mut self) {
         self.words.fill(0);
+        self.recent = 0;
     }
 
     /// Takes a checkpoint: the current speculative head pointer.
@@ -182,6 +198,10 @@ impl GlobalHistory {
             "wrong path longer than history capacity"
         );
         self.head = cp.head;
+        // Cold path (wrong-path repair): rebuild the register from the
+        // buffer, which `bit` already reads with the pre-history and
+        // flush semantics.
+        self.recent = (0..64).fold(0, |acc, age| acc | (u64::from(self.bit(age)) << age));
     }
 }
 
@@ -224,32 +244,103 @@ mod tests {
         assert_eq!(h.low_bits(0), 0);
     }
 
+    /// The per-bit definition `low_bits` must match.
+    fn per_bit_low_bits(h: &GlobalHistory, n: usize) -> u64 {
+        (0..n)
+            .rev()
+            .fold(0, |acc, i| (acc << 1) | u64::from(h.bit(i)))
+    }
+
+    /// Checks both register-free views against the per-bit reads: every
+    /// `low_bits` width and every eviction tap the capacity allows.
+    fn assert_views_match_bits(h: &GlobalHistory, what: &str) {
+        for n in [0usize, 1, 3, 31, 32, 33, 63, 64] {
+            assert_eq!(h.low_bits(n), per_bit_low_bits(h, n), "{what}, n {n}");
+        }
+        for len in 1..h.capacity() {
+            assert_eq!(
+                h.evicted(len),
+                u32::from(h.bit(len - 1)),
+                "{what}, eviction tap {len}"
+            );
+        }
+    }
+
+    /// A deterministic xorshift stream.
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
     #[test]
     fn low_bits_matches_per_bit_reference() {
-        // The word-gather fast path must agree with the per-bit
-        // definition for every capacity/fill/width combination,
-        // including pre-history zeros, wrapped buffers, and unaligned
-        // window starts.
+        // The register must agree with the per-bit definition for every
+        // capacity/fill/width combination, including pre-history zeros
+        // and wrapped buffers.
         for capacity in [64usize, 128, 1024] {
             let mut h = GlobalHistory::new(capacity);
             let mut x = 0x1234_5678_9ABC_DEFFu64;
             for push in 0..(2 * capacity + 7) {
-                for n in [0usize, 1, 3, 31, 32, 33, 63, 64] {
-                    let mut naive = 0u64;
-                    for i in (0..n).rev() {
-                        naive = (naive << 1) | u64::from(h.bit(i));
-                    }
-                    assert_eq!(
-                        h.low_bits(n),
-                        naive,
-                        "capacity {capacity}, {push} pushes, n {n}"
-                    );
-                }
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                h.push(x & 1 == 1);
+                assert_views_match_bits(&h, &format!("capacity {capacity}, {push} pushes"));
+                h.push(xorshift(&mut x) & 1 == 1);
             }
+        }
+    }
+
+    #[test]
+    fn low_bits_matches_per_bit_reference_across_flush_and_restore() {
+        // Random pushes, flushes, and checkpoint/wrong-path/restore
+        // rounds. Restores land both while fewer than 64 outcomes were
+        // ever pushed (the register's pre-history zeros come back from
+        // the buffer) and after the buffer has wrapped.
+        for capacity in [64usize, 128, 256] {
+            let mut h = GlobalHistory::new(capacity);
+            let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ capacity as u64;
+            // A young restore: 10 pushes, then a wrong path that carries
+            // the register past 64 outcomes.
+            for _ in 0..10 {
+                h.push(xorshift(&mut x) & 1 == 1);
+            }
+            let cp = h.checkpoint();
+            for _ in 0..(capacity - 1) {
+                h.push(true);
+            }
+            h.restore(cp);
+            assert_views_match_bits(&h, &format!("capacity {capacity}, young restore"));
+            let mut restores_wrapped = 0;
+            for round in 0..400 {
+                let r = xorshift(&mut x);
+                match r % 8 {
+                    0 => h.flush(),
+                    1..=3 => {
+                        let cp = h.checkpoint();
+                        // Wrong paths up to the deepest legal one.
+                        let wrong = (r >> 8) as usize % capacity;
+                        for _ in 0..wrong {
+                            h.push(xorshift(&mut x) & 1 == 1);
+                        }
+                        if r & 0x10_0000 != 0 {
+                            h.flush();
+                        }
+                        h.restore(cp);
+                        if h.pushes() > capacity as u64 {
+                            restores_wrapped += 1;
+                        }
+                    }
+                    _ => {
+                        for _ in 0..(r >> 8) % 9 {
+                            h.push(xorshift(&mut x) & 1 == 1);
+                        }
+                    }
+                }
+                assert_views_match_bits(&h, &format!("capacity {capacity}, round {round}"));
+            }
+            assert!(
+                restores_wrapped > 0,
+                "capacity {capacity}: no restore after a wrap"
+            );
         }
     }
 

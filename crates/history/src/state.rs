@@ -176,9 +176,9 @@ impl HistoryState {
     /// predictor, updating *every* registered fold — 36 folds for a
     /// 12-table TAGE (one index and two tag folds per table), the
     /// hottest loop on the TAGE-SC-L profile. Three passes, each with
-    /// mutually independent iterations: read the evicted bit of every
-    /// *distinct* segment length (TAGE registers three folds per
-    /// segment, so this cuts the global-buffer reads threefold), expand
+    /// mutually independent iterations: tap the evicted bit of every
+    /// *distinct* segment length ([`GlobalHistory::evicted`]; TAGE has
+    /// three folds per segment, so this cuts buffer reads threefold), expand
     /// it per fold pre-shifted to the fold's XOR-out point with a plain
     /// scalar loop, then step all fold registers — eight per AVX2
     /// iteration (`vpsrlvd` for the heterogeneous fold widths, a
@@ -189,7 +189,7 @@ impl HistoryState {
     /// the slowest instruction on the inter-branch critical path.
     pub fn push(&mut self, taken: bool, pc: u64) {
         for (slot, &len) in self.unique_lens.iter().enumerate() {
-            self.evicted[slot] = u32::from(self.global.bit(len - 1));
+            self.evicted[slot] = self.global.evicted(len);
         }
         for ((out, &slot), &op) in self
             .evicted_out
@@ -632,12 +632,12 @@ mod tests {
                 hs.push(t, pc);
             }
             let cp = hs.checkpoint();
-            let snapshot = (hs.fold(f), hs.path(), hs.global().low_bits(31));
+            let snapshot = (hs.fold(f), hs.path(), hs.global().low_bits(64));
             for &(t, pc) in &wrong {
                 hs.push(t, pc);
             }
             hs.restore(&cp);
-            prop_assert_eq!(snapshot, (hs.fold(f), hs.path(), hs.global().low_bits(31)));
+            prop_assert_eq!(snapshot, (hs.fold(f), hs.path(), hs.global().low_bits(64)));
         }
     }
 }

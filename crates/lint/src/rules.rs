@@ -221,7 +221,9 @@ pub fn default_policy() -> Policy {
             "crates/components/src/sum.rs",
             "crates/components/src/kernel.rs",
             "crates/components/src/predictor.rs",
+            "crates/history/src/global.rs",
             "crates/history/src/state.rs",
+            "crates/core/src/outer.rs",
             "crates/sim/src/run.rs",
             "crates/sim/src/column.rs",
             "crates/workloads/src/combinators.rs",

@@ -14,7 +14,9 @@
 //!   identity, never from registry display names, worker counts, or
 //!   scheduling strategy — so a cache warmed at `--jobs 1` hits at
 //!   `--jobs 8`, and a sweep config solved under one budget label hits
-//!   under another;
+//!   under another. Grid and report cells key on the benchmark name and
+//!   store the benchmark's full [`workload_identity`] (name, seed,
+//!   kernel mix) in the payload, checked on every probe;
 //! * **payload codecs** serializing [`SimResult`], [`AttributedRun`],
 //!   and [`ScenarioRun`] through the deterministic
 //!   [`ConfigValue`] renderer and parsing them back *strictly*: any
@@ -23,10 +25,12 @@
 //!   payload can never produce a wrong result or a panic.
 
 use crate::registry::PredictorSpec;
-use crate::report::{intern_component_key, AttributedRun, ComponentTally, PhaseSummary};
+use crate::report::{component_key_slot, AttributedRun, ComponentTally, PhaseSummary};
 use crate::run::SimResult;
 use crate::scenario::{ScenarioRun, ScenarioSpec, TenantTally};
+use bp_cache::fnv1a_128;
 use bp_components::{ConfigError, ConfigValue, PredictorConfig as _, PredictorStats};
+use bp_workloads::BenchmarkSpec;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -157,32 +161,41 @@ impl SimCache {
         }
     }
 
-    /// Probe for a plain grid cell. `benchmark` re-checks the decoded
-    /// payload's own benchmark field as a final payload-corruption
-    /// tripwire on top of the envelope verification.
-    pub(crate) fn lookup_sim(&self, key: &CacheKey, benchmark: &str) -> Option<SimResult> {
-        self.lookup(key, decode_sim)
+    /// Probe for a plain grid cell of the benchmark whose
+    /// [`workload_identity`] is `identity`: an entry another spec of
+    /// the same name stored is a miss. `benchmark` re-checks the
+    /// decoded payload's own benchmark field as a final
+    /// payload-corruption tripwire on top of the envelope verification.
+    pub(crate) fn lookup_sim(
+        &self,
+        key: &CacheKey,
+        benchmark: &str,
+        identity: &str,
+    ) -> Option<SimResult> {
+        self.lookup(key, |v| decode_sim(cell_of_workload(v, identity)?))
             .filter(|r| r.benchmark == benchmark)
     }
 
-    /// Store a plain grid cell.
-    pub(crate) fn store_sim(&self, key: &CacheKey, result: &SimResult) {
-        self.store_value(key, &sim_to_value(result));
+    /// Store a plain grid cell under its benchmark's identity.
+    pub(crate) fn store_sim(&self, key: &CacheKey, identity: &str, result: &SimResult) {
+        self.store_value(key, &workload_cell(identity, sim_to_value(result)));
     }
 
-    /// Probe for an attributed report cell.
+    /// Probe for an attributed report cell; identity and benchmark
+    /// checks as in [`lookup_sim`](Self::lookup_sim).
     pub(crate) fn lookup_attributed(
         &self,
         key: &CacheKey,
         benchmark: &str,
+        identity: &str,
     ) -> Option<AttributedRun> {
-        self.lookup(key, decode_attributed)
+        self.lookup(key, |v| decode_attributed(cell_of_workload(v, identity)?))
             .filter(|r| r.result.benchmark == benchmark)
     }
 
-    /// Store an attributed report cell.
-    pub(crate) fn store_attributed(&self, key: &CacheKey, run: &AttributedRun) {
-        self.store_value(key, &attributed_to_value(run));
+    /// Store an attributed report cell under its benchmark's identity.
+    pub(crate) fn store_attributed(&self, key: &CacheKey, identity: &str, run: &AttributedRun) {
+        self.store_value(key, &workload_cell(identity, attributed_to_value(run)));
     }
 
     /// Probe for a scenario run.
@@ -197,9 +210,21 @@ impl SimCache {
     }
 }
 
+/// A benchmark's identity in the result cache: the 128-bit FNV-1a hash
+/// of [`BenchmarkSpec::identity_text`] — name, seed and kernel mix — as
+/// 32 hex digits. Grid and report cells are keyed by benchmark *name*;
+/// every such entry also stores this identity, and a probe whose
+/// identity differs is a miss. A spec re-seeded or re-mixed under a
+/// known name therefore never reuses another spec's result. Compute it
+/// once per benchmark per call, not per cell.
+pub fn workload_identity(bench: &BenchmarkSpec) -> String {
+    format!("{:032x}", fnv1a_128(bench.identity_text().as_bytes()))
+}
+
 /// Key of one plain grid cell: the config's canonical text × the
 /// benchmark name × the instruction budget. Registry display names and
-/// grid position are deliberately absent.
+/// grid position are deliberately absent; the rest of the benchmark's
+/// identity is checked from the payload ([`workload_identity`]).
 pub fn grid_cell_key(spec: &PredictorSpec, benchmark: &str, instructions: u64) -> CacheKey {
     CacheKey {
         kind: "sim".to_owned(),
@@ -247,6 +272,29 @@ pub fn scenario_cell_key(spec: &PredictorSpec, scenario: &ScenarioSpec) -> Cache
 // strict: expect_keys + typed accessors, so any drift or corruption in
 // a payload surfaces as Err -> miss -> recompute.
 // ---------------------------------------------------------------------
+
+/// A benchmark-keyed payload stored with its benchmark's
+/// [`workload_identity`].
+fn workload_cell(identity: &str, cell: ConfigValue) -> ConfigValue {
+    ConfigValue::map()
+        .set("workload", ConfigValue::str(identity))
+        .set("cell", cell)
+}
+
+/// The cell of a [`workload_cell`] payload, if it was stored for the
+/// benchmark whose identity is `identity`.
+fn cell_of_workload<'a>(
+    value: &'a ConfigValue,
+    identity: &str,
+) -> Result<&'a ConfigValue, ConfigError> {
+    value.expect_keys("cached benchmark cell", &["workload", "cell"])?;
+    if value.req("workload")?.as_str("workload")? != identity {
+        return Err(ConfigError::new(
+            "cached cell was computed for another spec of this benchmark name",
+        ));
+    }
+    value.req("cell")
+}
 
 fn stats_set(value: ConfigValue, stats: &PredictorStats) -> ConfigValue {
     value
@@ -317,7 +365,7 @@ fn decode_attribution(
     };
     let mut summary = crate::report::AttributionSummary::default();
     for (key, tally_value) in entries {
-        let interned = intern_component_key(key)
+        let slot = component_key_slot(key)
             .ok_or_else(|| ConfigError::new(format!("unknown attribution component `{key}`")))?;
         tally_value.expect_keys(
             "cached component tally",
@@ -332,7 +380,7 @@ fn decode_attribution(
             saves: tally_value.req("saves")?.as_u64("saves")?,
             losses: tally_value.req("losses")?.as_u64("losses")?,
         };
-        summary.insert_tally(interned, tally);
+        summary.insert_tally(slot, tally);
     }
     Ok(summary)
 }
@@ -447,7 +495,7 @@ fn decode_scenario(value: &ConfigValue) -> Result<ScenarioRun, ConfigError> {
 mod tests {
     use super::*;
     use crate::registry::lookup;
-    use crate::report::simulate_stream_attributed;
+    use crate::report::{simulate_stream_attributed, AttributionSummary};
     use crate::run::simulate_stream;
     use crate::scenario::{scenario_by_name, simulate_scenario};
     use std::path::Path;
@@ -499,6 +547,31 @@ mod tests {
     }
 
     #[test]
+    fn attribution_round_trips_zero_provided_entries() {
+        // A decoded tally that never provided is still an entry, and
+        // survives another encode/decode as one.
+        let mut summary = AttributionSummary::default();
+        let zero = ComponentTally::default();
+        let some = ComponentTally {
+            provided: 9,
+            correct: 7,
+            high_confidence: 4,
+            saves: 2,
+            losses: 1,
+        };
+        summary.insert_tally(component_key_slot("loop").expect("known"), zero);
+        summary.insert_tally(component_key_slot("tagged").expect("known"), some);
+        let decoded = decode_attribution(
+            &ConfigValue::parse(&attribution_to_value(&summary).to_text()).expect("parses"),
+        )
+        .expect("decodes");
+        assert_eq!(decoded, summary);
+        let listed: Vec<_> = decoded.components().map(|(k, t)| (k, *t)).collect();
+        assert_eq!(listed, vec![("loop", zero), ("tagged", some)]);
+        assert_ne!(decoded, AttributionSummary::default());
+    }
+
+    #[test]
     fn unknown_attribution_component_fails_decode() {
         let payload = ConfigValue::map().set(
             "martian",
@@ -519,34 +592,50 @@ mod tests {
         let bench = bp_workloads::cbp4_suite().remove(0);
         let result = simulate_stream(spec.make().as_mut(), bench.stream(10_000));
         let key = grid_cell_key(&spec, &bench.name, 10_000);
+        let identity = workload_identity(&bench);
 
         let off = SimCache::new(&dir, CachePolicy::Off);
-        off.store_sim(&key, &result);
-        assert_eq!(off.lookup_sim(&key, &bench.name), None);
+        off.store_sim(&key, &identity, &result);
+        assert_eq!(off.lookup_sim(&key, &bench.name, &identity), None);
         assert_eq!((off.hits(), off.misses(), off.stores()), (0, 0, 0));
         assert!(!off.enabled());
 
         let ro = SimCache::new(&dir, CachePolicy::ReadOnly);
-        ro.store_sim(&key, &result);
-        assert_eq!(ro.lookup_sim(&key, &bench.name), None, "ro never wrote");
+        ro.store_sim(&key, &identity, &result);
+        assert_eq!(
+            ro.lookup_sim(&key, &bench.name, &identity),
+            None,
+            "ro never wrote"
+        );
         assert_eq!((ro.hits(), ro.misses(), ro.stores()), (0, 1, 0));
 
         let rw = SimCache::new(&dir, CachePolicy::ReadWrite);
-        rw.store_sim(&key, &result);
-        assert_eq!(rw.lookup_sim(&key, &bench.name).as_ref(), Some(&result));
+        rw.store_sim(&key, &identity, &result);
+        assert_eq!(
+            rw.lookup_sim(&key, &bench.name, &identity).as_ref(),
+            Some(&result)
+        );
         assert_eq!((rw.hits(), rw.misses(), rw.stores()), (1, 0, 1));
 
         // Refresh ignores the now-present entry on read but rewrites.
         let refresh = SimCache::new(&dir, CachePolicy::Refresh);
-        assert_eq!(refresh.lookup_sim(&key, &bench.name), None);
-        refresh.store_sim(&key, &result);
+        assert_eq!(refresh.lookup_sim(&key, &bench.name, &identity), None);
+        refresh.store_sim(&key, &identity, &result);
         assert_eq!(
             (refresh.hits(), refresh.misses(), refresh.stores()),
             (0, 1, 1)
         );
 
-        // A benchmark-name mismatch in the decoded payload is a miss.
-        assert_eq!(rw.lookup_sim(&key, "not-this-benchmark"), None);
+        // A benchmark-name mismatch in the decoded payload is a miss,
+        // and so is an entry stored for another spec of the same name.
+        assert_eq!(rw.lookup_sim(&key, "not-this-benchmark", &identity), None);
+        let mut reseeded = bench.clone();
+        reseeded.seed ^= 1;
+        assert_ne!(workload_identity(&reseeded), identity);
+        assert_eq!(
+            rw.lookup_sim(&key, &bench.name, &workload_identity(&reseeded)),
+            None
+        );
         nuke(&dir);
     }
 

@@ -27,7 +27,7 @@
 //! scheduling: `run_grid` with 1 job and with N jobs return identical
 //! [`GridResult`]s.
 
-use crate::cache::{grid_cell_key, CacheKey, SimCache};
+use crate::cache::{grid_cell_key, workload_identity, CacheKey, SimCache};
 use crate::registry::PredictorSpec;
 use crate::run::{simulate_stream, simulate_stream_multi, SimResult};
 use crate::suite::SuiteResult;
@@ -250,10 +250,15 @@ impl Engine {
                 )
             })
             .collect();
+        let identities: Vec<String> = benchmarks.iter().map(workload_identity).collect();
         let mut cells: Vec<Option<SimResult>> = vec![None; total];
         let mut cell_seconds = vec![0.0; total];
         for idx in 0..total {
-            cells[idx] = cache.lookup_sim(&keys[idx], &benchmarks[idx % n_b].name);
+            cells[idx] = cache.lookup_sim(
+                &keys[idx],
+                &benchmarks[idx % n_b].name,
+                &identities[idx % n_b],
+            );
         }
 
         // In-run dedup among the misses: two cells with byte-equal
@@ -368,7 +373,7 @@ impl Engine {
         // Write the computed representatives back (policy permitting).
         for &idx in &misses {
             if let Some(result) = &cells[idx] {
-                cache.store_sim(&keys[idx], result);
+                cache.store_sim(&keys[idx], &identities[idx % n_b], result);
             }
         }
 

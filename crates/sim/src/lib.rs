@@ -50,8 +50,8 @@ mod table;
 
 pub use analysis::{learning_curve, BranchProfile, MispredictionProfile};
 pub use cache::{
-    grid_cell_key, report_cell_key, scenario_cell_key, CacheKey, CachePolicy, CacheStats,
-    CacheStore, GcOutcome, SimCache,
+    grid_cell_key, report_cell_key, scenario_cell_key, workload_identity, CacheKey, CachePolicy,
+    CacheStats, CacheStore, GcOutcome, SimCache,
 };
 pub use column::{plan_column, Column, HostPlan};
 pub use engine::{CellUpdate, Engine, GridResult, GridStrategy};

@@ -17,17 +17,18 @@
 //!   ordering): the same inputs produce byte-identical reports, which
 //!   is what makes them diffable artifacts of record.
 
-use crate::cache::{report_cell_key, CacheKey, SimCache};
+use crate::cache::{report_cell_key, workload_identity, CacheKey, SimCache};
 use crate::column::Column;
 use crate::engine::{
     auto_fuses, run_columns, run_indexed, transpose_columns, CellLabel, CellUpdate,
 };
 use crate::registry::PredictorSpec;
 use crate::run::{fill_multi_block, Mpki, SimResult, MULTI_BLOCK_RECORDS};
-use bp_components::{ConditionalPredictor, PredictionAttribution, PredictorStats, StorageItem};
+use bp_components::{
+    ConditionalPredictor, PredictionAttribution, PredictorStats, ProviderComponent, StorageItem,
+};
 use bp_trace::{BranchRecord, BranchStream};
 use bp_workloads::BenchmarkSpec;
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 /// Per-component prediction outcomes over one run (or aggregate).
@@ -74,9 +75,36 @@ impl ComponentTally {
 /// Prediction attribution folded per component key (see
 /// [`bp_components::ProviderComponent::key`]), in deterministic
 /// (alphabetical) order.
+///
+/// Dense: one slot per component key, indexed by the key's
+/// alphabetical position, so [`record`](Self::record) — run once per
+/// attributed prediction — is an array index, not a map search. An
+/// empty slot is a component that never provided; a decoded entry
+/// with zero `provided` stays distinct from an absent one.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct AttributionSummary {
-    tallies: BTreeMap<&'static str, ComponentTally>,
+    tallies: [Option<ComponentTally>; COMPONENT_KEYS.len()],
+}
+
+/// The [`COMPONENT_KEYS`] slot of a provider component.
+#[inline]
+fn component_slot(component: ProviderComponent) -> usize {
+    match component {
+        ProviderComponent::Base => 0,
+        ProviderComponent::Corrector => 1,
+        ProviderComponent::Loop => 2,
+        ProviderComponent::Neural => 3,
+        ProviderComponent::Tagged(_) => 4,
+        ProviderComponent::Unattributed => 5,
+        ProviderComponent::Wormhole => 6,
+    }
+}
+
+/// The [`COMPONENT_KEYS`] slot of `key`; `None` for a key outside this
+/// build's component vocabulary (cache decoding then marks the whole
+/// entry undecodable).
+pub(crate) fn component_key_slot(key: &str) -> Option<usize> {
+    COMPONENT_KEYS.iter().position(|k| *k == key)
 }
 
 impl AttributionSummary {
@@ -84,8 +112,9 @@ impl AttributionSummary {
     /// prediction, `taken` the resolved outcome. The provider/save/loss
     /// split is [`PredictionAttribution::classify`]'s — one definition
     /// shared with the scenario layer's per-tenant tallies.
+    #[inline]
     pub fn record(&mut self, attribution: &PredictionAttribution, pred: bool, taken: bool) {
-        let tally = self.tallies.entry(attribution.component.key()).or_default();
+        let tally = self.tallies[component_slot(attribution.component)].get_or_insert_default();
         let outcome = attribution.classify(pred, taken);
         tally.provided += 1;
         tally.correct += u64::from(outcome.correct);
@@ -96,42 +125,47 @@ impl AttributionSummary {
 
     /// Merges another summary into this one.
     pub fn merge(&mut self, other: &AttributionSummary) {
-        for (key, tally) in &other.tallies {
-            self.tallies.entry(key).or_default().merge(tally);
+        for (mine, theirs) in self.tallies.iter_mut().zip(&other.tallies) {
+            if let Some(theirs) = theirs {
+                mine.get_or_insert_default().merge(theirs);
+            }
         }
     }
 
     /// The tally of one component key, if it ever provided.
     pub fn get(&self, key: &str) -> Option<&ComponentTally> {
-        self.tallies.get(key)
+        self.tallies[component_key_slot(key)?].as_ref()
     }
 
     /// All components that provided at least one prediction, in stable
     /// alphabetical order.
     pub fn components(&self) -> impl Iterator<Item = (&'static str, &ComponentTally)> {
-        self.tallies.iter().map(|(k, v)| (*k, v))
+        COMPONENT_KEYS
+            .iter()
+            .zip(&self.tallies)
+            .filter_map(|(key, tally)| Some((*key, tally.as_ref()?)))
     }
 
     /// Total predictions across all components (equals the number of
     /// conditional branches of the run).
     pub fn total_provided(&self) -> u64 {
-        self.tallies.values().map(|t| t.provided).sum()
+        self.tallies.iter().flatten().map(|t| t.provided).sum()
     }
 
     /// Rebuilds one component entry from a decoded cache payload. The
-    /// key must already be interned ([`intern_component_key`]): cached
-    /// entries can only name components that exist in this build.
-    pub(crate) fn insert_tally(&mut self, key: &'static str, tally: ComponentTally) {
-        self.tallies.insert(key, tally);
+    /// slot comes from [`component_key_slot`]: cached entries can only
+    /// name components that exist in this build.
+    pub(crate) fn insert_tally(&mut self, slot: usize, tally: ComponentTally) {
+        self.tallies[slot] = Some(tally);
     }
 }
 
 /// The closed set of provider-component keys
 /// ([`bp_components::ProviderComponent::key`] values plus
-/// `"unattributed"`), alphabetical. Cache decoding interns parsed
-/// attribution keys against this set so an [`AttributionSummary`] keeps
-/// its `&'static str` keys; an unknown key means the entry predates (or
-/// postdates) this build's component vocabulary and must be recomputed.
+/// `"unattributed"`), alphabetical — [`AttributionSummary`]'s slot
+/// order. Cache decoding resolves parsed attribution keys against this
+/// set; an unknown key means the entry predates (or postdates) this
+/// build's component vocabulary and must be recomputed.
 pub(crate) const COMPONENT_KEYS: [&str; 7] = [
     "base",
     "corrector",
@@ -141,12 +175,6 @@ pub(crate) const COMPONENT_KEYS: [&str; 7] = [
     "unattributed",
     "wormhole",
 ];
-
-/// Interns `key` against [`COMPONENT_KEYS`]; `None` marks the whole
-/// cached entry undecodable.
-pub(crate) fn intern_component_key(key: &str) -> Option<&'static str> {
-    COMPONENT_KEYS.iter().find(|k| **k == key).copied()
-}
 
 /// Statistics of one phase (warmup or steady state) of an attributed
 /// run.
@@ -607,12 +635,13 @@ fn run_attributed_cached(
                 .map(|bench| report_cell_key(spec, &bench.name, instructions, warmup_instructions))
         })
         .collect();
+    let identities: Vec<String> = benchmarks.iter().map(workload_identity).collect();
     let mut cells: Vec<Option<(AttributedRun, f64)>> = keys
         .iter()
         .enumerate()
         .map(|(idx, key)| {
             cache
-                .lookup_attributed(key, &benchmarks[idx % n_b].name)
+                .lookup_attributed(key, &benchmarks[idx % n_b].name, &identities[idx % n_b])
                 .map(|run| (run, 0.0))
         })
         .collect();
@@ -675,7 +704,7 @@ fn run_attributed_cached(
         for ((b, preds), (runs, seconds)) in miss_columns.iter().zip(columns) {
             let per_cell = seconds / runs.len().max(1) as f64;
             for (&p, run) in preds.iter().zip(runs) {
-                cache.store_attributed(&keys[p * n_b + b], &run);
+                cache.store_attributed(&keys[p * n_b + b], &identities[*b], &run);
                 cells[p * n_b + b] = Some((run, per_cell));
             }
         }
@@ -705,7 +734,7 @@ fn run_attributed_cached(
             progress,
         );
         for (&idx, (run, seconds)) in misses.iter().zip(computed) {
-            cache.store_attributed(&keys[idx], &run);
+            cache.store_attributed(&keys[idx], &identities[idx % n_b], &run);
             cells[idx] = Some((run, seconds));
         }
     }
@@ -973,6 +1002,154 @@ impl SuiteReport {
             }
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tally_tests {
+    use super::*;
+    use bp_components::ConfidenceBucket;
+    use proptest::prelude::*;
+    use std::collections::BTreeMap;
+
+    /// Every provider component, with tagged banks at both ends.
+    const VARIANTS: [ProviderComponent; 8] = [
+        ProviderComponent::Unattributed,
+        ProviderComponent::Base,
+        ProviderComponent::Tagged(0),
+        ProviderComponent::Tagged(u8::MAX),
+        ProviderComponent::Corrector,
+        ProviderComponent::Neural,
+        ProviderComponent::Loop,
+        ProviderComponent::Wormhole,
+    ];
+
+    #[test]
+    fn component_slots_follow_key_order() {
+        for component in VARIANTS {
+            assert_eq!(
+                COMPONENT_KEYS[component_slot(component)],
+                component.key(),
+                "{component:?}"
+            );
+            assert_eq!(
+                component_key_slot(component.key()),
+                Some(component_slot(component))
+            );
+        }
+        let mut sorted = COMPONENT_KEYS;
+        sorted.sort_unstable();
+        assert_eq!(sorted, COMPONENT_KEYS, "keys are alphabetical");
+        assert_eq!(component_key_slot("martian"), None);
+    }
+
+    /// The map-backed tally the dense one replaced: the reference model.
+    #[derive(Debug, Default, PartialEq)]
+    struct MapSummary(BTreeMap<&'static str, ComponentTally>);
+
+    impl MapSummary {
+        fn record(&mut self, attribution: &PredictionAttribution, pred: bool, taken: bool) {
+            let tally = self.0.entry(attribution.component.key()).or_default();
+            let outcome = attribution.classify(pred, taken);
+            tally.provided += 1;
+            tally.correct += u64::from(outcome.correct);
+            tally.high_confidence += u64::from(outcome.high_confidence);
+            tally.saves += u64::from(outcome.save);
+            tally.losses += u64::from(outcome.loss);
+        }
+
+        fn merge(&mut self, other: &MapSummary) {
+            for (key, tally) in &other.0 {
+                self.0.entry(key).or_default().merge(tally);
+            }
+        }
+    }
+
+    fn assert_matches_model(dense: &AttributionSummary, model: &MapSummary) {
+        let listed: Vec<_> = dense.components().map(|(k, t)| (k, *t)).collect();
+        let expected: Vec<_> = model.0.iter().map(|(k, t)| (*k, *t)).collect();
+        assert_eq!(listed, expected, "components() order and content");
+        for key in COMPONENT_KEYS.iter().chain(&["martian"]) {
+            assert_eq!(dense.get(key), model.0.get(key), "get({key})");
+        }
+        assert_eq!(
+            dense.total_provided(),
+            model.0.values().map(|t| t.provided).sum::<u64>()
+        );
+    }
+
+    /// Applies one encoded operation to a (dense, model) pair; `other`
+    /// is the source of merges.
+    fn apply(
+        op: (u8, u64),
+        dense: &mut AttributionSummary,
+        model: &mut MapSummary,
+        other: &(AttributionSummary, MapSummary),
+    ) {
+        let (code, v) = op;
+        match code % 8 {
+            0..=4 => {
+                let attribution = PredictionAttribution::new(
+                    VARIANTS[(v % 8) as usize],
+                    [None, Some(false), Some(true)][(v >> 3) as usize % 3],
+                    [
+                        ConfidenceBucket::Low,
+                        ConfidenceBucket::Medium,
+                        ConfidenceBucket::High,
+                    ][(v >> 5) as usize % 3],
+                );
+                let (pred, taken) = ((v >> 7) & 1 == 1, (v >> 8) & 1 == 1);
+                dense.record(&attribution, pred, taken);
+                model.record(&attribution, pred, taken);
+            }
+            5 | 6 => {
+                let slot = (v % 7) as usize;
+                // Zero `provided` included: a decoded entry that never
+                // provided is still present.
+                let tally = ComponentTally {
+                    provided: (v >> 3) % 3,
+                    correct: (v >> 5) % 2,
+                    high_confidence: (v >> 6) % 2,
+                    saves: (v >> 7) % 2,
+                    losses: (v >> 8) % 2,
+                };
+                dense.insert_tally(slot, tally);
+                model.0.insert(COMPONENT_KEYS[slot], tally);
+            }
+            _ => {
+                dense.merge(&other.0);
+                model.merge(&other.1);
+            }
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn dense_tally_matches_map_model(
+            ops_a in proptest::collection::vec((any::<u8>(), any::<u64>()), 0..60),
+            ops_b in proptest::collection::vec((any::<u8>(), any::<u64>()), 0..12),
+        ) {
+            // `b` is built first (merging from an empty source), then
+            // `a` merges from it.
+            let empty = (AttributionSummary::default(), MapSummary::default());
+            let mut b = (AttributionSummary::default(), MapSummary::default());
+            for &op in &ops_b {
+                apply(op, &mut b.0, &mut b.1, &empty);
+            }
+            let mut a = (AttributionSummary::default(), MapSummary::default());
+            for &op in &ops_a {
+                apply(op, &mut a.0, &mut a.1, &b);
+                assert_matches_model(&a.0, &a.1);
+            }
+            assert_matches_model(&b.0, &b.1);
+            prop_assert_eq!(a.0 == b.0, a.1 == b.1);
+            // Rebuilding from the model's entries gives an equal summary.
+            let mut rebuilt = AttributionSummary::default();
+            for (key, tally) in &a.1 .0 {
+                rebuilt.insert_tally(component_key_slot(key).expect("known key"), *tally);
+            }
+            prop_assert_eq!(rebuilt, a.0);
+        }
     }
 }
 

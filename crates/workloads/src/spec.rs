@@ -39,6 +39,14 @@ impl BenchmarkSpec {
         }
     }
 
+    /// The spec's complete identity as text: name, seed and kernel mix
+    /// (every kernel parameter and weight). Specs with equal identity
+    /// texts generate equal streams; the result cache checks a hash of
+    /// it before reusing a benchmark's entry.
+    pub fn identity_text(&self) -> String {
+        format!("{} seed {} mix {:?}", self.name, self.seed, self.kernels)
+    }
+
     /// Opens a lazy record stream for this benchmark — the O(1)-memory
     /// path (see [`BenchmarkStream`]).
     ///

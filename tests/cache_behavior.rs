@@ -345,6 +345,81 @@ fn read_only_and_refresh_policies_behave() {
     nuke(&dir);
 }
 
+#[test]
+fn reseeded_or_remixed_benchmark_never_reuses_another_specs_entry() {
+    // Same benchmark name, different seed or kernel mix: different
+    // streams, so neither may be served the other's grid or report
+    // cells, under either cache warm-up order.
+    let predictors: Vec<PredictorSpec> = registry().into_iter().take(3).collect();
+    let original = benchmarks();
+    let mut reseeded = original.clone();
+    for bench in &mut reseeded {
+        bench.seed ^= 0x5EED;
+    }
+    let mut remixed = original.clone();
+    for bench in &mut remixed {
+        assert!(
+            bench.kernels.len() > 1,
+            "a reweighted single kernel is the same mix"
+        );
+        bench.kernels[0].1 *= 4.0;
+    }
+    let warmup = INSTR / 5;
+    for other in [&reseeded, &remixed] {
+        assert_eq!(
+            other.iter().map(|b| &b.name).collect::<Vec<_>>(),
+            original.iter().map(|b| &b.name).collect::<Vec<_>>()
+        );
+        for (first, second) in [(&original, other), (other, &original)] {
+            let dir = scratch("reseeded");
+            let cache = SimCache::new(&dir, CachePolicy::ReadWrite);
+            let engine = Engine::with_jobs(2).with_cache(Some(cache.clone()));
+            engine.run_grid(&predictors, first, INSTR);
+            run_report_with_cache(
+                "cbp4",
+                &predictors,
+                first,
+                INSTR,
+                warmup,
+                2,
+                Some(&cache),
+                &|_| {},
+            );
+            let hits_before = cache.hits();
+
+            let grid = engine.run_grid(&predictors, second, INSTR);
+            let report = run_report_with_cache(
+                "cbp4",
+                &predictors,
+                second,
+                INSTR,
+                warmup,
+                2,
+                Some(&cache),
+                &|_| {},
+            );
+            assert_eq!(
+                cache.hits(),
+                hits_before,
+                "a same-name spec's entry was reused"
+            );
+            assert_eq!(
+                grid,
+                Engine::with_jobs(2).run_grid(&predictors, second, INSTR)
+            );
+            let uncached =
+                run_report_with_cache("cbp4", &predictors, second, INSTR, warmup, 2, None, &|_| {});
+            assert_eq!(report.to_json(), uncached.to_json());
+            assert_ne!(
+                grid,
+                Engine::with_jobs(2).run_grid(&predictors, first, INSTR),
+                "the specs must really simulate differently"
+            );
+            nuke(&dir);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 

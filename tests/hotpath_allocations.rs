@@ -206,14 +206,53 @@ fn steady_state_predict_update_is_allocation_free() {
         );
     }
 
+    // The attribution tally: the first prediction a component ever
+    // provides fills its slot, and must not allocate (a map-backed
+    // tally would allocate a node there).
+    {
+        use imli_repro::components::{ConfidenceBucket, PredictionAttribution, ProviderComponent};
+        use imli_repro::sim::AttributionSummary;
+
+        let components = [
+            ProviderComponent::Unattributed,
+            ProviderComponent::Base,
+            ProviderComponent::Tagged(0),
+            ProviderComponent::Tagged(11),
+            ProviderComponent::Corrector,
+            ProviderComponent::Neural,
+            ProviderComponent::Loop,
+            ProviderComponent::Wormhole,
+        ];
+        let mut summary = AttributionSummary::default();
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for (i, &component) in components.iter().enumerate() {
+            let attribution =
+                PredictionAttribution::new(component, Some(i % 2 == 0), ConfidenceBucket::High);
+            summary.record(&attribution, i % 3 == 0, true);
+        }
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+        assert_eq!(summary.components().count(), 7, "every key tallied");
+        assert_eq!(
+            after - before,
+            0,
+            "AttributionSummary::record allocated {} times filling fresh slots",
+            after - before
+        );
+    }
+
     // The scenario drive loop: multi-tenant records plus partial
     // context-switch flushes, exactly what `bp scenario` replays per
-    // event. The events are materialized up front (event *generation*
-    // may allocate; consuming them must not), and partial flushes go
-    // through `flush_history()`, which is required to reuse the
-    // predictor's existing buffers. Full flushes rebuild the predictor
-    // and are allocating by design, so they are excluded here.
+    // event, each prediction tallied per tenant as
+    // `simulate_scenario_multi` does. The events are materialized up
+    // front (event *generation* may allocate; consuming them must not),
+    // and partial flushes go through `flush_history()`, which is
+    // required to reuse the predictor's existing buffers. Full flushes
+    // rebuild the predictor and are allocating by design, so they are
+    // excluded here. The tallies start empty at the measured window, so
+    // it includes each component's first provided prediction.
     {
+        use imli_repro::sim::AttributionSummary;
+
         let scenario = scenario_by_name("paper_switch").expect("builtin");
         let mut events = scenario.events();
         let mut all: Vec<ScenarioEvent> = Vec::new();
@@ -221,16 +260,21 @@ fn steady_state_predict_update_is_allocation_free() {
             all.push(ev);
         }
         let (warmup_events, measured_events) = all.split_at(all.len() / 2);
+        let tenants = scenario.tenants.len();
         for name in ["tage-sc-l", "tage-gsc+imli", "gehl+imli"] {
             let mut predictor = make_predictor(name).expect("registered");
-            let mut drive = |window: &[ScenarioEvent]| -> (u64, u64) {
+            let mut tallies = vec![AttributionSummary::default(); tenants];
+            let mut drive = |window: &[ScenarioEvent],
+                             tallies: &mut [AttributionSummary]|
+             -> (u64, u64) {
                 let (mut predicted, mut flushes) = (0u64, 0u64);
                 for ev in window {
                     match ev {
-                        ScenarioEvent::Record { record, .. } => {
+                        ScenarioEvent::Record { record, tenant } => {
                             if record.is_conditional() {
-                                let _ = predictor.predict_attributed(record.pc);
+                                let (pred, attribution) = predictor.predict_attributed(record.pc);
                                 predictor.update(record);
+                                tallies[*tenant as usize].record(&attribution, pred, record.taken);
                                 predicted += 1;
                             } else {
                                 predictor.notify_nonconditional(record);
@@ -244,11 +288,23 @@ fn steady_state_predict_update_is_allocation_free() {
                 }
                 (predicted, flushes)
             };
-            drive(warmup_events);
+            drive(
+                warmup_events,
+                &mut vec![AttributionSummary::default(); tenants],
+            );
 
             let before = ALLOCATIONS.load(Ordering::Relaxed);
-            let (predicted, flushes) = drive(measured_events);
+            let (predicted, flushes) = drive(measured_events, &mut tallies);
             let after = ALLOCATIONS.load(Ordering::Relaxed);
+
+            assert_eq!(
+                tallies
+                    .iter()
+                    .map(AttributionSummary::total_provided)
+                    .sum::<u64>(),
+                predicted,
+                "{name}: every measured prediction was tallied"
+            );
 
             assert!(
                 predicted > 20_000,
