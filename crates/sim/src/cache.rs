@@ -24,10 +24,12 @@
 //!   makes the whole entry a miss to be recomputed — a corrupted
 //!   payload can never produce a wrong result or a panic.
 
+use crate::column::Column;
+use crate::engine::{Payload, Workload};
 use crate::registry::PredictorSpec;
 use crate::report::{component_key_slot, AttributedRun, ComponentTally, PhaseSummary};
-use crate::run::SimResult;
-use crate::scenario::{ScenarioRun, ScenarioSpec, TenantTally};
+use crate::run::{event_blocks, stream_blocks, Counts, Phases, SimResult, Tenants};
+use crate::scenario::{ScenarioRun, ScenarioSpec};
 use bp_cache::fnv1a_128;
 use bp_components::{ConfigError, ConfigValue, PredictorConfig as _, PredictorStats};
 use bp_workloads::BenchmarkSpec;
@@ -160,54 +162,6 @@ impl SimCache {
             self.counters.stores.fetch_add(1, Ordering::Relaxed);
         }
     }
-
-    /// Probe for a plain grid cell of the benchmark whose
-    /// [`workload_identity`] is `identity`: an entry another spec of
-    /// the same name stored is a miss. `benchmark` re-checks the
-    /// decoded payload's own benchmark field as a final
-    /// payload-corruption tripwire on top of the envelope verification.
-    pub(crate) fn lookup_sim(
-        &self,
-        key: &CacheKey,
-        benchmark: &str,
-        identity: &str,
-    ) -> Option<SimResult> {
-        self.lookup(key, |v| decode_sim(cell_of_workload(v, identity)?))
-            .filter(|r| r.benchmark == benchmark)
-    }
-
-    /// Store a plain grid cell under its benchmark's identity.
-    pub(crate) fn store_sim(&self, key: &CacheKey, identity: &str, result: &SimResult) {
-        self.store_value(key, &workload_cell(identity, sim_to_value(result)));
-    }
-
-    /// Probe for an attributed report cell; identity and benchmark
-    /// checks as in [`lookup_sim`](Self::lookup_sim).
-    pub(crate) fn lookup_attributed(
-        &self,
-        key: &CacheKey,
-        benchmark: &str,
-        identity: &str,
-    ) -> Option<AttributedRun> {
-        self.lookup(key, |v| decode_attributed(cell_of_workload(v, identity)?))
-            .filter(|r| r.result.benchmark == benchmark)
-    }
-
-    /// Store an attributed report cell under its benchmark's identity.
-    pub(crate) fn store_attributed(&self, key: &CacheKey, identity: &str, run: &AttributedRun) {
-        self.store_value(key, &workload_cell(identity, attributed_to_value(run)));
-    }
-
-    /// Probe for a scenario run.
-    pub(crate) fn lookup_scenario(&self, key: &CacheKey, tenants: usize) -> Option<ScenarioRun> {
-        self.lookup(key, decode_scenario)
-            .filter(|r| r.tenants.len() == tenants)
-    }
-
-    /// Store a scenario run.
-    pub(crate) fn store_scenario(&self, key: &CacheKey, run: &ScenarioRun) {
-        self.store_value(key, &scenario_to_value(run));
-    }
 }
 
 /// A benchmark's identity in the result cache: the 128-bit FNV-1a hash
@@ -263,6 +217,123 @@ pub fn scenario_cell_key(spec: &PredictorSpec, scenario: &ScenarioSpec) -> Cache
         workload: scenario.canonical_text(),
         instructions: scenario.instructions,
         warmup: 0,
+    }
+}
+
+impl Workload for BenchmarkSpec {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    fn identity(&self) -> String {
+        workload_identity(self)
+    }
+}
+
+/// A scenario's key already carries its whole canonical spec.
+impl Workload for ScenarioSpec {
+    fn name(&self) -> &str {
+        &self.name
+    }
+}
+
+// Cell payloads: each kind's key, probe, store and drive. Grid and
+// report probes re-check the decoded benchmark name as a final
+// payload-corruption tripwire on top of the envelope and identity.
+
+impl Payload for SimResult {
+    type Workload = BenchmarkSpec;
+    /// Instructions per benchmark.
+    type Params = u64;
+
+    fn key(spec: &PredictorSpec, bench: &BenchmarkSpec, instructions: u64) -> CacheKey {
+        grid_cell_key(spec, &bench.name, instructions)
+    }
+
+    fn lookup(cache: &SimCache, key: &CacheKey, bench: &BenchmarkSpec, id: &str) -> Option<Self> {
+        cache
+            .lookup(key, |v| decode_sim(cell_of_workload(v, id)?))
+            .filter(|r| r.benchmark == bench.name)
+    }
+
+    fn store(&self, cache: &SimCache, key: &CacheKey, id: &str) {
+        cache.store_value(key, &workload_cell(id, sim_to_value(self)));
+    }
+
+    fn mpki(&self) -> f64 {
+        SimResult::mpki(self)
+    }
+
+    fn run(column: &mut Column<'_>, bench: &BenchmarkSpec, instructions: u64) -> Vec<Self> {
+        let counts = Counts::new(column.width());
+        column.run(
+            &bench.name,
+            &mut stream_blocks(bench.stream(instructions)),
+            counts,
+        )
+    }
+}
+
+impl Payload for AttributedRun {
+    type Workload = BenchmarkSpec;
+    /// Instructions per benchmark and the warmup boundary.
+    type Params = (u64, u64);
+
+    fn key(spec: &PredictorSpec, bench: &BenchmarkSpec, (instr, warmup): (u64, u64)) -> CacheKey {
+        report_cell_key(spec, &bench.name, instr, warmup)
+    }
+
+    fn lookup(cache: &SimCache, key: &CacheKey, bench: &BenchmarkSpec, id: &str) -> Option<Self> {
+        cache
+            .lookup(key, |v| decode_attributed(cell_of_workload(v, id)?))
+            .filter(|r| r.result.benchmark == bench.name)
+    }
+
+    fn store(&self, cache: &SimCache, key: &CacheKey, id: &str) {
+        cache.store_value(key, &workload_cell(id, attributed_to_value(self)));
+    }
+
+    fn mpki(&self) -> f64 {
+        self.result.mpki()
+    }
+
+    fn run(
+        column: &mut Column<'_>,
+        bench: &BenchmarkSpec,
+        (instr, warmup): (u64, u64),
+    ) -> Vec<Self> {
+        let phases = Phases::new(column.width(), warmup);
+        column.run(&bench.name, &mut stream_blocks(bench.stream(instr)), phases)
+    }
+}
+
+impl Payload for ScenarioRun {
+    type Workload = ScenarioSpec;
+    type Params = ();
+
+    fn key(spec: &PredictorSpec, scenario: &ScenarioSpec, (): ()) -> CacheKey {
+        scenario_cell_key(spec, scenario)
+    }
+
+    fn lookup(cache: &SimCache, key: &CacheKey, scenario: &ScenarioSpec, _: &str) -> Option<Self> {
+        cache
+            .lookup(key, decode_scenario)
+            .filter(|r| r.tenants.len() == scenario.tenants.len())
+    }
+
+    fn store(&self, cache: &SimCache, key: &CacheKey, _: &str) {
+        cache.store_value(key, &scenario_to_value(self));
+    }
+
+    fn mpki(&self) -> f64 {
+        ScenarioRun::mpki(self)
+    }
+
+    fn run(column: &mut Column<'_>, scenario: &ScenarioSpec, (): ()) -> Vec<Self> {
+        let mut events = scenario.events();
+        let tenants = Tenants::new(column.width(), events.tenant_count() as usize);
+        let mut blocks = event_blocks(events.as_mut());
+        column.run("", &mut blocks, tenants)
     }
 }
 
@@ -428,26 +499,6 @@ fn decode_attributed(value: &ConfigValue) -> Result<AttributedRun, ConfigError> 
     })
 }
 
-fn tenant_to_value(tally: &TenantTally) -> ConfigValue {
-    stats_set(
-        ConfigValue::map().set("instructions", int_u64(tally.instructions)),
-        &tally.stats,
-    )
-    .set("attribution", attribution_to_value(&tally.attribution))
-}
-
-fn decode_tenant(value: &ConfigValue) -> Result<TenantTally, ConfigError> {
-    value.expect_keys(
-        "cached tenant tally",
-        &["instructions", "predicted", "mispredicted", "attribution"],
-    )?;
-    Ok(TenantTally {
-        instructions: value.req("instructions")?.as_u64("instructions")?,
-        stats: decode_stats(value)?,
-        attribution: decode_attribution(value.req("attribution")?)?,
-    })
-}
-
 fn scenario_to_value(run: &ScenarioRun) -> ConfigValue {
     stats_set(
         ConfigValue::map()
@@ -459,7 +510,7 @@ fn scenario_to_value(run: &ScenarioRun) -> ConfigValue {
     .set("flushes", int_u64(run.flushes))
     .set(
         "tenants",
-        ConfigValue::List(run.tenants.iter().map(tenant_to_value).collect()),
+        ConfigValue::List(run.tenants.iter().map(phase_to_value).collect()),
     )
 }
 
@@ -486,7 +537,7 @@ fn decode_scenario(value: &ConfigValue) -> Result<ScenarioRun, ConfigError> {
             .req("tenants")?
             .as_list("tenants")?
             .iter()
-            .map(decode_tenant)
+            .map(decode_phase)
             .collect::<Result<Vec<_>, _>>()?,
     })
 }
@@ -595,32 +646,32 @@ mod tests {
         let identity = workload_identity(&bench);
 
         let off = SimCache::new(&dir, CachePolicy::Off);
-        off.store_sim(&key, &identity, &result);
-        assert_eq!(off.lookup_sim(&key, &bench.name, &identity), None);
+        result.store(&off, &key, &identity);
+        assert_eq!(SimResult::lookup(&off, &key, &bench, &identity), None);
         assert_eq!((off.hits(), off.misses(), off.stores()), (0, 0, 0));
         assert!(!off.enabled());
 
         let ro = SimCache::new(&dir, CachePolicy::ReadOnly);
-        ro.store_sim(&key, &identity, &result);
+        result.store(&ro, &key, &identity);
         assert_eq!(
-            ro.lookup_sim(&key, &bench.name, &identity),
+            SimResult::lookup(&ro, &key, &bench, &identity),
             None,
             "ro never wrote"
         );
         assert_eq!((ro.hits(), ro.misses(), ro.stores()), (0, 1, 0));
 
         let rw = SimCache::new(&dir, CachePolicy::ReadWrite);
-        rw.store_sim(&key, &identity, &result);
+        result.store(&rw, &key, &identity);
         assert_eq!(
-            rw.lookup_sim(&key, &bench.name, &identity).as_ref(),
+            SimResult::lookup(&rw, &key, &bench, &identity).as_ref(),
             Some(&result)
         );
         assert_eq!((rw.hits(), rw.misses(), rw.stores()), (1, 0, 1));
 
         // Refresh ignores the now-present entry on read but rewrites.
         let refresh = SimCache::new(&dir, CachePolicy::Refresh);
-        assert_eq!(refresh.lookup_sim(&key, &bench.name, &identity), None);
-        refresh.store_sim(&key, &identity, &result);
+        assert_eq!(SimResult::lookup(&refresh, &key, &bench, &identity), None);
+        result.store(&refresh, &key, &identity);
         assert_eq!(
             (refresh.hits(), refresh.misses(), refresh.stores()),
             (0, 1, 1)
@@ -628,12 +679,16 @@ mod tests {
 
         // A benchmark-name mismatch in the decoded payload is a miss,
         // and so is an entry stored for another spec of the same name.
-        assert_eq!(rw.lookup_sim(&key, "not-this-benchmark", &identity), None);
+        let renamed = BenchmarkSpec {
+            name: "not-this-benchmark".to_owned(),
+            ..bench.clone()
+        };
+        assert_eq!(SimResult::lookup(&rw, &key, &renamed, &identity), None);
         let mut reseeded = bench.clone();
         reseeded.seed ^= 1;
         assert_ne!(workload_identity(&reseeded), identity);
         assert_eq!(
-            rw.lookup_sim(&key, &bench.name, &workload_identity(&reseeded)),
+            SimResult::lookup(&rw, &key, &bench, &workload_identity(&reseeded)),
             None
         );
         nuke(&dir);

@@ -1,26 +1,27 @@
-//! Fused columns: the predictor hosts one shared stream drives.
+//! Columns: the predictor hosts one block drive runs.
 //!
-//! A fused column runs several predictor specs over one pass of one
-//! stream ([`crate::simulate_stream_multi`],
-//! [`crate::simulate_stream_attributed_multi`],
-//! [`crate::simulate_scenario_multi`]). [`Column::build`] turns the
-//! column's specs into *hosts*. Plain (not wormhole-wrapped) TAGE-SC
-//! specs with equal TAGE geometry become the lanes of one multi-lane
-//! [`TageSc`]: the paper's TAGE-GSC, +IMLI, TAGE-SC-L and +I+L differ
-//! only downstream of TAGE, so one TAGE lookup and train per branch
-//! feeds all of them. Every other spec is a solo host.
+//! Every simulation is one [`Column`] driven over one input by
+//! [`Column::drive`]. [`Column::build`] turns a column's specs into
+//! *hosts*. Plain (not wormhole-wrapped) TAGE-SC specs with equal TAGE
+//! geometry become the lanes of one multi-lane [`TageSc`]: the paper's
+//! TAGE-GSC, +IMLI, TAGE-SC-L and +I+L differ only downstream of TAGE,
+//! so one TAGE lookup and train per branch feeds all of them. Every
+//! other spec is a solo host. A solo run ([`crate::simulate`]) is a
+//! column of one host that borrows the caller's predictor.
 //!
 //! Sharing is exact. `Tage::update` trains on TAGE's own prediction,
 //! TAGE's histories take only outcomes and PCs, and the corrector, loop
 //! predictor and IMLI read TAGE's lookup and history but never write
 //! them. So each lane's predictions are the ones a solo run of its spec
-//! makes, and every fused drive returns exactly the solo results, in
-//! spec order.
+//! makes, and every column returns exactly the solo results, in spec
+//! order.
 
 use crate::registry::{FamilyConfig, PredictorSpec};
+use crate::run::{instructions_of, Blocks, DriveTotals, Observer, SimResult, BLOCK_RECORDS};
 use bp_components::{ConditionalPredictor, PredictionAttribution, PredictorStats};
 use bp_tage::{TageSc, TageScConfig};
 use bp_trace::BranchRecord;
+use bp_workloads::FlushMode;
 
 /// How [`Column::build`] hosts one group of a column's specs (spec
 /// indices into the column).
@@ -67,19 +68,21 @@ pub fn plan_column(specs: &[PredictorSpec]) -> Vec<HostPlan> {
 }
 
 /// The predictor behind one host.
-enum Host {
-    Solo(Box<dyn ConditionalPredictor + Send>),
+enum Host<'p> {
+    Owned(Box<dyn ConditionalPredictor + Send>),
+    Borrowed(&'p mut dyn ConditionalPredictor),
     Lanes(Box<TageSc>),
 }
 
 /// One host of a column: its predictor and the spec index of each of
-/// its lanes (one lane for a solo host).
-pub(crate) struct ColumnHost {
+/// its lanes (one lane for a solo host). Observers drive it through
+/// [`Observer::run`].
+pub struct ColumnHost<'p> {
     lanes: Vec<usize>,
-    host: Host,
+    host: Host<'p>,
 }
 
-impl ColumnHost {
+impl<'p> ColumnHost<'p> {
     // bp-lint: allow-item(hot-path-alloc, "host construction is cold: once per column, and on a full context-switch flush")
     fn build(specs: &[PredictorSpec], lanes: Vec<usize>) -> Self {
         let host = match lane_config(&specs[lanes[0]]) {
@@ -89,71 +92,95 @@ impl ColumnHost {
                     .filter_map(|&i| lane_config(&specs[i]).cloned())
                     .collect(),
             ))),
-            None => Host::Solo(specs[lanes[0]].make()),
+            None => Host::Owned(specs[lanes[0]].make()),
         };
         ColumnHost { lanes, host }
     }
 
-    /// Rebuilds the host cold from `specs` (a full context-switch
-    /// flush): every lane restarts together.
-    pub(crate) fn rebuild(&mut self, specs: &[PredictorSpec]) {
-        *self = ColumnHost::build(specs, std::mem::take(&mut self.lanes));
+    /// Runs the CBP protocol over `records`, counting each spec's
+    /// outcomes into `stats[spec]`. A solo host runs its own
+    /// monomorphized [`ConditionalPredictor::run_block`]: one virtual
+    /// call per run of records, not three per record.
+    #[inline]
+    pub(crate) fn run_counts(&mut self, records: &[BranchRecord], stats: &mut [PredictorStats]) {
+        let spec = self.lanes[0];
+        match &mut self.host {
+            Host::Owned(predictor) => predictor.run_block(records, &mut stats[spec]),
+            Host::Borrowed(predictor) => predictor.run_block(records, &mut stats[spec]),
+            Host::Lanes(_) => self.run_attributed(records, |spec, _, record, pred, _| {
+                stats[spec].record(pred == record.taken);
+            }),
+        }
     }
 
-    /// Runs the CBP protocol for one record through the attribution
+    /// Runs the CBP protocol over `records` through the attribution
     /// channel, handing each lane's prediction to `sink` as `(spec,
-    /// prediction, attribution)`.
+    /// index into records, record, prediction, attribution)`.
     #[inline]
-    pub(crate) fn step(
+    pub(crate) fn run_attributed(
         &mut self,
-        record: &BranchRecord,
-        mut sink: impl FnMut(usize, bool, PredictionAttribution),
+        records: &[BranchRecord],
+        mut sink: impl FnMut(usize, usize, &BranchRecord, bool, PredictionAttribution),
     ) {
         let lanes = &self.lanes;
-        match &mut self.host {
-            Host::Solo(predictor) => {
-                if record.is_conditional() {
-                    let (pred, attribution) = predictor.predict_attributed(record.pc);
-                    sink(lanes[0], pred, attribution);
-                    predictor.update(record);
-                } else {
-                    predictor.notify_nonconditional(record);
+        let predictor: &mut dyn ConditionalPredictor = match &mut self.host {
+            Host::Owned(predictor) => predictor.as_mut(),
+            Host::Borrowed(predictor) => &mut **predictor,
+            Host::Lanes(front) => {
+                for (i, record) in records.iter().enumerate() {
+                    if record.is_conditional() {
+                        front.predict_lanes(record.pc, |lane, pred, attribution| {
+                            sink(lanes[lane], i, record, pred, attribution);
+                        });
+                        front.update(record);
+                    } else {
+                        front.notify_nonconditional(record);
+                    }
                 }
+                return;
             }
-            Host::Lanes(host) => {
-                if record.is_conditional() {
-                    host.predict_lanes(record.pc, |lane, pred, attribution| {
-                        sink(lanes[lane], pred, attribution);
-                    });
-                    host.update(record);
-                } else {
-                    host.notify_nonconditional(record);
-                }
+        };
+        for (i, record) in records.iter().enumerate() {
+            if record.is_conditional() {
+                let (pred, attribution) = predictor.predict_attributed(record.pc);
+                sink(lanes[0], i, record, pred, attribution);
+                predictor.update(record);
+            } else {
+                predictor.notify_nonconditional(record);
             }
         }
     }
 
-    /// Erases every lane's history state (a partial context-switch
-    /// flush).
-    pub(crate) fn flush_history(&mut self) {
-        match &mut self.host {
-            Host::Solo(predictor) => predictor.flush_history(),
-            Host::Lanes(host) => host.flush_history(),
+    /// Applies a context-switch flush: a partial flush erases every
+    /// lane's history state, a full flush rebuilds the host cold from
+    /// `specs` (every lane restarts together; a borrowed predictor has
+    /// no spec to rebuild from, so that panics).
+    fn flush(&mut self, mode: FlushMode, specs: &[PredictorSpec]) {
+        match (mode, &mut self.host) {
+            (FlushMode::Partial, Host::Owned(predictor)) => predictor.flush_history(),
+            (FlushMode::Partial, Host::Borrowed(predictor)) => predictor.flush_history(),
+            (FlushMode::Partial, Host::Lanes(front)) => front.flush_history(),
+            (FlushMode::Full, Host::Borrowed(_)) => {
+                panic!("a full flush needs a spec-built column")
+            }
+            (FlushMode::Full, _) => {
+                *self = ColumnHost::build(specs, std::mem::take(&mut self.lanes));
+            }
         }
     }
 }
 
-/// The hosts of one fused column, built from its specs by
-/// [`plan_column`].
-pub struct Column {
-    hosts: Vec<ColumnHost>,
-    specs: usize,
+/// The hosts of one column, built from its specs by [`plan_column`]
+/// (or one host borrowing a caller's predictor).
+pub struct Column<'p> {
+    specs: &'p [PredictorSpec],
+    hosts: Vec<ColumnHost<'p>>,
 }
 
-impl Column {
+impl<'p> Column<'p> {
     /// Builds fresh, cold hosts for `specs`.
     // bp-lint: allow-item(hot-path-alloc, "column construction is cold, once per column")
-    pub fn build(specs: &[PredictorSpec]) -> Self {
+    pub fn build(specs: &'p [PredictorSpec]) -> Self {
         let hosts = plan_column(specs)
             .into_iter()
             .map(|plan| match plan {
@@ -161,25 +188,36 @@ impl Column {
                 HostPlan::Solo(i) => ColumnHost::build(specs, vec![i]),
             })
             .collect();
+        Column { specs, hosts }
+    }
+
+    /// A column of one host that drives the caller's `predictor`
+    /// as is (not reset).
+    // bp-lint: allow-item(hot-path-alloc, "column construction is cold, once per run")
+    pub(crate) fn solo(predictor: &'p mut dyn ConditionalPredictor) -> Self {
         Column {
-            hosts,
-            specs: specs.len(),
+            specs: &[],
+            hosts: vec![ColumnHost {
+                lanes: vec![0],
+                host: Host::Borrowed(predictor),
+            }],
         }
     }
 
-    /// The hosts, for drives that interleave records with other events.
-    pub(crate) fn hosts_mut(&mut self) -> &mut [ColumnHost] {
-        &mut self.hosts
+    /// The number of specs (result slots) the column drives.
+    pub fn width(&self) -> usize {
+        self.hosts.iter().map(|host| host.lanes.len()).sum()
     }
 
     /// Each spec's display name, in spec order.
     // bp-lint: allow-item(hot-path-alloc, "result assembly, once per column")
     pub fn names(&self) -> Vec<String> {
-        let mut names = vec![String::new(); self.specs];
+        let mut names = vec![String::new(); self.width()];
         for host in &self.hosts {
             for (lane, &spec) in host.lanes.iter().enumerate() {
                 names[spec] = match &host.host {
-                    Host::Solo(predictor) => predictor.name(),
+                    Host::Owned(predictor) => predictor.name(),
+                    Host::Borrowed(predictor) => predictor.name(),
                     Host::Lanes(front) => front.lane_name(lane),
                 }
                 .to_owned();
@@ -188,43 +226,75 @@ impl Column {
         names
     }
 
-    /// Drives every host through `block` with the CBP protocol, one host
-    /// after another, accumulating each spec's outcomes into
-    /// `stats[spec]`. A solo host runs its own monomorphized
-    /// [`ConditionalPredictor::run_block`].
+    /// The block drive: pulls `input` block by block and runs every
+    /// host over the whole block before the next host starts, folding
+    /// predictions into `observer`. One host's working set stays hot
+    /// for thousands of records while the input is generated or decoded
+    /// exactly once.
     ///
-    /// # Panics
-    ///
-    /// Panics if `stats` has fewer entries than the column has specs.
-    pub fn run_block(&mut self, block: &[BranchRecord], stats: &mut [PredictorStats]) {
-        for host in &mut self.hosts {
-            if let Host::Solo(predictor) = &mut host.host {
-                predictor.run_block(block, &mut stats[host.lanes[0]]);
-                continue;
+    /// A block's flushes split it into runs of records; between runs
+    /// each host applies the flush in stream position. The drive stops
+    /// on an empty block or after a short one (the input ran dry).
+    pub fn drive<B: Blocks, O: Observer>(
+        &mut self,
+        input: &mut B,
+        observer: &mut O,
+    ) -> DriveTotals {
+        let mut totals = DriveTotals::default();
+        loop {
+            let block = input.next_block();
+            if block.records.is_empty() && block.flushes.is_empty() {
+                break;
             }
-            for record in block {
-                host.step(record, |spec, pred, _| {
-                    stats[spec].record(pred == record.taken)
-                });
+            totals.instructions += instructions_of(block.records);
+            totals.records += block.records.len() as u64;
+            totals.flushes += block.flushes.len() as u64;
+            observer.block(&block);
+            for host in &mut self.hosts {
+                let mut start = 0;
+                for &(at, mode) in block.flushes {
+                    observer.run(host, &block, start..at);
+                    host.flush(mode, self.specs);
+                    start = at;
+                }
+                observer.run(host, &block, start..block.records.len());
+            }
+            if block.records.len() < BLOCK_RECORDS {
+                break;
             }
         }
+        totals
     }
 
-    /// Drives every host through `block` through the attribution
-    /// channel, one host after another, handing each conditional's
-    /// per-spec outcome to `sink` as `(spec, record, prediction,
-    /// attribution)`.
-    pub fn run_block_attributed(
+    /// Drives the column over `input` with a fresh `observer` and
+    /// returns one result per spec, in spec order. `benchmark` names the
+    /// input in the results.
+    pub fn run<B: Blocks, O: Observer>(
         &mut self,
-        block: &[BranchRecord],
-        mut sink: impl FnMut(usize, &BranchRecord, bool, PredictionAttribution),
-    ) {
-        for host in &mut self.hosts {
-            for record in block {
-                host.step(record, |spec, pred, attribution| {
-                    sink(spec, record, pred, attribution);
-                });
-            }
-        }
+        benchmark: &str,
+        input: &mut B,
+        mut observer: O,
+    ) -> Vec<O::Output> {
+        let totals = self.drive(input, &mut observer);
+        self.finish(observer, benchmark, &totals)
+    }
+
+    /// Folds what `observer` saw over a drive that counted `totals` into
+    /// one result per spec, in spec order.
+    // bp-lint: allow-item(hot-path-alloc, "result assembly, once per column")
+    pub fn finish<O: Observer>(
+        &self,
+        observer: O,
+        benchmark: &str,
+        totals: &DriveTotals,
+    ) -> Vec<O::Output> {
+        let heads = self.names().into_iter().map(|predictor| SimResult {
+            benchmark: benchmark.to_owned(),
+            predictor,
+            instructions: totals.instructions,
+            records: totals.records,
+            stats: PredictorStats::default(),
+        });
+        observer.finish(heads, totals)
     }
 }

@@ -1,70 +1,71 @@
-//! The parallel evaluation-grid engine.
+//! The parallel evaluation-grid engine: one cache-aware cell scheduler.
 //!
 //! The paper's evaluation is a grid: predictor configurations ×
-//! benchmarks. [`Engine::run_grid`] fans the (predictor, benchmark)
-//! cells out across worker threads with *dynamic self-scheduling*: all
-//! workers pull cells from one shared lock-free queue (an atomic
-//! cursor), so an idle worker immediately steals the next unclaimed
-//! cell instead of idling behind a static partition — cells vary by
-//! an order of magnitude in cost (bimodal vs. TAGE-SC-L+IMLI), which
-//! makes static chunking badly unbalanced.
+//! workloads, one fresh cold predictor per cell. Every grid-shaped run
+//! — [`Engine::run_grid`], [`crate::run_report_with_cache`],
+//! [`crate::run_scenario_with_cache`] and [`crate::run_suite`] — is one
+//! call of [`Engine::run_cells`], generic over the cell payload ([`SimResult`], [`AttributedRun`],
+//! [`ScenarioRun`]). It runs these steps in order:
 //!
-//! Each cell generates its benchmark *lazily*
-//! ([`bp_workloads::BenchmarkSpec::stream`]) and simulates it with
-//! [`simulate_stream`], so per-worker memory stays O(1) in trace
-//! length: the whole grid needs `jobs × one-phase buffers`, never
-//! `jobs × whole traces`.
+//! 1. under an enabled cache, build every cell key and probe it;
+//! 2. report the hits' progress, in cell order;
+//! 3. dedup the misses by (config text, workload);
+//! 4. group the misses into work units: one [`Column`] per workload
+//!    holding all its misses (fused), or one per cell ([`GridStrategy`]);
+//! 5. dispatch the units across worker threads with *dynamic
+//!    self-scheduling*: all workers pull units from one shared atomic
+//!    cursor, so an idle worker immediately takes the next one (cells
+//!    vary by an order of magnitude in cost);
+//! 6. store the computed cells, splice them into place, replicate the
+//!    dedup twins, and split each unit's wall time evenly across its
+//!    cells.
 //!
-//! When several predictors sweep the same benchmarks, regenerating the
-//! stream once **per cell** decodes every benchmark `predictors` times.
-//! The engine therefore also has a *fused column* mode
-//! ([`GridStrategy`]): one work unit per benchmark, generating the
-//! stream once and broadcasting every record to all predictors
-//! ([`simulate_stream_multi`]), with bit-identical results.
+//! Each unit generates its workload lazily, so per-worker memory stays
+//! O(1) in trace length. Results are written back by cell index, so the
+//! returned grid is in deterministic (predictor-major) order regardless
+//! of worker count, grouping, or cache state.
 //!
-//! Results are written back by cell index, so the returned grid is in
-//! deterministic (predictor-major) order regardless of worker count or
-//! scheduling: `run_grid` with 1 job and with N jobs return identical
-//! [`GridResult`]s.
+//! [`AttributedRun`]: crate::AttributedRun
+//! [`ScenarioRun`]: crate::ScenarioRun
 
-use crate::cache::{grid_cell_key, workload_identity, CacheKey, SimCache};
+use crate::cache::{CacheKey, SimCache};
+use crate::column::Column;
 use crate::registry::PredictorSpec;
-use crate::run::{simulate_stream, simulate_stream_multi, SimResult};
+use crate::run::SimResult;
 use crate::suite::SuiteResult;
+use bp_components::ConditionalPredictor;
 use bp_workloads::BenchmarkSpec;
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// How [`Engine::run_grid`] schedules the (predictor × benchmark) grid.
+/// How the engine groups a grid's cells into work units.
 ///
-/// Both strategies produce **bit-identical** [`GridResult`]s — every
-/// cell still runs one fresh cold predictor over the full benchmark
-/// stream (the CBP protocol). They differ only in how often each
-/// benchmark stream is generated/decoded:
+/// Every grouping produces **bit-identical** results — every cell still
+/// runs one fresh cold predictor over the full workload (the CBP
+/// protocol). They differ only in how often each workload stream is
+/// generated or decoded:
 ///
-/// * [`PerCell`](GridStrategy::PerCell) — one work unit per cell; each
-///   cell regenerates its benchmark stream. Maximum parallelism
-///   (`predictors × benchmarks` units), maximum redundant decode work
-///   (each benchmark is generated once *per predictor*).
+/// * [`PerCell`](GridStrategy::PerCell) — work units of one cell; each
+///   cell regenerates its workload. Maximum parallelism, maximum
+///   redundant decode work.
 /// * [`FusedColumns`](GridStrategy::FusedColumns) — one work unit per
-///   *benchmark column*; the column generates its stream **once** and
-///   broadcasts every record to all predictors via
-///   [`crate::simulate_stream_multi`]. `N`× less generation/decode work, but
-///   only `benchmarks` parallel units.
-/// * [`Auto`](GridStrategy::Auto) (default) — fuse columns when the
-///   shape profits: at least two predictors share each decode and there
-///   are enough columns to keep every worker busy.
+///   workload holding all of its cells as one [`Column`]: the stream is
+///   generated once for all predictors, but only `workloads` parallel
+///   units exist.
+/// * [`Auto`](GridStrategy::Auto) (default) — fuse when the shape
+///   profits: at least two predictors share each decode and there are
+///   enough workloads to keep every worker busy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum GridStrategy {
-    /// Pick per shape: fused when `predictors >= 2` and the column
+    /// Pick per shape: fused when `predictors >= 2` and the workload
     /// count keeps all workers busy, per-cell otherwise.
     #[default]
     Auto,
-    /// Always schedule individual cells (the pre-fusion behaviour).
+    /// Work units of one cell.
     PerCell,
-    /// Always schedule benchmark columns with one shared decode.
+    /// Work units of one workload column with one shared decode.
     FusedColumns,
 }
 
@@ -126,11 +127,11 @@ impl Engine {
         self
     }
 
-    /// Attaches a result cache: every grid cell is probed **before**
+    /// Attaches a result cache: every cell is probed **before**
     /// scheduling, only the miss-set is dispatched to workers, and the
-    /// grid comes back bit-identical to an uncached run (hit cells are
-    /// spliced into place, miss cells computed and written back per the
-    /// cache's policy).
+    /// results come back bit-identical to an uncached run (hit cells
+    /// are spliced into place, miss cells computed and written back per
+    /// the cache's policy).
     #[must_use]
     pub fn with_cache(mut self, cache: Option<SimCache>) -> Self {
         self.cache = cache;
@@ -153,12 +154,16 @@ impl Engine {
     }
 
     /// Whether this grid shape runs fused under the configured
-    /// strategy.
-    fn fuse_columns(&self, predictors: usize, benchmarks: usize) -> bool {
+    /// strategy. [`GridStrategy::Auto`] trades parallel grain (cells →
+    /// columns) for an N-fold cut in stream generation, profitable
+    /// whenever at least two predictors share each decode and the
+    /// columns alone can keep every worker busy. Under a cache the rule
+    /// is the same: it looks at the whole grid, not at the misses.
+    fn fuse_columns(&self, predictors: usize, workloads: usize) -> bool {
         match self.strategy {
             GridStrategy::PerCell => false,
             GridStrategy::FusedColumns => true,
-            GridStrategy::Auto => auto_fuses(predictors, benchmarks, self.jobs),
+            GridStrategy::Auto => predictors >= 2 && workloads >= self.jobs,
         }
     }
 
@@ -184,33 +189,10 @@ impl Engine {
         instructions: u64,
         progress: &(dyn Fn(CellUpdate<'_>) + Sync),
     ) -> GridResult {
-        if let Some(cache) = self.cache.as_ref().filter(|c| c.enabled()) {
-            return self.run_grid_cached(cache, predictors, benchmarks, instructions, progress);
-        }
-        if self.fuse_columns(predictors.len(), benchmarks.len()) {
-            return self.run_grid_fused(predictors, benchmarks, instructions, progress);
-        }
-        let total = predictors.len() * benchmarks.len();
-        let timed = run_indexed(
-            self.jobs,
-            total,
-            0,
-            total,
-            |idx| {
-                let spec = &predictors[idx / benchmarks.len()];
-                let bench = &benchmarks[idx % benchmarks.len()];
-                let mut predictor = spec.make();
-                let result = simulate_stream(predictor.as_mut(), bench.stream(instructions));
-                let label = CellLabel {
-                    predictor: &spec.name,
-                    benchmark: &bench.name,
-                    mpki: result.mpki(),
-                };
-                (result, label)
-            },
-            progress,
-        );
-        let (cells, cell_seconds) = timed.into_iter().unzip();
+        let (cells, cell_seconds) = self
+            .run_cells(Rows::Specs(predictors), benchmarks, instructions, progress)
+            .into_iter()
+            .unzip();
         GridResult {
             predictors: predictors.iter().map(|s| s.name.to_owned()).collect(),
             benchmarks: benchmarks.iter().map(|b| b.name.clone()).collect(),
@@ -219,415 +201,237 @@ impl Engine {
         }
     }
 
-    /// The cache-aware grid path: probe every cell key up front, splice
-    /// verified hits into place, dispatch **only the miss-set** to the
-    /// workers, and write the computed misses back. Duplicate keys
-    /// inside one grid (a sweep whose budget solver landed on the same
-    /// config twice) are computed once and replicated.
-    ///
-    /// The result is bit-identical to an uncached run by construction:
-    /// hit cells were produced by the same deterministic pipeline that
-    /// would recompute them, and miss cells *are* recomputed (fused
-    /// dispatch fuses only co-resident misses of a column, which
-    /// [`simulate_stream_multi`] guarantees is equivalent to any other
-    /// grouping).
-    fn run_grid_cached(
+    /// Runs every (row × workload) cell and returns `(payload, wall
+    /// seconds)` per cell in row-major order (see the module doc for the
+    /// steps). Hits and dedup twins take no wall time. Progress fires
+    /// exactly once per cell: hits first in cell order, then computed
+    /// cells in completion order, then twins.
+    pub(crate) fn run_cells<T: Payload>(
         &self,
-        cache: &SimCache,
-        predictors: &[PredictorSpec],
-        benchmarks: &[BenchmarkSpec],
-        instructions: u64,
+        rows: Rows<'_>,
+        workloads: &[T::Workload],
+        params: T::Params,
         progress: &(dyn Fn(CellUpdate<'_>) + Sync),
-    ) -> GridResult {
-        let n_b = benchmarks.len();
-        let total = predictors.len() * n_b;
-        let keys: Vec<CacheKey> = (0..total)
-            .map(|idx| {
-                grid_cell_key(
-                    &predictors[idx / n_b],
-                    &benchmarks[idx % n_b].name,
-                    instructions,
-                )
-            })
-            .collect();
-        let identities: Vec<String> = benchmarks.iter().map(workload_identity).collect();
-        let mut cells: Vec<Option<SimResult>> = vec![None; total];
-        let mut cell_seconds = vec![0.0; total];
-        for idx in 0..total {
-            cells[idx] = cache.lookup_sim(
-                &keys[idx],
-                &benchmarks[idx % n_b].name,
-                &identities[idx % n_b],
-            );
+    ) -> Vec<(T, f64)> {
+        let n_w = workloads.len();
+        let total = rows.len() * n_w;
+        let mut cells: Vec<Option<(T, f64)>> = (0..total).map(|_| None).collect();
+
+        // 1. Keys and probes, only under an enabled cache.
+        let cache = match (&self.cache, &rows) {
+            (Some(cache), Rows::Specs(specs)) if cache.enabled() => {
+                let identities: Vec<String> = workloads.iter().map(Workload::identity).collect();
+                let keys: Vec<CacheKey> = (0..total)
+                    .map(|idx| T::key(&specs[idx / n_w], &workloads[idx % n_w], params))
+                    .collect();
+                for (idx, (cell, key)) in cells.iter_mut().zip(&keys).enumerate() {
+                    let w = idx % n_w;
+                    *cell = T::lookup(cache, key, &workloads[w], &identities[w]).map(|t| (t, 0.0));
+                }
+                Some((cache, keys, identities))
+            }
+            _ => None,
+        };
+
+        // 2. Hits report progress first, in cell order.
+        let update = |idx: usize, payload: &T, completed: usize| CellUpdate {
+            predictor: rows.name(idx / n_w),
+            benchmark: workloads[idx % n_w].name(),
+            mpki: payload.mpki(),
+            completed,
+            total,
+        };
+        let mut completed = 0;
+        for (idx, cell) in cells.iter().enumerate() {
+            if let Some((payload, _)) = cell {
+                completed += 1;
+                progress(update(idx, payload, completed));
+            }
         }
 
-        // In-run dedup among the misses: two cells with byte-equal
-        // (config text, benchmark) compute byte-equal results, so only
-        // one representative per key group is dispatched.
-        let mut dup_of: Vec<Option<usize>> = vec![None; total];
-        let mut misses: Vec<usize> = Vec::new();
-        {
-            let mut representative: BTreeMap<(&str, usize), usize> = BTreeMap::new();
-            for (idx, cell) in cells.iter().enumerate() {
-                if cell.is_some() {
+        // 3. Dedup the misses: byte-equal (config text, workload) cells
+        // compute byte-equal results, so one representative runs.
+        // 4. Group the representatives into work units of (workload,
+        // rows): all of a workload's misses (fused), or one cell each.
+        let fuse = self.fuse_columns(rows.len(), n_w);
+        let mut twin_of: Vec<Option<usize>> = vec![None; total];
+        let mut representative: BTreeMap<(&str, usize), usize> = BTreeMap::new();
+        let mut unit_of: Vec<Option<usize>> = vec![None; n_w];
+        let mut units: Vec<(usize, Vec<usize>)> = Vec::new();
+        for idx in (0..total).filter(|&idx| cells[idx].is_none()) {
+            let (p, w) = (idx / n_w, idx % n_w);
+            if let Some((_, keys, _)) = &cache {
+                let first = *representative
+                    .entry((keys[idx].config.as_str(), w))
+                    .or_insert(idx);
+                if first != idx {
+                    twin_of[idx] = Some(first);
                     continue;
                 }
-                match representative.entry((keys[idx].config.as_str(), idx % n_b)) {
-                    std::collections::btree_map::Entry::Vacant(slot) => {
-                        slot.insert(idx);
-                        misses.push(idx);
-                    }
-                    std::collections::btree_map::Entry::Occupied(slot) => {
-                        dup_of[idx] = Some(*slot.get());
-                    }
+            }
+            match unit_of[w] {
+                Some(u) if fuse => units[u].1.push(p),
+                _ => {
+                    unit_of[w] = Some(units.len());
+                    units.push((w, vec![p]));
                 }
             }
         }
 
-        // Hits report progress first, in deterministic cell order.
-        let mut completed = 0usize;
-        for (idx, cell) in cells.iter().enumerate() {
-            if let Some(result) = cell {
-                completed += 1;
-                progress(CellUpdate {
-                    predictor: &predictors[idx / n_b].name,
-                    benchmark: &benchmarks[idx % n_b].name,
-                    mpki: result.mpki(),
-                    completed,
-                    total,
-                });
-            }
-        }
-
-        // Dispatch the representative misses only.
-        if self.fuse_columns(predictors.len(), benchmarks.len()) {
-            // Fuse only the co-resident misses of each column.
-            let mut column_preds: Vec<Vec<usize>> = vec![Vec::new(); n_b];
-            for &idx in &misses {
-                column_preds[idx % n_b].push(idx / n_b);
-            }
-            let miss_columns: Vec<usize> =
-                (0..n_b).filter(|&b| !column_preds[b].is_empty()).collect();
-            let columns = run_columns(
-                self.jobs,
-                miss_columns.len(),
-                completed,
-                total,
-                |ci| {
-                    let b = miss_columns[ci];
-                    let bench = &benchmarks[b];
-                    let specs: Vec<PredictorSpec> = column_preds[b]
-                        .iter()
-                        .map(|&p| predictors[p].clone())
-                        .collect();
-                    let results = simulate_stream_multi(&specs, bench.stream(instructions));
-                    let labels = column_preds[b]
-                        .iter()
-                        .zip(&results)
-                        .map(|(&p, result)| CellLabel {
-                            predictor: &predictors[p].name,
-                            benchmark: &bench.name,
-                            mpki: result.mpki(),
-                        })
-                        .collect();
-                    (results, labels)
-                },
-                progress,
-            );
-            for (ci, (results, seconds)) in columns.into_iter().enumerate() {
-                let b = miss_columns[ci];
-                let per_cell = seconds / column_preds[b].len().max(1) as f64;
-                for (&p, result) in column_preds[b].iter().zip(results) {
-                    cells[p * n_b + b] = Some(result);
-                    cell_seconds[p * n_b + b] = per_cell;
-                }
-            }
-        } else {
-            let timed = run_indexed(
-                self.jobs,
-                misses.len(),
-                completed,
-                total,
-                |j| {
-                    let idx = misses[j];
-                    let spec = &predictors[idx / n_b];
-                    let bench = &benchmarks[idx % n_b];
-                    let mut predictor = spec.make();
-                    let result = simulate_stream(predictor.as_mut(), bench.stream(instructions));
-                    let label = CellLabel {
-                        predictor: &spec.name,
-                        benchmark: &bench.name,
-                        mpki: result.mpki(),
-                    };
-                    (result, label)
-                },
-                progress,
-            );
-            for (j, (result, seconds)) in timed.into_iter().enumerate() {
-                let idx = misses[j];
-                cell_seconds[idx] = seconds;
-                cells[idx] = Some(result);
-            }
-        }
-
-        // Write the computed representatives back (policy permitting).
-        for &idx in &misses {
-            if let Some(result) = &cells[idx] {
-                cache.store_sim(&keys[idx], &identities[idx % n_b], result);
-            }
-        }
-
-        // Replicate deduplicated cells and close out progress.
-        completed += misses.len();
-        for idx in 0..total {
-            if let Some(source) = dup_of[idx] {
-                cells[idx] = cells[source].clone();
-                completed += 1;
-                if let Some(result) = &cells[idx] {
-                    progress(CellUpdate {
-                        predictor: &predictors[idx / n_b].name,
-                        benchmark: &benchmarks[idx % n_b].name,
-                        mpki: result.mpki(),
-                        completed,
-                        total,
-                    });
-                }
-            }
-        }
-
-        GridResult {
-            predictors: predictors.iter().map(|s| s.name.to_owned()).collect(),
-            benchmarks: benchmarks.iter().map(|b| b.name.clone()).collect(),
-            cells: cells
-                .into_iter()
-                .map(|c| c.expect("every grid cell filled"))
-                .collect(),
-            cell_seconds,
-        }
-    }
-
-    /// The fused column path: one work unit per benchmark, each unit
-    /// generating its stream once and driving all predictors over it
-    /// via [`simulate_stream_multi`]. Cells (and progress callbacks,
-    /// one per cell as in the per-cell path) come back in the same
-    /// deterministic predictor-major order; the column's wall time is
-    /// apportioned evenly across its cells, so `cell_seconds` keeps the
-    /// same shape and totals as a per-cell run would report for the
-    /// shared work.
-    fn run_grid_fused(
-        &self,
-        predictors: &[PredictorSpec],
-        benchmarks: &[BenchmarkSpec],
-        instructions: u64,
-        progress: &(dyn Fn(CellUpdate<'_>) + Sync),
-    ) -> GridResult {
-        let columns = run_columns(
+        // 5. Dispatch; each unit's cells report progress as it lands.
+        let landed = AtomicUsize::new(completed);
+        let ran = run_columns(
             self.jobs,
-            benchmarks.len(),
-            0,
-            predictors.len() * benchmarks.len(),
-            |b| {
-                let bench = &benchmarks[b];
-                let results = simulate_stream_multi(predictors, bench.stream(instructions));
-                let labels = predictors
-                    .iter()
-                    .zip(&results)
-                    .map(|(spec, result)| CellLabel {
-                        predictor: &spec.name,
-                        benchmark: &bench.name,
-                        mpki: result.mpki(),
-                    })
-                    .collect();
-                (results, labels)
+            units.len(),
+            |u| {
+                let (w, unit) = &units[u];
+                match rows {
+                    Rows::Specs(specs) => {
+                        let specs: Vec<PredictorSpec> =
+                            unit.iter().map(|&p| specs[p].clone()).collect();
+                        T::run(&mut Column::build(&specs), &workloads[*w], params)
+                    }
+                    Rows::Factory(factory) => T::run(
+                        &mut Column::solo(factory().as_mut()),
+                        &workloads[*w],
+                        params,
+                    ),
+                }
             },
-            progress,
+            |u, results| {
+                let (w, unit) = &units[u];
+                for (&p, payload) in unit.iter().zip(results) {
+                    let completed = landed.fetch_add(1, Ordering::Relaxed) + 1;
+                    progress(update(p * n_w + w, payload, completed));
+                }
+            },
         );
-        let (cells, cell_seconds) = transpose_columns(columns, predictors.len(), benchmarks.len());
-        GridResult {
-            predictors: predictors.iter().map(|s| s.name.to_owned()).collect(),
-            benchmarks: benchmarks.iter().map(|b| b.name.clone()).collect(),
-            cells,
-            cell_seconds,
-        }
-    }
-}
 
-/// The [`GridStrategy::Auto`] fusion predicate, shared by the engine
-/// and the attributed report path so the two can never drift: fusing
-/// trades parallel grain (cells → columns) for an N-fold cut in stream
-/// generation, profitable whenever at least two predictors share each
-/// decode and the columns alone can keep every worker busy.
-pub(crate) fn auto_fuses(predictors: usize, benchmarks: usize, jobs: usize) -> bool {
-    predictors >= 2 && benchmarks >= jobs.max(1)
-}
-
-/// Runs `total_columns` benchmark-column work units across `jobs`
-/// workers with the same dynamic self-scheduling as [`run_indexed`],
-/// returning `(column results, column wall seconds)` in column-index
-/// order. The column closure returns one result plus one display label
-/// per cell it ran; progress fires once per *cell* (not per column),
-/// with a monotonic `completed` counter starting at `progress_base`
-/// against `progress_total` — the cache path probes hits before
-/// scheduling, so the dispatched miss-set may be a suffix of a larger
-/// grid. Shared by the plain fused grid and the fused attributed report
-/// path.
-pub(crate) fn run_columns<'a, T, F>(
-    jobs: usize,
-    total_columns: usize,
-    progress_base: usize,
-    progress_total: usize,
-    column: F,
-    progress: &(dyn Fn(CellUpdate<'_>) + Sync),
-) -> Vec<(Vec<T>, f64)>
-where
-    T: Send,
-    F: Fn(usize) -> (Vec<T>, Vec<CellLabel<'a>>) + Sync,
-{
-    let next = AtomicUsize::new(0);
-    type Collected<T> = (Vec<(usize, Vec<T>, f64)>, usize);
-    // Collected columns plus the monotonic completed-cell counter
-    // behind the progress callbacks, under one lock.
-    let collected: Mutex<Collected<T>> =
-        Mutex::new((Vec::with_capacity(total_columns), progress_base));
-    let worker = || loop {
-        let b = next.fetch_add(1, Ordering::Relaxed);
-        if b >= total_columns {
-            break;
-        }
-        let started = std::time::Instant::now();
-        let (results, labels) = column(b);
-        let seconds = started.elapsed().as_secs_f64();
-        debug_assert_eq!(results.len(), labels.len());
-        let mut guard = collected.lock().expect("results lock");
-        let (columns, completed) = &mut *guard;
-        for label in labels {
-            *completed += 1;
-            progress(CellUpdate {
-                predictor: label.predictor,
-                benchmark: label.benchmark,
-                mpki: label.mpki,
-                completed: *completed,
-                total: progress_total,
-            });
-        }
-        columns.push((b, results, seconds));
-    };
-    if jobs <= 1 || total_columns <= 1 {
-        worker();
-    } else {
-        std::thread::scope(|scope| {
-            for _ in 0..jobs.min(total_columns) {
-                scope.spawn(worker);
+        // 6. Store, splice, replicate the twins.
+        for ((w, unit), (results, seconds)) in units.iter().zip(ran) {
+            let per_cell = seconds / unit.len() as f64;
+            for (&p, payload) in unit.iter().zip(results) {
+                let idx = p * n_w + w;
+                if let Some((cache, keys, identities)) = &cache {
+                    payload.store(cache, &keys[idx], &identities[*w]);
+                }
+                cells[idx] = Some((payload, per_cell));
             }
-        });
-    }
-    let (mut columns, completed) = collected.into_inner().expect("results lock");
-    debug_assert!(completed <= progress_total);
-    columns.sort_unstable_by_key(|(b, _, _)| *b);
-    columns
-        .into_iter()
-        .map(|(_, results, seconds)| (results, seconds))
-        .collect()
-}
-
-/// Transposes benchmark-major column results into the predictor-major
-/// cell order grids use, apportioning each column's wall time evenly
-/// across its cells.
-pub(crate) fn transpose_columns<T>(
-    columns: Vec<(Vec<T>, f64)>,
-    n_pred: usize,
-    n_bench: usize,
-) -> (Vec<T>, Vec<f64>) {
-    let total_cells = n_pred * n_bench;
-    let mut cells: Vec<Option<T>> = (0..total_cells).map(|_| None).collect();
-    let mut cell_seconds = vec![0.0; total_cells];
-    for (b, (results, seconds)) in columns.into_iter().enumerate() {
-        let per_cell = seconds / n_pred.max(1) as f64;
-        for (p, result) in results.into_iter().enumerate() {
-            cells[p * n_bench + b] = Some(result);
-            cell_seconds[p * n_bench + b] = per_cell;
         }
-    }
-    (
+        let mut completed = landed.into_inner();
+        for (idx, twin) in twin_of.into_iter().enumerate() {
+            if let Some(source) = twin {
+                let (payload, _) = cells[source].clone().expect("representative ran");
+                completed += 1;
+                progress(update(idx, &payload, completed));
+                cells[idx] = Some((payload, 0.0));
+            }
+        }
         cells
             .into_iter()
-            .map(|c| c.expect("every grid cell filled"))
-            .collect(),
-        cell_seconds,
-    )
+            .map(|cell| cell.expect("every cell filled"))
+            .collect()
+    }
 }
 
-/// What a cell closure reports about the cell it just ran; the
-/// scheduler combines it with its own completion bookkeeping to build
-/// the [`CellUpdate`] handed to progress callbacks.
-pub(crate) struct CellLabel<'a> {
-    pub(crate) predictor: &'a str,
-    pub(crate) benchmark: &'a str,
-    pub(crate) mpki: f64,
+/// The rows of a cell grid.
+pub(crate) enum Rows<'a> {
+    /// Predictor specs: work units build them into a [`Column`], and
+    /// caches key them.
+    Specs(&'a [PredictorSpec]),
+    /// One row of fresh predictors from a factory, one per cell
+    /// ([`crate::run_suite`]). Never cached.
+    Factory(&'a (dyn Fn() -> Box<dyn ConditionalPredictor + Send> + Sync)),
 }
 
-/// Runs `total` independent cells across `jobs` workers with dynamic
-/// self-scheduling, returning `(result, wall seconds)` pairs in
-/// cell-index order. Generic over the cell payload `T` so the same
-/// scheduler drives plain [`SimResult`] grids, attributed report runs,
-/// and [`crate::run_suite`] rows. The worker closure returns the cell
-/// result plus its display label; completion counting happens here,
-/// under the collection lock, so progress callbacks observe a strictly
-/// increasing `completed` starting at `progress_base` against
-/// `progress_total` (the cache path reports probe hits before
-/// dispatching the remaining miss-set here). Per-cell wall time is
-/// measured around the closure (generation + simulation), outside the
-/// lock.
-pub(crate) fn run_indexed<'a, T, F>(
+impl Rows<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Rows::Specs(specs) => specs.len(),
+            Rows::Factory(_) => 1,
+        }
+    }
+
+    /// The row's progress label: the registry name, or nothing for
+    /// factory-made predictors.
+    fn name(&self, row: usize) -> &str {
+        match self {
+            Rows::Specs(specs) => &specs[row].name,
+            Rows::Factory(_) => "",
+        }
+    }
+}
+
+/// What a cell grid's column runs over: a benchmark, or a whole
+/// scenario.
+pub(crate) trait Workload: Sync {
+    /// The name progress labels show.
+    fn name(&self) -> &str;
+    /// The identity cached entries must match, once per workload.
+    fn identity(&self) -> String {
+        String::new()
+    }
+}
+
+/// What one grid cell computes, and how the result cache holds it.
+pub(crate) trait Payload: Clone + Send {
+    /// What a cell runs over.
+    type Workload: Workload;
+    /// Run parameters shared by every cell (instruction budgets).
+    type Params: Copy + Sync;
+
+    /// The cell's cache key.
+    fn key(spec: &PredictorSpec, workload: &Self::Workload, params: Self::Params) -> CacheKey;
+    /// A verified cached payload, if any.
+    fn lookup(cache: &SimCache, key: &CacheKey, w: &Self::Workload, id: &str) -> Option<Self>;
+    /// Writes the payload back under the cache's policy.
+    fn store(&self, cache: &SimCache, key: &CacheKey, identity: &str);
+    /// The MPKI shown in progress updates.
+    fn mpki(&self) -> f64;
+    /// Drives `column` over `workload`: one payload per spec.
+    fn run(column: &mut Column<'_>, workload: &Self::Workload, params: Self::Params) -> Vec<Self>;
+}
+
+/// Runs `units` work units across `jobs` workers with dynamic
+/// self-scheduling — every worker pulls the next unit from one atomic
+/// cursor — and returns `(unit output, unit wall seconds)` in unit
+/// order. `done` sees each finished unit under one lock, so its calls
+/// never overlap. Wall time is measured around `unit` (generation plus
+/// simulation), outside the lock.
+fn run_columns<T: Send>(
     jobs: usize,
-    total: usize,
-    progress_base: usize,
-    progress_total: usize,
-    cell: F,
-    progress: &(dyn Fn(CellUpdate<'_>) + Sync),
-) -> Vec<(T, f64)>
-where
-    T: Send,
-    F: Fn(usize) -> (T, CellLabel<'a>) + Sync,
-{
+    units: usize,
+    unit: impl Fn(usize) -> T + Sync,
+    done: impl Fn(usize, &T) + Sync,
+) -> Vec<(T, f64)> {
     let next = AtomicUsize::new(0);
-    let collected: Mutex<Vec<(usize, T, f64)>> = Mutex::new(Vec::with_capacity(total));
+    let collected = Mutex::new(Vec::with_capacity(units));
     let worker = || loop {
-        let idx = next.fetch_add(1, Ordering::Relaxed);
-        if idx >= total {
+        let u = next.fetch_add(1, Ordering::Relaxed);
+        if u >= units {
             break;
         }
         let started = std::time::Instant::now();
-        let (result, label) = cell(idx);
+        let output = unit(u);
         let seconds = started.elapsed().as_secs_f64();
-        // One lock serializes the progress callback, makes `completed`
-        // monotonic, and collects the result.
-        let mut results = collected.lock().expect("results lock");
-        progress(CellUpdate {
-            predictor: label.predictor,
-            benchmark: label.benchmark,
-            mpki: label.mpki,
-            completed: progress_base + results.len() + 1,
-            total: progress_total,
-        });
-        results.push((idx, result, seconds));
+        let mut collected = collected.lock().expect("results lock");
+        done(u, &output);
+        collected.push((u, output, seconds));
     };
-    if jobs <= 1 || total <= 1 {
+    if jobs <= 1 || units <= 1 {
         worker();
     } else {
         std::thread::scope(|scope| {
-            for _ in 0..jobs.min(total) {
+            for _ in 0..jobs.min(units) {
                 scope.spawn(worker);
             }
         });
     }
-    let mut results = collected.into_inner().expect("results lock");
-    debug_assert_eq!(results.len(), total);
-    // Completion order depends on scheduling; cell-index order does not.
-    results.sort_unstable_by_key(|(idx, _, _)| *idx);
-    results
+    let mut collected = collected.into_inner().expect("results lock");
+    collected.sort_unstable_by_key(|(u, _, _)| *u);
+    collected
         .into_iter()
-        .map(|(_, result, seconds)| (result, seconds))
+        .map(|(_, output, seconds)| (output, seconds))
         .collect()
 }
 

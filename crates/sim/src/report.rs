@@ -10,24 +10,23 @@
 //!   prediction into per-component [`ComponentTally`]s split into
 //!   warmup and steady-state phases. Produces bit-identical predictions
 //!   to [`crate::simulate_stream`] (property-tested);
-//! * [`run_report`] — the parallel (predictor × benchmark) grid of
-//!   attributed runs, aggregated per predictor into a [`SuiteReport`];
+//! * [`run_report_with_cache`] — the parallel (predictor × benchmark)
+//!   grid of attributed runs, aggregated per predictor into a
+//!   [`SuiteReport`];
 //! * [`SuiteReport::to_markdown`] / [`SuiteReport::to_json`] —
 //!   deterministic renderings (no timestamps, no wall-clock, stable
 //!   ordering): the same inputs produce byte-identical reports, which
 //!   is what makes them diffable artifacts of record.
 
-use crate::cache::{report_cell_key, workload_identity, CacheKey, SimCache};
+use crate::cache::SimCache;
 use crate::column::Column;
-use crate::engine::{
-    auto_fuses, run_columns, run_indexed, transpose_columns, CellLabel, CellUpdate,
-};
+use crate::engine::{CellUpdate, Engine, Rows};
 use crate::registry::PredictorSpec;
-use crate::run::{fill_multi_block, Mpki, SimResult, MULTI_BLOCK_RECORDS};
+use crate::run::{only, stream_blocks, Mpki, Phases, SimResult};
 use bp_components::{
     ConditionalPredictor, PredictionAttribution, PredictorStats, ProviderComponent, StorageItem,
 };
-use bp_trace::{BranchRecord, BranchStream};
+use bp_trace::BranchStream;
 use bp_workloads::BenchmarkSpec;
 use std::fmt::Write as _;
 
@@ -223,151 +222,19 @@ pub struct AttributedRun {
 /// retired instructions: a record belongs to warmup while the running
 /// instruction count *including that record* stays within the budget,
 /// so a record whose retirement crosses the boundary already counts as
-/// steady state.
+/// steady state (see [`Phases`]).
 ///
 /// Predictions are guaranteed identical to [`crate::simulate_stream`]
-/// on the same stream: both drive the same prediction path, attribution
-/// is a read-only byproduct.
-pub fn simulate_stream_attributed<P, S>(
-    predictor: &mut P,
-    mut stream: S,
+/// on the same stream: both run the same block drive, attribution is a
+/// read-only byproduct.
+pub fn simulate_stream_attributed<S: BranchStream>(
+    predictor: &mut dyn ConditionalPredictor,
+    stream: S,
     warmup_instructions: u64,
-) -> AttributedRun
-where
-    P: ConditionalPredictor + ?Sized,
-    S: BranchStream,
-{
+) -> AttributedRun {
     let benchmark = stream.name().to_owned();
-    let mut stats = PredictorStats::default();
-    let mut instructions = 0u64;
-    let mut records = 0u64;
-    let mut warmup = PhaseSummary::default();
-    let mut steady = PhaseSummary::default();
-    while let Some(record) = stream.next_record() {
-        instructions += record.instructions();
-        records += 1;
-        let phase = if instructions <= warmup_instructions {
-            &mut warmup
-        } else {
-            &mut steady
-        };
-        phase.instructions += record.instructions();
-        if record.is_conditional() {
-            let (pred, attribution) = predictor.predict_attributed(record.pc);
-            let correct = pred == record.taken;
-            stats.record(correct);
-            phase.stats.record(correct);
-            phase.attribution.record(&attribution, pred, record.taken);
-            predictor.update(&record);
-        } else {
-            predictor.notify_nonconditional(&record);
-        }
-    }
-    AttributedRun {
-        result: SimResult {
-            benchmark,
-            predictor: predictor.name().to_owned(),
-            instructions,
-            records,
-            stats,
-        },
-        warmup_instructions,
-        warmup,
-        steady,
-    }
-}
-
-/// Per-predictor accumulation state of one fused attributed pass.
-#[derive(Default)]
-struct MultiAccum {
-    stats: PredictorStats,
-    warmup: PhaseSummary,
-    steady: PhaseSummary,
-}
-
-/// [`simulate_stream_attributed`] for *several* predictor specs over
-/// **one** pass of the stream — the attributed twin of
-/// [`crate::simulate_stream_multi`], and the core of the fused report
-/// path.
-///
-/// The specs are built into one [`Column`] (TAGE-SC variants of one
-/// TAGE geometry share a front), and the stream is pulled once in
-/// blocks; each host consumes the whole block before the next
-/// (cache-friendly, exactly like the plain fused path). The warmup
-/// boundary is a pure function of the record sequence: the running
-/// instruction total only grows, so each block splits once into a
-/// warmup prefix and a steady suffix, and every spec sees the identical
-/// split. Every returned [`AttributedRun`] is bit-identical to a solo
-/// [`simulate_stream_attributed`] over an equal stream.
-pub fn simulate_stream_attributed_multi<S>(
-    specs: &[PredictorSpec],
-    mut stream: S,
-    warmup_instructions: u64,
-) -> Vec<AttributedRun>
-where
-    S: BranchStream,
-{
-    let benchmark = stream.name().to_owned();
-    let mut column = Column::build(specs);
-    let mut accums: Vec<MultiAccum> = specs.iter().map(|_| MultiAccum::default()).collect();
-    let mut instructions = 0u64;
-    let mut records = 0u64;
-    let mut block = Vec::with_capacity(MULTI_BLOCK_RECORDS);
-    loop {
-        let mut running = instructions;
-        fill_multi_block(&mut stream, &mut block, &mut instructions, &mut records);
-        if block.is_empty() {
-            break;
-        }
-        let split = block
-            .iter()
-            .position(|record| {
-                running += record.instructions();
-                running > warmup_instructions
-            })
-            .unwrap_or(block.len());
-        let (warm, steady) = block.split_at(split);
-        let warm_instructions: u64 = warm.iter().map(BranchRecord::instructions).sum();
-        let steady_instructions: u64 = steady.iter().map(BranchRecord::instructions).sum();
-        for accum in &mut accums {
-            accum.warmup.instructions += warm_instructions;
-            accum.steady.instructions += steady_instructions;
-        }
-        for (part, is_steady) in [(warm, false), (steady, true)] {
-            column.run_block_attributed(part, |spec, record, pred, attribution| {
-                let accum = &mut accums[spec];
-                let phase = if is_steady {
-                    &mut accum.steady
-                } else {
-                    &mut accum.warmup
-                };
-                let correct = pred == record.taken;
-                accum.stats.record(correct);
-                phase.stats.record(correct);
-                phase.attribution.record(&attribution, pred, record.taken);
-            });
-        }
-        if block.len() < MULTI_BLOCK_RECORDS {
-            break;
-        }
-    }
-    column
-        .names()
-        .into_iter()
-        .zip(accums)
-        .map(|(predictor, accum)| AttributedRun {
-            result: SimResult {
-                benchmark: benchmark.clone(),
-                predictor,
-                instructions,
-                records,
-                stats: accum.stats,
-            },
-            warmup_instructions,
-            warmup: accum.warmup,
-            steady: accum.steady,
-        })
-        .collect()
+    let observer = Phases::new(1, warmup_instructions);
+    only(Column::solo(predictor).run(&benchmark, &mut stream_blocks(stream), observer))
 }
 
 /// One predictor row of a [`SuiteReport`]: suite-wide MPKI, exact
@@ -455,44 +322,13 @@ impl PartialEq for SuiteReport {
 
 /// Runs the full attributed (predictor × benchmark) grid and folds it
 /// into a [`SuiteReport`]: one fresh cold predictor per cell (the CBP
-/// protocol), fanned out over `jobs` workers with the engine's dynamic
-/// scheduler. Deterministic: the report depends only on the inputs,
-/// never on worker count or scheduling.
+/// protocol), scheduled like a grid ([`Engine::run_grid`]) over `jobs`
+/// workers with [`GridStrategy::Auto`]. With a `cache`, hits are
+/// spliced in, only the misses run, and computed cells are written back
+/// under the policy. Deterministic: the report depends only on the
+/// inputs, never on worker count, scheduling, or cache state.
 ///
-/// Scheduling follows the engine's auto heuristic: when at least two
-/// predictors share each benchmark and the columns can keep every
-/// worker busy, whole benchmark columns are fused
-/// ([`simulate_stream_attributed_multi`]) so each stream is generated
-/// once instead of once per predictor; otherwise cells are scheduled
-/// individually. Both paths produce the identical report.
-pub fn run_report(
-    suite: &str,
-    predictors: &[PredictorSpec],
-    benchmarks: &[BenchmarkSpec],
-    instructions: u64,
-    warmup_instructions: u64,
-    jobs: usize,
-    progress: &(dyn Fn(CellUpdate<'_>) + Sync),
-) -> SuiteReport {
-    run_report_with_cache(
-        suite,
-        predictors,
-        benchmarks,
-        instructions,
-        warmup_instructions,
-        jobs,
-        None,
-        progress,
-    )
-}
-
-/// [`run_report`] with an optional result cache. Every cell key is
-/// probed before any scheduling; verified hits are spliced in (their
-/// progress callbacks fire first, in cell order) and only the miss-set
-/// is dispatched — under the fused path each benchmark column fuses
-/// only its co-resident misses. Computed cells are written back under
-/// the policy. The report is bit-identical with the cache absent,
-/// cold, or warm.
+/// [`GridStrategy::Auto`]: crate::GridStrategy::Auto
 #[allow(clippy::too_many_arguments)]
 pub fn run_report_with_cache(
     suite: &str,
@@ -504,71 +340,14 @@ pub fn run_report_with_cache(
     cache: Option<&SimCache>,
     progress: &(dyn Fn(CellUpdate<'_>) + Sync),
 ) -> SuiteReport {
-    let total = predictors.len() * benchmarks.len();
-    let fused = auto_fuses(predictors.len(), benchmarks.len(), jobs);
-    let timed: Vec<(AttributedRun, f64)> = if let Some(cache) = cache.filter(|c| c.enabled()) {
-        run_attributed_cached(
-            cache,
-            predictors,
+    let timed = Engine::with_jobs(jobs)
+        .with_cache(cache.cloned())
+        .run_cells(
+            Rows::Specs(predictors),
             benchmarks,
-            instructions,
-            warmup_instructions,
-            jobs,
-            progress,
-        )
-    } else if fused {
-        let columns = run_columns(
-            jobs,
-            benchmarks.len(),
-            0,
-            total,
-            |b| {
-                let bench = &benchmarks[b];
-                let runs = simulate_stream_attributed_multi(
-                    predictors,
-                    bench.stream(instructions),
-                    warmup_instructions,
-                );
-                let labels = predictors
-                    .iter()
-                    .zip(&runs)
-                    .map(|(spec, run)| CellLabel {
-                        predictor: &spec.name,
-                        benchmark: &bench.name,
-                        mpki: run.result.mpki(),
-                    })
-                    .collect();
-                (runs, labels)
-            },
+            (instructions, warmup_instructions),
             progress,
         );
-        let (cells, seconds) = transpose_columns(columns, predictors.len(), benchmarks.len());
-        cells.into_iter().zip(seconds).collect()
-    } else {
-        run_indexed(
-            jobs,
-            total,
-            0,
-            total,
-            |idx| {
-                let spec = &predictors[idx / benchmarks.len()];
-                let bench = &benchmarks[idx % benchmarks.len()];
-                let mut predictor = spec.make();
-                let run = simulate_stream_attributed(
-                    predictor.as_mut(),
-                    bench.stream(instructions),
-                    warmup_instructions,
-                );
-                let label = CellLabel {
-                    predictor: &spec.name,
-                    benchmark: &bench.name,
-                    mpki: run.result.mpki(),
-                };
-                (run, label)
-            },
-            progress,
-        )
-    };
     let (runs, cell_seconds): (Vec<AttributedRun>, Vec<f64>) = timed.into_iter().unzip();
     let cell_records: Vec<u64> = runs.iter().map(|r| r.result.records).collect();
 
@@ -609,139 +388,6 @@ pub fn run_report_with_cache(
         cell_records,
         cell_seconds,
     }
-}
-
-/// The cache-aware attributed grid dispatch behind
-/// [`run_report_with_cache`]: probe every key, splice verified hits
-/// (zero wall seconds — no simulation ran), dispatch only the misses,
-/// store what was computed. Hits report progress first so `completed`
-/// stays monotonic when the schedulers continue from the hit count.
-fn run_attributed_cached(
-    cache: &SimCache,
-    predictors: &[PredictorSpec],
-    benchmarks: &[BenchmarkSpec],
-    instructions: u64,
-    warmup_instructions: u64,
-    jobs: usize,
-    progress: &(dyn Fn(CellUpdate<'_>) + Sync),
-) -> Vec<(AttributedRun, f64)> {
-    let n_b = benchmarks.len();
-    let total = predictors.len() * n_b;
-    let keys: Vec<CacheKey> = predictors
-        .iter()
-        .flat_map(|spec| {
-            benchmarks
-                .iter()
-                .map(|bench| report_cell_key(spec, &bench.name, instructions, warmup_instructions))
-        })
-        .collect();
-    let identities: Vec<String> = benchmarks.iter().map(workload_identity).collect();
-    let mut cells: Vec<Option<(AttributedRun, f64)>> = keys
-        .iter()
-        .enumerate()
-        .map(|(idx, key)| {
-            cache
-                .lookup_attributed(key, &benchmarks[idx % n_b].name, &identities[idx % n_b])
-                .map(|run| (run, 0.0))
-        })
-        .collect();
-    let mut completed = 0usize;
-    for (idx, cell) in cells.iter().enumerate() {
-        if let Some((run, _)) = cell {
-            completed += 1;
-            progress(CellUpdate {
-                predictor: &predictors[idx / n_b].name,
-                benchmark: &benchmarks[idx % n_b].name,
-                mpki: run.result.mpki(),
-                completed,
-                total,
-            });
-        }
-    }
-    let misses: Vec<usize> = (0..total).filter(|&idx| cells[idx].is_none()).collect();
-    if misses.is_empty() {
-        // Fall through: every cell was a verified hit.
-    } else if auto_fuses(predictors.len(), n_b, jobs) {
-        // Fuse only the co-resident misses of each benchmark column:
-        // fusing a predictor subset is bit-identical to solo runs
-        // (each predictor sees the same stream independently).
-        let miss_columns: Vec<(usize, Vec<usize>)> = (0..n_b)
-            .filter_map(|b| {
-                let preds: Vec<usize> = (0..predictors.len())
-                    .filter(|&p| cells[p * n_b + b].is_none())
-                    .collect();
-                (!preds.is_empty()).then_some((b, preds))
-            })
-            .collect();
-        let columns = run_columns(
-            jobs,
-            miss_columns.len(),
-            completed,
-            total,
-            |ci| {
-                let (b, preds) = &miss_columns[ci];
-                let bench = &benchmarks[*b];
-                let specs: Vec<PredictorSpec> =
-                    preds.iter().map(|&p| predictors[p].clone()).collect();
-                let runs = simulate_stream_attributed_multi(
-                    &specs,
-                    bench.stream(instructions),
-                    warmup_instructions,
-                );
-                let labels = preds
-                    .iter()
-                    .zip(&runs)
-                    .map(|(&p, run)| CellLabel {
-                        predictor: &predictors[p].name,
-                        benchmark: &bench.name,
-                        mpki: run.result.mpki(),
-                    })
-                    .collect();
-                (runs, labels)
-            },
-            progress,
-        );
-        for ((b, preds), (runs, seconds)) in miss_columns.iter().zip(columns) {
-            let per_cell = seconds / runs.len().max(1) as f64;
-            for (&p, run) in preds.iter().zip(runs) {
-                cache.store_attributed(&keys[p * n_b + b], &identities[*b], &run);
-                cells[p * n_b + b] = Some((run, per_cell));
-            }
-        }
-    } else {
-        let computed = run_indexed(
-            jobs,
-            misses.len(),
-            completed,
-            total,
-            |j| {
-                let idx = misses[j];
-                let spec = &predictors[idx / n_b];
-                let bench = &benchmarks[idx % n_b];
-                let mut predictor = spec.make();
-                let run = simulate_stream_attributed(
-                    predictor.as_mut(),
-                    bench.stream(instructions),
-                    warmup_instructions,
-                );
-                let label = CellLabel {
-                    predictor: &spec.name,
-                    benchmark: &bench.name,
-                    mpki: run.result.mpki(),
-                };
-                (run, label)
-            },
-            progress,
-        );
-        for (&idx, (run, seconds)) in misses.iter().zip(computed) {
-            cache.store_attributed(&keys[idx], &identities[idx % n_b], &run);
-            cells[idx] = Some((run, seconds));
-        }
-    }
-    cells
-        .into_iter()
-        .map(|cell| cell.expect("every report cell filled"))
-        .collect()
 }
 
 use bp_components::json_string as json_str;
@@ -1225,8 +871,11 @@ mod tests {
     #[test]
     fn fused_attributed_runs_match_solo_runs_exactly() {
         let (predictors, benchmarks) = small_inputs();
-        let fused =
-            simulate_stream_attributed_multi(&predictors, benchmarks[0].stream(30_000), 10_000);
+        let fused = Column::build(&predictors).run(
+            &benchmarks[0].name,
+            &mut stream_blocks(benchmarks[0].stream(30_000)),
+            Phases::new(predictors.len(), 10_000),
+        );
         assert_eq!(fused.len(), predictors.len());
         for (spec, run) in predictors.iter().zip(&fused) {
             let solo = simulate_stream_attributed(
@@ -1241,7 +890,16 @@ mod tests {
     #[test]
     fn report_throughput_telemetry_is_populated_but_ignored_by_eq() {
         let (predictors, benchmarks) = small_inputs();
-        let report = run_report("test", &predictors, &benchmarks, 20_000, 5_000, 1, &|_| {});
+        let report = run_report_with_cache(
+            "test",
+            &predictors,
+            &benchmarks,
+            20_000,
+            5_000,
+            1,
+            None,
+            &|_| {},
+        );
         assert_eq!(
             report.cell_records.len(),
             predictors.len() * benchmarks.len()
@@ -1260,13 +918,14 @@ mod tests {
     fn report_is_deterministic_and_well_formed() {
         let (predictors, benchmarks) = small_inputs();
         let run = |jobs| {
-            run_report(
+            run_report_with_cache(
                 "test",
                 &predictors,
                 &benchmarks,
                 20_000,
                 5_000,
                 jobs,
+                None,
                 &|_| {},
             )
         };

@@ -1,10 +1,19 @@
-//! Single-benchmark simulation.
+//! The block drive's inputs and observers, and the solo entry points.
+//!
+//! Every simulation runs [`Column::drive`]: one loop over blocks of
+//! [`BLOCK_RECORDS`] records from a [`Blocks`] input (a materialized
+//! trace in zero-copy chunks, or a branch or scenario event stream
+//! pulled into one reused buffer), each block run by every host of the
+//! column, each prediction folded into a monomorphized [`Observer`].
 
-use crate::column::Column;
-use crate::registry::PredictorSpec;
+use crate::column::{Column, ColumnHost};
+use crate::report::{AttributedRun, PhaseSummary};
+use crate::scenario::ScenarioRun;
 use bp_components::{ConditionalPredictor, PredictorStats};
-use bp_trace::{BranchStream, Trace};
+use bp_trace::{BranchRecord, BranchStream, Trace};
+use bp_workloads::{EventStream, FlushMode, ScenarioEvent};
 use std::fmt;
+use std::ops::Range;
 
 /// The result of simulating one predictor over one benchmark trace.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -88,181 +97,379 @@ impl fmt::Display for Mpki {
     }
 }
 
+/// Records per block of the drive: large enough to amortize the
+/// per-block host sweep, small enough (≈ 96 KiB of records) that the
+/// block plus one predictor's tables stay cache-resident.
+pub const BLOCK_RECORDS: usize = 4096;
+
+/// One block of a drive's input: up to [`BLOCK_RECORDS`] records, the
+/// tenant of each record (empty for a materialized trace), and the
+/// context-switch flushes as `(position, mode)`: a flush at position
+/// `i` applies before `records[i]`.
+#[derive(Debug, Clone, Copy)]
+pub struct Block<'a> {
+    /// The block's records, in stream order.
+    pub records: &'a [BranchRecord],
+    /// `tenants[i]` is the tenant of `records[i]`.
+    pub tenants: &'a [u32],
+    /// Flush points, in stream order.
+    pub flushes: &'a [(usize, FlushMode)],
+}
+
+/// A drive's input, handed to [`Column::drive`] one block at a time.
+pub trait Blocks {
+    /// The next block. An empty block ends the input, and so does any
+    /// block shorter than [`BLOCK_RECORDS`] records.
+    fn next_block(&mut self) -> Block<'_>;
+}
+
+/// Records already in memory (a materialized trace), handed over as
+/// zero-copy chunks.
+impl Blocks for &[BranchRecord] {
+    fn next_block(&mut self) -> Block<'_> {
+        let (records, rest) = self.split_at(self.len().min(BLOCK_RECORDS));
+        *self = rest;
+        Block {
+            records,
+            tenants: &[],
+            flushes: &[],
+        }
+    }
+}
+
+/// Records or scenario events pulled one at a time into one reused
+/// block buffer. Build it with [`stream_blocks`] or [`event_blocks`].
+pub struct Pulled<F> {
+    pull: F,
+    records: Vec<BranchRecord>,
+    tenants: Vec<u32>,
+    flushes: Vec<(usize, FlushMode)>,
+}
+
+impl<F: FnMut() -> Option<ScenarioEvent>> Pulled<F> {
+    // bp-lint: allow-item(hot-path-alloc, "the block buffers are allocated once per input and reused for every block")
+    fn new(pull: F) -> Self {
+        Pulled {
+            pull,
+            records: Vec::with_capacity(BLOCK_RECORDS),
+            tenants: Vec::with_capacity(BLOCK_RECORDS),
+            flushes: Vec::with_capacity(64),
+        }
+    }
+}
+
+impl<F: FnMut() -> Option<ScenarioEvent>> Blocks for Pulled<F> {
+    fn next_block(&mut self) -> Block<'_> {
+        self.records.clear();
+        self.tenants.clear();
+        self.flushes.clear();
+        while self.records.len() < BLOCK_RECORDS {
+            match (self.pull)() {
+                Some(ScenarioEvent::Record { record, tenant }) => {
+                    self.records.push(record);
+                    self.tenants.push(tenant);
+                }
+                Some(ScenarioEvent::Flush(mode)) => self.flushes.push((self.records.len(), mode)),
+                None => break,
+            }
+        }
+        Block {
+            records: &self.records,
+            tenants: &self.tenants,
+            flushes: &self.flushes,
+        }
+    }
+}
+
+/// The records of `stream`, as one tenant, in O([`BLOCK_RECORDS`])
+/// memory.
+pub fn stream_blocks<S: BranchStream>(
+    mut stream: S,
+) -> Pulled<impl FnMut() -> Option<ScenarioEvent>> {
+    Pulled::new(move || {
+        let record = stream.next_record()?;
+        Some(ScenarioEvent::Record { record, tenant: 0 })
+    })
+}
+
+/// The events of a scenario stream: tenant-tagged records and flushes.
+pub fn event_blocks(
+    events: &mut dyn EventStream,
+) -> Pulled<impl FnMut() -> Option<ScenarioEvent> + '_> {
+    Pulled::new(move || events.next_event())
+}
+
+/// What one drive counted, shared by every spec of the column.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DriveTotals {
+    /// Instructions retired by the records.
+    pub instructions: u64,
+    /// Records driven.
+    pub records: u64,
+    /// Context-switch flushes applied.
+    pub flushes: u64,
+}
+
+pub(crate) fn instructions_of(records: &[BranchRecord]) -> u64 {
+    records.iter().map(BranchRecord::instructions).sum()
+}
+
+/// What a drive folds each prediction into, monomorphized into the
+/// drive: [`Counts`] (plain), [`Phases`] (warmup/steady attribution)
+/// or [`Tenants`] (per-tenant attribution).
+pub trait Observer {
+    /// One result per spec.
+    type Output;
+
+    /// Sees each block once, before any host runs it.
+    fn block(&mut self, _: &Block<'_>) {}
+
+    /// Runs `host` over `block.records[range]` (a run between flushes),
+    /// folding every prediction in.
+    fn run(&mut self, host: &mut ColumnHost<'_>, block: &Block<'_>, range: Range<usize>);
+
+    /// The per-spec results, given each spec's plain result without its
+    /// counts (benchmark, display name and the drive's totals).
+    fn finish(
+        self,
+        heads: impl Iterator<Item = SimResult>,
+        totals: &DriveTotals,
+    ) -> Vec<Self::Output>;
+}
+
+/// Plain per-spec prediction counts, folded into [`SimResult`]s.
+#[derive(Debug, Clone)]
+pub struct Counts(pub Vec<PredictorStats>);
+
+impl Counts {
+    /// Empty counts for a column of `width` specs.
+    // bp-lint: allow-item(hot-path-alloc, "per-run setup, once per column")
+    pub fn new(width: usize) -> Self {
+        Counts(vec![PredictorStats::default(); width])
+    }
+}
+
+impl Observer for Counts {
+    type Output = SimResult;
+
+    #[inline]
+    fn run(&mut self, host: &mut ColumnHost<'_>, block: &Block<'_>, range: Range<usize>) {
+        host.run_counts(&block.records[range], &mut self.0);
+    }
+
+    // bp-lint: allow-item(hot-path-alloc, "result assembly, once per column")
+    fn finish(self, heads: impl Iterator<Item = SimResult>, _: &DriveTotals) -> Vec<SimResult> {
+        heads
+            .zip(self.0)
+            .map(|(head, stats)| SimResult { stats, ..head })
+            .collect()
+    }
+}
+
+/// Per-spec combined counts plus one attribution tally per bucket (a
+/// warmup/steady phase, or a tenant), and each bucket's instructions.
+#[derive(Debug, Clone)]
+struct Buckets {
+    instructions: Vec<u64>,
+    runs: Vec<(PredictorStats, Vec<PhaseSummary>)>,
+}
+
+impl Buckets {
+    // bp-lint: allow-item(hot-path-alloc, "per-run setup, once per column")
+    fn new(width: usize, buckets: usize) -> Self {
+        let tallies = vec![PhaseSummary::default(); buckets];
+        Buckets {
+            instructions: vec![0; buckets],
+            runs: vec![(PredictorStats::default(), tallies); width],
+        }
+    }
+
+    /// Runs `host` over `records` through the attribution channel,
+    /// tallying `records[i]` into bucket `bucket(i)`.
+    #[inline]
+    fn run(
+        &mut self,
+        host: &mut ColumnHost<'_>,
+        records: &[BranchRecord],
+        bucket: impl Fn(usize) -> usize,
+    ) {
+        let runs = &mut self.runs;
+        host.run_attributed(records, |spec, i, record, pred, attribution| {
+            let (stats, tallies) = &mut runs[spec];
+            let tally = &mut tallies[bucket(i)];
+            let correct = pred == record.taken;
+            stats.record(correct);
+            tally.stats.record(correct);
+            tally.attribution.record(&attribution, pred, record.taken);
+        });
+    }
+
+    /// Each spec's combined counts and bucket tallies, with the
+    /// buckets' instructions filled in.
+    fn into_runs(self) -> impl Iterator<Item = (PredictorStats, Vec<PhaseSummary>)> {
+        let instructions = self.instructions;
+        self.runs.into_iter().map(move |(stats, mut tallies)| {
+            for (tally, &retired) in tallies.iter_mut().zip(&instructions) {
+                tally.instructions = retired;
+            }
+            (stats, tallies)
+        })
+    }
+}
+
+/// Per-spec attribution split at a warmup boundary, folded into
+/// [`AttributedRun`]s. A record belongs to warmup while the running
+/// instruction count *including that record* stays within the
+/// boundary. The count only grows, so each block splits once into a
+/// warmup prefix and a steady suffix, the same for every spec.
+#[derive(Debug, Clone)]
+pub struct Phases {
+    warmup_instructions: u64,
+    split: usize,
+    phases: Buckets,
+}
+
+impl Phases {
+    /// Empty phases for a column of `width` specs.
+    pub fn new(width: usize, warmup_instructions: u64) -> Self {
+        Phases {
+            warmup_instructions,
+            split: 0,
+            phases: Buckets::new(width, 2),
+        }
+    }
+}
+
+impl Observer for Phases {
+    type Output = AttributedRun;
+
+    fn block(&mut self, block: &Block<'_>) {
+        let mut retired: u64 = self.phases.instructions.iter().sum();
+        self.split = block
+            .records
+            .iter()
+            .position(|record| {
+                retired += record.instructions();
+                retired > self.warmup_instructions
+            })
+            .unwrap_or(block.records.len());
+        let (warm, steady) = block.records.split_at(self.split);
+        self.phases.instructions[0] += instructions_of(warm);
+        self.phases.instructions[1] += instructions_of(steady);
+    }
+
+    #[inline]
+    fn run(&mut self, host: &mut ColumnHost<'_>, block: &Block<'_>, range: Range<usize>) {
+        let cut = self.split.clamp(range.start, range.end);
+        self.phases
+            .run(host, &block.records[range.start..cut], |_| 0);
+        self.phases.run(host, &block.records[cut..range.end], |_| 1);
+    }
+
+    // bp-lint: allow-item(hot-path-alloc, "result assembly, once per column")
+    fn finish(self, heads: impl Iterator<Item = SimResult>, _: &DriveTotals) -> Vec<AttributedRun> {
+        let warmup_instructions = self.warmup_instructions;
+        heads
+            .zip(self.phases.into_runs())
+            .map(|(head, (stats, phases))| {
+                let [warmup, steady]: [PhaseSummary; 2] = phases.try_into().expect("two phases");
+                AttributedRun {
+                    result: SimResult { stats, ..head },
+                    warmup_instructions,
+                    warmup,
+                    steady,
+                }
+            })
+            .collect()
+    }
+}
+
+/// Per-spec, per-tenant attribution of a scenario drive, folded into
+/// [`ScenarioRun`]s. Each record's tenant is looked up by its position
+/// in the block.
+#[derive(Debug, Clone)]
+pub struct Tenants(Buckets);
+
+impl Tenants {
+    /// Empty tallies for a column of `width` specs over `tenants`
+    /// tenants.
+    pub fn new(width: usize, tenants: usize) -> Self {
+        Tenants(Buckets::new(width, tenants))
+    }
+}
+
+impl Observer for Tenants {
+    type Output = ScenarioRun;
+
+    fn block(&mut self, block: &Block<'_>) {
+        for (record, &tenant) in block.records.iter().zip(block.tenants) {
+            self.0.instructions[tenant as usize] += record.instructions();
+        }
+    }
+
+    #[inline]
+    fn run(&mut self, host: &mut ColumnHost<'_>, block: &Block<'_>, range: Range<usize>) {
+        let records = &block.records[range.start..range.end];
+        let tenants = &block.tenants[range];
+        self.0.run(host, records, |i| tenants[i] as usize);
+    }
+
+    // bp-lint: allow-item(hot-path-alloc, "result assembly, once per column")
+    fn finish(
+        self,
+        heads: impl Iterator<Item = SimResult>,
+        totals: &DriveTotals,
+    ) -> Vec<ScenarioRun> {
+        heads
+            .zip(self.0.into_runs())
+            .map(|(head, (stats, tenants))| ScenarioRun {
+                predictor: head.predictor,
+                instructions: head.instructions,
+                records: head.records,
+                stats,
+                flushes: totals.flushes,
+                tenants,
+            })
+            .collect()
+    }
+}
+
+/// The one result of a column of one.
+pub(crate) fn only<T>(mut results: Vec<T>) -> T {
+    results.pop().expect("a column of one drives one spec")
+}
+
 /// Simulates `predictor` over `trace` with the CBP protocol: predict and
 /// update every conditional branch, notify non-conditional branches.
 ///
 /// The predictor is *not* reset — callers wanting cold-start behaviour
 /// construct a fresh predictor per trace (as [`crate::run_suite`] does).
-///
-/// Drives the materialized record slice directly through
-/// [`drive_block`] — the same CBP protocol as [`simulate_stream`],
-/// minus the per-record stream-cursor overhead, and bit-identical to it
-/// on the equivalent stream.
-// bp-lint: allow-item(hot-path-alloc, "per-run setup and result assembly, once per benchmark; the per-branch loop is drive_block, which is allocation-free (tests/hotpath_allocations.rs)")
-pub fn simulate<P: ConditionalPredictor + ?Sized>(predictor: &mut P, trace: &Trace) -> SimResult {
-    let records = trace.records();
-    let mut stats = PredictorStats::default();
-    drive_block(predictor, records, &mut stats);
-    SimResult {
-        benchmark: trace.name().to_owned(),
-        predictor: predictor.name().to_owned(),
-        instructions: records
-            .iter()
-            .map(bp_trace::BranchRecord::instructions)
-            .sum(),
-        records: records.len() as u64,
-        stats,
-    }
+/// The trace's records are handed to the drive as zero-copy blocks, and
+/// the result is bit-identical to [`simulate_stream`] over the
+/// equivalent stream.
+pub fn simulate(predictor: &mut dyn ConditionalPredictor, trace: &Trace) -> SimResult {
+    only(Column::solo(predictor).run(trace.name(), &mut trace.records(), Counts::new(1)))
 }
 
 /// Simulates `predictor` over any [`BranchStream`] with the CBP
-/// protocol, consuming the stream record-by-record.
-///
-/// This is the simulator's native entry point: paired with a streaming
+/// protocol, in O([`BLOCK_RECORDS`]) memory: paired with a streaming
 /// producer (`bp_workloads::stream_benchmark`, `bp_trace::TraceReader`)
-/// it runs a benchmark of any length in O(`MULTI_BLOCK_RECORDS`)
-/// memory — the stream is pulled in blocks of `MULTI_BLOCK_RECORDS`
-/// records and each block is handed to [`drive_block`]. Produces
-/// bit-identical [`SimResult`]s to [`simulate`] on the materialized
-/// equivalent of the same stream: block boundaries are invisible to the
-/// per-record protocol.
-// bp-lint: allow-item(hot-path-alloc, "per-run setup, block buffer, and result assembly, once per benchmark; the per-branch loop is drive_block, which is allocation-free (tests/hotpath_allocations.rs)")
-pub fn simulate_stream<P, S>(predictor: &mut P, mut stream: S) -> SimResult
-where
-    P: ConditionalPredictor + ?Sized,
-    S: BranchStream,
-{
+/// it runs a benchmark of any length. Block boundaries are invisible to
+/// the per-record protocol.
+// bp-lint: allow-item(hot-path-alloc, "the benchmark name, once per run")
+pub fn simulate_stream<S: BranchStream>(
+    predictor: &mut dyn ConditionalPredictor,
+    stream: S,
+) -> SimResult {
     let benchmark = stream.name().to_owned();
-    let mut stats = PredictorStats::default();
-    let mut instructions = 0u64;
-    let mut records = 0u64;
-    let mut block = Vec::with_capacity(MULTI_BLOCK_RECORDS);
-    loop {
-        fill_multi_block(&mut stream, &mut block, &mut instructions, &mut records);
-        if block.is_empty() {
-            break;
-        }
-        drive_block(predictor, &block, &mut stats);
-        if block.len() < MULTI_BLOCK_RECORDS {
-            break;
-        }
-    }
-    SimResult {
-        benchmark,
-        predictor: predictor.name().to_owned(),
-        instructions,
-        records,
-        stats,
-    }
-}
-
-/// Records per fused block: large enough to amortize the per-block
-/// predictor sweep, small enough (≈ 96 KiB of records) that the block
-/// plus one predictor's tables stay cache-resident.
-pub(crate) const MULTI_BLOCK_RECORDS: usize = 4096;
-
-/// Refills `block` (cleared first) with up to [`MULTI_BLOCK_RECORDS`]
-/// records from `stream`, accumulating the running instruction/record
-/// totals. Shared by both fused sweeps (plain and attributed) so the
-/// block protocol — fill size, counting, and the
-/// empty/short-block termination the callers key off — cannot drift
-/// between them.
-pub(crate) fn fill_multi_block<S: BranchStream>(
-    stream: &mut S,
-    block: &mut Vec<bp_trace::BranchRecord>,
-    instructions: &mut u64,
-    records: &mut u64,
-) {
-    block.clear();
-    while block.len() < MULTI_BLOCK_RECORDS {
-        match stream.next_record() {
-            Some(record) => {
-                *instructions += record.instructions();
-                *records += 1;
-                block.push(record);
-            }
-            None => break,
-        }
-    }
-}
-
-/// Drives one predictor through one block of records with the CBP
-/// protocol. Shared by every plain simulation entry point and the
-/// hot-path allocation tests so the steady-state loop they exercise is
-/// the one that actually runs.
-///
-/// Delegates to [`ConditionalPredictor::run_block`]: the loop lives as
-/// a provided trait method so every concrete predictor carries a
-/// monomorphized copy with `predict`/`update` statically dispatched —
-/// driving a `Box<dyn ConditionalPredictor>` costs one virtual call
-/// per block here instead of three per record.
-#[inline]
-pub fn drive_block<P: ConditionalPredictor + ?Sized>(
-    predictor: &mut P,
-    block: &[bp_trace::BranchRecord],
-    stats: &mut PredictorStats,
-) {
-    predictor.run_block(block, stats);
-}
-
-/// Simulates *several* predictor specs over **one** pass of a
-/// [`BranchStream`] with the CBP protocol — the shared-decode core of
-/// the engine's fused column mode.
-///
-/// The specs are built into one [`Column`]: plain TAGE-SC specs of one
-/// TAGE geometry share a TAGE front as lanes of one host, every other
-/// spec is a host of its own. The stream is pulled once, in blocks of
-/// 4096 records (`MULTI_BLOCK_RECORDS`); each host consumes the whole
-/// block before the next host starts. Per-record broadcast
-/// (host-inner loop) would touch every host's tables on every record
-/// and thrash the cache; the blocked sweep keeps one host's working set
-/// hot for thousands of records while still generating/decoding the
-/// stream exactly once instead of `N` times.
-///
-/// Hosts are independent state machines driven with the identical
-/// record sequence, and lanes of a shared front predict exactly as solo
-/// hosts, so the returned results are **bit-identical** to running
-/// [`simulate_stream`] once per spec over equal streams.
-///
-/// Returns one [`SimResult`] per spec, in input order.
-// bp-lint: allow-item(hot-path-alloc, "per-run block buffer and result assembly, amortized over whole blocks; the per-branch loop is Column::run_block, which is allocation-free")
-pub fn simulate_stream_multi<S>(specs: &[PredictorSpec], mut stream: S) -> Vec<SimResult>
-where
-    S: BranchStream,
-{
-    let benchmark = stream.name().to_owned();
-    let mut column = Column::build(specs);
-    let mut stats = vec![PredictorStats::default(); specs.len()];
-    let mut instructions = 0u64;
-    let mut records = 0u64;
-    let mut block = Vec::with_capacity(MULTI_BLOCK_RECORDS);
-    loop {
-        fill_multi_block(&mut stream, &mut block, &mut instructions, &mut records);
-        if block.is_empty() {
-            break;
-        }
-        column.run_block(&block, &mut stats);
-        if block.len() < MULTI_BLOCK_RECORDS {
-            break;
-        }
-    }
-    column
-        .names()
-        .into_iter()
-        .zip(stats)
-        .map(|(predictor, stats)| SimResult {
-            benchmark: benchmark.clone(),
-            predictor,
-            instructions,
-            records,
-            stats,
-        })
-        .collect()
+    let mut blocks = stream_blocks(stream);
+    only(Column::solo(predictor).run(&benchmark, &mut blocks, Counts::new(1)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::PredictorSpec;
     use bp_components::{AlwaysTaken, Bimodal};
     use bp_trace::BranchRecord;
 
@@ -341,7 +548,8 @@ mod tests {
             .iter()
             .map(|n| crate::registry::lookup(n).expect("registered"))
             .collect();
-        let fused = simulate_stream_multi(&specs, t.stream());
+        let fused =
+            Column::build(&specs).run("biased", &mut stream_blocks(t.stream()), Counts::new(4));
         assert_eq!(fused.len(), 4);
         for (f, spec) in fused.iter().zip(&specs) {
             let solo = simulate(spec.make().as_mut(), &t);
@@ -352,6 +560,7 @@ mod tests {
     #[test]
     fn multi_stream_with_no_predictors_is_empty() {
         let t = biased_trace(10, true);
-        assert!(simulate_stream_multi(&[], t.stream()).is_empty());
+        let empty = Column::build(&[]).run("biased", &mut t.records(), Counts::new(0));
+        assert!(empty.is_empty());
     }
 }

@@ -13,31 +13,28 @@
 //! * [`ScenarioSpec`] — a named scenario (tenants, schedule, flush),
 //!   buildable by name ([`scenario_by_name`]) or from a config file
 //!   ([`parse_scenario_file`]);
-//! * [`run_scenario`] — the engine-scheduled run producing a
+//! * [`run_scenario_with_cache`] — the engine-scheduled run producing a
 //!   [`ScenarioReport`] with byte-deterministic Markdown/JSON
 //!   renderings (`bp scenario`), identical across worker counts;
-//! * [`simulate_scenario_multi`] — the fused core: every predictor
-//!   consumes the one event stream block-wise, applying flush events
-//!   in place (partial: [`flush_history`](bp_components::ConditionalPredictor::flush_history); full:
-//!   a cold rebuild from the spec);
+//! * [`simulate_scenario_multi`] — one column driven over the event
+//!   stream, applying flush events in place (partial:
+//!   [`flush_history`](bp_components::ConditionalPredictor::flush_history);
+//!   full: a cold rebuild from the spec);
 //! * [`adversarial_search`] — the seeded hill-climb over
 //!   [`Genome`]s maximizing MPKI against one registry config. No
 //!   wall-clock anywhere in the loop: a fixed seed reproduces the
 //!   identical worst-case stream.
 
-use crate::cache::{scenario_cell_key, CacheKey, SimCache};
+use crate::cache::SimCache;
 use crate::column::Column;
-use crate::engine::{
-    auto_fuses, run_columns, run_indexed, transpose_columns, CellLabel, CellUpdate,
-};
+use crate::engine::{CellUpdate, Engine, Rows};
 use crate::registry::{lookup, PredictorSpec};
-use crate::report::AttributionSummary;
-use crate::run::{simulate_stream, Mpki};
+use crate::report::PhaseSummary;
+use crate::run::{event_blocks, only, simulate_stream, Mpki, Tenants};
 use bp_components::{json_string as json_str, ConfigError, ConfigValue, PredictorStats};
 use bp_trace::BranchStream;
 use bp_workloads::{
     context_switch, find_benchmark, interleave, EventStream, FlushMode, Genome, InterleaveSchedule,
-    ScenarioEvent,
 };
 use std::fmt::Write as _;
 
@@ -360,24 +357,9 @@ pub fn scenario_report_predictors() -> Vec<PredictorSpec> {
 }
 
 /// One tenant's outcome under one predictor: instruction share,
-/// prediction counts, and per-component attribution — the same
-/// provider/save/loss split as the suite report, tallied per tenant.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct TenantTally {
-    /// Instructions this tenant retired in the combined stream.
-    pub instructions: u64,
-    /// Prediction counts over this tenant's branches.
-    pub stats: PredictorStats,
-    /// Per-component attribution of this tenant's predictions.
-    pub attribution: AttributionSummary,
-}
-
-impl TenantTally {
-    /// MPKI over this tenant's slice of the combined stream.
-    pub fn mpki(&self) -> f64 {
-        Mpki::from_counts(self.stats.mispredicted, self.instructions).value()
-    }
-}
+/// prediction counts, and per-component attribution — the suite
+/// report's phase tally, kept per tenant.
+pub type TenantTally = PhaseSummary;
 
 /// One predictor's complete scenario outcome.
 #[derive(Debug, Clone, PartialEq)]
@@ -404,25 +386,12 @@ impl ScenarioRun {
     }
 }
 
-/// Events pulled per block of the fused pass — same granularity as the
-/// record-block fusion in `bp-sim`'s grid core.
-const SCENARIO_BLOCK_EVENTS: usize = 4096;
-
-/// Per-spec accumulation state of one fused scenario pass. Instruction
-/// and flush counts are the same for every spec and kept once.
-struct ScenarioAccum {
-    stats: PredictorStats,
-    tenants: Vec<TenantTally>,
-}
-
 /// Drives every spec through **one** pass of the scenario's event
-/// stream — the scenario twin of the fused grid path. The specs are
-/// built into one [`Column`] (TAGE-SC variants of one TAGE geometry
-/// share a front). Events are pulled once in blocks; each host consumes
-/// the whole block before the next. Flush events apply per host in
-/// stream position: a partial flush calls
-/// [`flush_history`](bp_components::ConditionalPredictor::flush_history), a full flush rebuilds the
-/// whole host cold from its specs.
+/// stream as one [`Column`] (TAGE-SC variants of one TAGE geometry
+/// share a front), tallying each prediction per tenant ([`Tenants`]).
+/// Flush events apply per host in stream position: a partial flush
+/// calls [`flush_history`](bp_components::ConditionalPredictor::flush_history),
+/// a full flush rebuilds the whole host cold from its specs.
 ///
 /// The result is a pure function of `(specs, events)` — identical
 /// across runs, worker counts, and against one-predictor-at-a-time
@@ -431,90 +400,13 @@ pub fn simulate_scenario_multi(
     specs: &[PredictorSpec],
     events: &mut dyn EventStream,
 ) -> Vec<ScenarioRun> {
-    let tenant_count = events.tenant_count() as usize;
-    let mut column = Column::build(specs);
-    let mut accums: Vec<ScenarioAccum> = specs
-        .iter()
-        .map(|_| ScenarioAccum {
-            stats: PredictorStats::default(),
-            tenants: vec![TenantTally::default(); tenant_count],
-        })
-        .collect();
-    let mut tenant_instructions = vec![0u64; tenant_count];
-    let mut block: Vec<ScenarioEvent> = Vec::with_capacity(SCENARIO_BLOCK_EVENTS);
-    let mut instructions = 0u64;
-    let mut records = 0u64;
-    let mut flushes = 0u64;
-    loop {
-        block.clear();
-        while block.len() < SCENARIO_BLOCK_EVENTS {
-            match events.next_event() {
-                Some(ev) => block.push(ev),
-                None => break,
-            }
-        }
-        if block.is_empty() {
-            break;
-        }
-        for ev in &block {
-            match ev {
-                ScenarioEvent::Record { record, tenant } => {
-                    instructions += record.instructions();
-                    tenant_instructions[*tenant as usize] += record.instructions();
-                    records += 1;
-                }
-                ScenarioEvent::Flush(_) => flushes += 1,
-            }
-        }
-        for host in column.hosts_mut() {
-            for ev in &block {
-                match ev {
-                    ScenarioEvent::Record { record, tenant } => {
-                        host.step(record, |spec, pred, attribution| {
-                            let accum = &mut accums[spec];
-                            let tally = &mut accum.tenants[*tenant as usize];
-                            let correct = pred == record.taken;
-                            accum.stats.record(correct);
-                            tally.stats.record(correct);
-                            tally.attribution.record(&attribution, pred, record.taken);
-                        });
-                    }
-                    ScenarioEvent::Flush(FlushMode::Partial) => host.flush_history(),
-                    ScenarioEvent::Flush(FlushMode::Full) => host.rebuild(specs),
-                }
-            }
-        }
-        if block.len() < SCENARIO_BLOCK_EVENTS {
-            break;
-        }
-    }
-    column
-        .names()
-        .into_iter()
-        .zip(accums)
-        .map(|(predictor, mut accum)| {
-            for (tally, &instructions) in accum.tenants.iter_mut().zip(&tenant_instructions) {
-                tally.instructions = instructions;
-            }
-            ScenarioRun {
-                predictor,
-                instructions,
-                records,
-                stats: accum.stats,
-                flushes,
-                tenants: accum.tenants,
-            }
-        })
-        .collect()
+    let observer = Tenants::new(specs.len(), events.tenant_count() as usize);
+    Column::build(specs).run("", &mut event_blocks(events), observer)
 }
 
-/// [`simulate_scenario_multi`] for a single predictor — implemented *as*
-/// a one-element fused pass, so the solo and fused paths cannot
-/// diverge.
+/// [`simulate_scenario_multi`] for a single predictor: a column of one.
 pub fn simulate_scenario(spec: &PredictorSpec, events: &mut dyn EventStream) -> ScenarioRun {
-    simulate_scenario_multi(std::slice::from_ref(spec), events)
-        .pop()
-        .expect("one spec, one run")
+    only(simulate_scenario_multi(std::slice::from_ref(spec), events))
 }
 
 /// One predictor row of a [`ScenarioReport`].
@@ -565,30 +457,15 @@ impl PartialEq for ScenarioReport {
     }
 }
 
-/// Runs `predictors` through `scenario` on the engine's scheduling
-/// model and folds the outcome into a [`ScenarioReport`].
-///
-/// Scheduling mirrors the grid: a scenario is one shared event stream
-/// (one "column"), so the fused path — every predictor consuming the
-/// stream once, block-wise — is taken whenever it can keep the workers
-/// busy; otherwise predictors fan out individually, each regenerating
-/// the identical stream. Both paths produce the identical report
-/// (tested), so worker count never changes a byte of the artifacts.
-pub fn run_scenario(
-    scenario: &ScenarioSpec,
-    predictors: &[PredictorSpec],
-    jobs: usize,
-    progress: &(dyn Fn(CellUpdate<'_>) + Sync),
-) -> Result<ScenarioReport, String> {
-    run_scenario_with_cache(scenario, predictors, jobs, None, progress)
-}
-
-/// [`run_scenario`] with an optional result cache. Each predictor's
-/// run is keyed on its config text plus the scenario's whole canonical
-/// spec text; verified hits are spliced in (progress first, in input
-/// order) and only the missing predictors re-consume the event stream
-/// — fused together when they can keep the workers busy. The report is
-/// bit-identical with the cache absent, cold, or warm.
+/// Runs `predictors` through `scenario` and folds the outcome into a
+/// [`ScenarioReport`]. Scheduling is the grid's ([`Engine::run_grid`]):
+/// a scenario is one workload, so every predictor runs as one
+/// [`Column`] over one pass of the stream whenever that can keep the
+/// workers busy, and otherwise fans out, each regenerating the
+/// identical stream. Each predictor's cached run is keyed on its config
+/// text plus the scenario's whole canonical spec text. The report is
+/// bit-identical across worker counts and with the cache absent, cold,
+/// or warm (tested).
 pub fn run_scenario_with_cache(
     scenario: &ScenarioSpec,
     predictors: &[PredictorSpec],
@@ -600,52 +477,14 @@ pub fn run_scenario_with_cache(
     if predictors.is_empty() {
         return Err("scenario needs at least one predictor".to_owned());
     }
-    let timed: Vec<(ScenarioRun, f64)> = if let Some(cache) = cache.filter(|c| c.enabled()) {
-        run_scenario_cached(cache, scenario, predictors, jobs, progress)
-    } else if auto_fuses(predictors.len(), 1, jobs) {
-        let columns = run_columns(
-            jobs,
-            1,
-            0,
-            predictors.len(),
-            |_| {
-                let mut events = scenario.events();
-                let runs = simulate_scenario_multi(predictors, events.as_mut());
-                let labels = predictors
-                    .iter()
-                    .zip(&runs)
-                    .map(|(spec, run)| CellLabel {
-                        predictor: &spec.name,
-                        benchmark: &scenario.name,
-                        mpki: run.mpki(),
-                    })
-                    .collect();
-                (runs, labels)
-            },
+    let timed = Engine::with_jobs(jobs)
+        .with_cache(cache.cloned())
+        .run_cells(
+            Rows::Specs(predictors),
+            std::slice::from_ref(scenario),
+            (),
             progress,
         );
-        let (cells, seconds) = transpose_columns(columns, predictors.len(), 1);
-        cells.into_iter().zip(seconds).collect()
-    } else {
-        run_indexed(
-            jobs,
-            predictors.len(),
-            0,
-            predictors.len(),
-            |idx| {
-                let spec = &predictors[idx];
-                let mut events = scenario.events();
-                let run = simulate_scenario(spec, events.as_mut());
-                let label = CellLabel {
-                    predictor: &spec.name,
-                    benchmark: &scenario.name,
-                    mpki: run.mpki(),
-                };
-                (run, label)
-            },
-            progress,
-        )
-    };
     let (runs, cell_seconds): (Vec<ScenarioRun>, Vec<f64>) = timed.into_iter().unzip();
     let rows = predictors
         .iter()
@@ -666,109 +505,6 @@ pub fn run_scenario_with_cache(
         rows,
         cell_seconds,
     })
-}
-
-/// The cache-aware scenario dispatch behind
-/// [`run_scenario_with_cache`]: probe every predictor's key, splice
-/// verified hits (zero wall seconds), then run only the missing
-/// predictors over the shared event stream — fused when the miss-set
-/// alone satisfies the engine's fusing heuristic, individually
-/// otherwise. Computed runs are written back under the policy.
-fn run_scenario_cached(
-    cache: &SimCache,
-    scenario: &ScenarioSpec,
-    predictors: &[PredictorSpec],
-    jobs: usize,
-    progress: &(dyn Fn(CellUpdate<'_>) + Sync),
-) -> Vec<(ScenarioRun, f64)> {
-    let total = predictors.len();
-    let keys: Vec<CacheKey> = predictors
-        .iter()
-        .map(|spec| scenario_cell_key(spec, scenario))
-        .collect();
-    let mut cells: Vec<Option<(ScenarioRun, f64)>> = keys
-        .iter()
-        .map(|key| {
-            cache
-                .lookup_scenario(key, scenario.tenants.len())
-                .map(|run| (run, 0.0))
-        })
-        .collect();
-    let mut completed = 0usize;
-    for (idx, cell) in cells.iter().enumerate() {
-        if let Some((run, _)) = cell {
-            completed += 1;
-            progress(CellUpdate {
-                predictor: &predictors[idx].name,
-                benchmark: &scenario.name,
-                mpki: run.mpki(),
-                completed,
-                total,
-            });
-        }
-    }
-    let misses: Vec<usize> = (0..total).filter(|&idx| cells[idx].is_none()).collect();
-    if misses.is_empty() {
-        // Every predictor was a verified hit; nothing to simulate.
-    } else if auto_fuses(misses.len(), 1, jobs) {
-        // Fuse only the missing predictors over one shared stream:
-        // fusing a subset is bit-identical to solo runs.
-        let miss_specs: Vec<PredictorSpec> =
-            misses.iter().map(|&idx| predictors[idx].clone()).collect();
-        let columns = run_columns(
-            jobs,
-            1,
-            completed,
-            total,
-            |_| {
-                let mut events = scenario.events();
-                let runs = simulate_scenario_multi(&miss_specs, events.as_mut());
-                let labels = miss_specs
-                    .iter()
-                    .zip(&runs)
-                    .map(|(spec, run)| CellLabel {
-                        predictor: &spec.name,
-                        benchmark: &scenario.name,
-                        mpki: run.mpki(),
-                    })
-                    .collect();
-                (runs, labels)
-            },
-            progress,
-        );
-        let (cell_runs, seconds) = transpose_columns(columns, miss_specs.len(), 1);
-        for ((&idx, run), seconds) in misses.iter().zip(cell_runs).zip(seconds) {
-            cache.store_scenario(&keys[idx], &run);
-            cells[idx] = Some((run, seconds));
-        }
-    } else {
-        let computed = run_indexed(
-            jobs,
-            misses.len(),
-            completed,
-            total,
-            |j| {
-                let spec = &predictors[misses[j]];
-                let mut events = scenario.events();
-                let run = simulate_scenario(spec, events.as_mut());
-                let label = CellLabel {
-                    predictor: &spec.name,
-                    benchmark: &scenario.name,
-                    mpki: run.mpki(),
-                };
-                (run, label)
-            },
-            progress,
-        );
-        for (&idx, (run, seconds)) in misses.iter().zip(computed) {
-            cache.store_scenario(&keys[idx], &run);
-            cells[idx] = Some((run, seconds));
-        }
-    }
-    cells
-        .into_iter()
-        .map(|cell| cell.expect("every scenario cell filled"))
-        .collect()
 }
 
 impl ScenarioReport {
@@ -1207,8 +943,8 @@ mod tests {
     fn scenario_report_is_deterministic_across_jobs() {
         let scenario = scenario_by_name("paper_mix").expect("builtin");
         let predictors = two_predictors();
-        let a = run_scenario(&scenario, &predictors, 1, &|_| {}).expect("runs");
-        let b = run_scenario(&scenario, &predictors, 8, &|_| {}).expect("runs");
+        let a = run_scenario_with_cache(&scenario, &predictors, 1, None, &|_| {}).expect("runs");
+        let b = run_scenario_with_cache(&scenario, &predictors, 8, None, &|_| {}).expect("runs");
         assert_eq!(a, b, "report must not depend on worker count");
         assert_eq!(a.to_json(), b.to_json());
         assert_eq!(a.to_markdown(), b.to_markdown());

@@ -1,11 +1,10 @@
 //! Whole-suite simulation and suite-vs-suite comparison.
 
-use crate::engine::{run_indexed, CellLabel};
-use crate::run::{simulate_stream, SimResult};
+use crate::engine::{Engine, GridStrategy, Rows};
+use crate::run::SimResult;
 use bp_components::ConditionalPredictor;
 use bp_workloads::BenchmarkSpec;
 use std::fmt;
-use std::num::NonZeroUsize;
 
 /// Results of one predictor configuration over a whole benchmark suite.
 #[derive(Debug, Clone, PartialEq)]
@@ -156,27 +155,9 @@ pub fn run_suite(
     specs: &[BenchmarkSpec],
     instructions: u64,
 ) -> SuiteResult {
-    let jobs = std::thread::available_parallelism().map_or(4, NonZeroUsize::get);
-    let timed = run_indexed(
-        jobs,
-        specs.len(),
-        0,
-        specs.len(),
-        |idx| {
-            let spec = &specs[idx];
-            let mut predictor = factory();
-            let result = simulate_stream(predictor.as_mut(), spec.stream(instructions));
-            // A suite run is one predictor row; factory-made predictors
-            // have no registry name to label cells with.
-            let label = CellLabel {
-                predictor: "",
-                benchmark: &spec.name,
-                mpki: result.mpki(),
-            };
-            (result, label)
-        },
-        &|_| {},
-    );
+    let timed = Engine::new()
+        .with_strategy(GridStrategy::PerCell)
+        .run_cells(Rows::Factory(factory), specs, instructions, &|_| {});
     let rows: Vec<SimResult> = timed.into_iter().map(|(result, _)| result).collect();
     let predictor = rows
         .first()

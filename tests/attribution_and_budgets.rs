@@ -8,7 +8,9 @@ use imli_repro::components::{
 };
 use imli_repro::gehl::Gehl;
 use imli_repro::perceptron::HashedPerceptron;
-use imli_repro::sim::{registry, run_report, simulate_stream, simulate_stream_attributed};
+use imli_repro::sim::{
+    registry, run_report_with_cache, simulate_stream, simulate_stream_attributed,
+};
 use imli_repro::tage::TageSc;
 use imli_repro::trace::{BranchRecord, Trace};
 use imli_repro::workloads::{find_benchmark, paper_suite, quick_benchmark};
@@ -216,13 +218,14 @@ fn paper_report_is_deterministic_across_runs_and_worker_counts() {
         .collect();
     let benchmarks: Vec<_> = paper_suite().into_iter().take(3).collect();
     let run = |jobs| {
-        run_report(
+        run_report_with_cache(
             "paper",
             &predictors,
             &benchmarks,
             30_000,
             6_000,
             jobs,
+            None,
             &|_| {},
         )
     };

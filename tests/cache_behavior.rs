@@ -8,19 +8,23 @@
 //!   — and separates every registry configuration and budget change;
 //! * **Verify-then-trust**: truncated, bit-flipped, or wrong-key
 //!   entries are silently recomputed (and repaired), never trusted and
-//!   never fatal.
+//!   never fatal;
+//! * **Partial warmth**: a cache holding only some cells runs only the
+//!   rest, computes a same-config twin once, and reports progress
+//!   exactly once per cell.
 
 use imli_repro::cache::{CacheKey, CacheStore};
 use imli_repro::components::PredictorConfig as _;
 use imli_repro::sim::{
-    grid_cell_key, registry, report_cell_key, run_report_with_cache, run_scenario_with_cache,
-    scenario_by_name, scenario_cell_key, scenario_report_predictors, CachePolicy, Engine,
-    GridStrategy, PredictorSpec, SimCache,
+    grid_cell_key, lookup, registry, report_cell_key, run_report_with_cache,
+    run_scenario_with_cache, scenario_by_name, scenario_cell_key, scenario_report_predictors,
+    CachePolicy, CellUpdate, Engine, GridStrategy, PredictorSpec, SimCache,
 };
 use imli_repro::workloads::{cbp4_suite, BenchmarkSpec};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 const INSTR: u64 = 10_000;
 
@@ -166,6 +170,116 @@ fn scenario_bytes_identical_off_cold_warm_across_jobs() {
         assert_eq!(warm.stores(), 0);
     }
     nuke(&dir);
+}
+
+/// Four registry configs plus a same-config twin of `gshare` under a
+/// second name.
+fn twin_set() -> Vec<PredictorSpec> {
+    let mut specs: Vec<PredictorSpec> = ["bimodal", "gshare", "tage-gsc+imli", "gehl+imli"]
+        .iter()
+        .map(|n| lookup(n).expect("registered"))
+        .collect();
+    let twin = PredictorSpec::new(
+        "gshare-twin",
+        "same config as gshare",
+        specs[1].config.clone(),
+    );
+    specs.push(twin);
+    specs
+}
+
+/// Warms a fresh cache with two of [`twin_set`]'s five rows (neither
+/// `gshare` nor its twin), then runs all five through `run` against it
+/// and checks the outcome: the result equals the uncached run, the
+/// pre-warmed cells all hit, each remaining (config, workload) cell is
+/// computed and stored once (the twin is not), and progress fires once
+/// per cell with `completed` taking every value in `1..=total` once.
+type Progress<'a> = &'a (dyn Fn(CellUpdate<'_>) + Sync);
+fn check_partially_warm<R: PartialEq + std::fmt::Debug>(
+    tag: &str,
+    run: impl Fn(&[PredictorSpec], Option<&SimCache>, Progress<'_>) -> R,
+) {
+    let specs = twin_set();
+    let dir = scratch(tag);
+    let baseline = run(&specs, None, &|_| {});
+    let warming = SimCache::new(&dir, CachePolicy::ReadWrite);
+    run(
+        &[specs[0].clone(), specs[2].clone()],
+        Some(&warming),
+        &|_| {},
+    );
+    let per_row = warming.stores() as usize / 2;
+    assert!(per_row > 0, "{tag}: warming stored cells");
+
+    let cache = SimCache::new(&dir, CachePolicy::ReadWrite);
+    let updates = Mutex::new(Vec::new());
+    let result = run(&specs, Some(&cache), &|u| {
+        updates.lock().unwrap().push((u.completed, u.total));
+    });
+    assert_eq!(result, baseline, "{tag}: partially warm run diverged");
+    assert_eq!(
+        cache.hits() as usize,
+        2 * per_row,
+        "{tag}: pre-warmed cells hit"
+    );
+    assert_eq!(
+        cache.stores() as usize,
+        2 * per_row,
+        "{tag}: gshare and gehl+imli stored once each, the twin never"
+    );
+    let total = specs.len() * per_row;
+    let updates = updates.into_inner().unwrap();
+    assert!(updates.iter().all(|&(_, t)| t == total), "{tag}: total");
+    let mut completed: Vec<usize> = updates.iter().map(|&(c, _)| c).collect();
+    completed.sort_unstable();
+    assert_eq!(
+        completed,
+        (1..=total).collect::<Vec<_>>(),
+        "{tag}: progress"
+    );
+    nuke(&dir);
+}
+
+#[test]
+fn partially_warm_cache_runs_only_the_misses_for_every_payload() {
+    let benchmarks = benchmarks();
+    let mut scenario = scenario_by_name("paper_mix").expect("built-in");
+    scenario.instructions = 10_000;
+    for jobs in [1, 8] {
+        for strategy in [
+            GridStrategy::Auto,
+            GridStrategy::PerCell,
+            GridStrategy::FusedColumns,
+        ] {
+            check_partially_warm(
+                &format!("grid-{jobs}-{strategy:?}"),
+                |specs, cache, progress| {
+                    Engine::with_jobs(jobs)
+                        .with_strategy(strategy)
+                        .with_cache(cache.cloned())
+                        .run_grid_with_progress(specs, &benchmarks, INSTR, progress)
+                },
+            );
+        }
+        check_partially_warm(&format!("report-{jobs}"), |specs, cache, progress| {
+            let report = run_report_with_cache(
+                "cbp4",
+                specs,
+                &benchmarks,
+                INSTR,
+                INSTR / 5,
+                jobs,
+                cache,
+                progress,
+            );
+            (report.to_json(), report)
+        });
+        check_partially_warm(&format!("scenario-{jobs}"), |specs, cache, progress| {
+            let report =
+                run_scenario_with_cache(&scenario, specs, jobs, cache, progress).expect("runs");
+            (report.to_json(), report)
+        });
+    }
 }
 
 #[test]

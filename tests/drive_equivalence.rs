@@ -1,21 +1,26 @@
 //! Equivalence proof for the simulator's block drive.
 //!
-//! Every plain simulation entry point hands records to a predictor in
-//! blocks through [`drive_block`] (the predictor's monomorphized
-//! `run_block`): [`simulate`] as one whole-trace block,
-//! [`simulate_stream_multi`] in simulator-sized blocks shared by a
-//! column of predictor hosts. Block boundaries must be invisible. For
-//! **every** registry configuration, each of those drives must produce
-//! the same prediction statistics as a bare hand-rolled predict/update
-//! loop, at every block split — including a block per record and
-//! splits straddling the simulator's 4096-record block size.
+//! Every simulation runs one block drive ([`Column::drive`]): a solo
+//! run ([`simulate`]) as a column of one host, whose plain drive calls
+//! the predictor's monomorphized `ConditionalPredictor::run_block` once
+//! per block, and a fused run as a column of many hosts over one
+//! stream. Block boundaries must be invisible. For **every** registry
+//! configuration, each of those drives must produce the same prediction
+//! statistics as a bare hand-rolled predict/update loop, at every block
+//! split — including a block per record and splits straddling the
+//! simulator's 4096-record block size. The attributed drive must match a
+//! record-by-record predict_attributed/update loop at the same edges,
+//! warmup/steady split included.
 //!
-//! [`drive_block`]: imli_repro::sim::drive_block
+//! [`Column::drive`]: imli_repro::sim::Column::drive
 //! [`simulate`]: imli_repro::sim::simulate
-//! [`simulate_stream_multi`]: imli_repro::sim::simulate_stream_multi
 
 use imli_repro::components::{ConditionalPredictor, PredictorStats};
-use imli_repro::sim::{drive_block, registry, simulate, simulate_stream_multi};
+use imli_repro::sim::{
+    registry, simulate, simulate_stream_attributed, stream_blocks, AttributedRun, Column, Counts,
+    PhaseSummary, Phases, SimResult, BLOCK_RECORDS,
+};
+use imli_repro::trace::Trace;
 use imli_repro::workloads::{cbp4_suite, generate, stream_benchmark};
 
 const INSTRUCTIONS: u64 = 60_000;
@@ -82,7 +87,7 @@ fn block_boundaries_are_invisible() {
             let mut split = spec_entry.make();
             let mut stats = PredictorStats::default();
             for block in trace.records().chunks(block_len) {
-                drive_block(split.as_mut(), block, &mut stats);
+                split.run_block(block, &mut stats);
             }
             assert_eq!(
                 stats, plain,
@@ -102,7 +107,11 @@ fn fused_multi_drive_matches_plain_loop_for_every_registry_config() {
     // One fused pass over all registry predictors (block-sliced drive
     // over one shared stream, the plain TAGE-SC configs as lanes of
     // one shared TAGE front)...
-    let fused = simulate_stream_multi(&specs, stream_benchmark(spec, INSTRUCTIONS));
+    let fused = Column::build(&specs).run(
+        &spec.name,
+        &mut stream_blocks(stream_benchmark(spec, INSTRUCTIONS)),
+        Counts::new(specs.len()),
+    );
 
     // ...must match the bare per-predictor loop, prediction for
     // prediction.
@@ -114,5 +123,87 @@ fn fused_multi_drive_matches_plain_loop_for_every_registry_config() {
             "{}: fused block drive diverged from the plain loop",
             spec_entry.name
         );
+    }
+}
+
+/// The attributed reference semantics: the CBP protocol through the
+/// attribution channel one record at a time, each record in warmup
+/// while the instructions retired through it stay within the boundary.
+fn drive_attributed(
+    predictor: &mut (dyn ConditionalPredictor + Send),
+    trace: &Trace,
+    warmup_instructions: u64,
+) -> AttributedRun {
+    let mut stats = PredictorStats::default();
+    let (mut warmup, mut steady) = (PhaseSummary::default(), PhaseSummary::default());
+    let mut instructions = 0;
+    for record in trace.iter() {
+        instructions += record.instructions();
+        let phase = if instructions <= warmup_instructions {
+            &mut warmup
+        } else {
+            &mut steady
+        };
+        phase.instructions += record.instructions();
+        if record.is_conditional() {
+            let (pred, attribution) = predictor.predict_attributed(record.pc);
+            stats.record(pred == record.taken);
+            phase.stats.record(pred == record.taken);
+            phase.attribution.record(&attribution, pred, record.taken);
+            predictor.update(record);
+        } else {
+            predictor.notify_nonconditional(record);
+        }
+    }
+    AttributedRun {
+        result: SimResult {
+            benchmark: trace.name().to_owned(),
+            predictor: predictor.name().to_owned(),
+            instructions,
+            records: trace.len() as u64,
+            stats,
+        },
+        warmup_instructions,
+        warmup,
+        steady,
+    }
+}
+
+#[test]
+fn attributed_block_boundaries_are_invisible() {
+    let spec = &cbp4_suite()[0];
+    let full = generate(spec, INSTRUCTIONS);
+    let specs = registry();
+    // The instructions retired by the first block: a warmup boundary
+    // one short of it splits the first block, one at it splits exactly
+    // on the block edge, one past it splits the second block.
+    let edge: u64 = full.records()[..BLOCK_RECORDS]
+        .iter()
+        .map(|r| r.instructions())
+        .sum();
+    for len in [BLOCK_RECORDS - 1, BLOCK_RECORDS, BLOCK_RECORDS + 1] {
+        let trace: Trace = full.records()[..len].iter().copied().collect();
+        for warmup in [edge - 1, edge, edge + 1] {
+            let fused = Column::build(&specs).run(
+                trace.name(),
+                &mut stream_blocks(trace.stream()),
+                Phases::new(specs.len(), warmup),
+            );
+            for (spec_entry, fused_run) in specs.iter().zip(&fused) {
+                let reference = drive_attributed(spec_entry.make().as_mut(), &trace, warmup);
+                let solo =
+                    simulate_stream_attributed(spec_entry.make().as_mut(), trace.stream(), warmup);
+                assert_eq!(
+                    solo, reference,
+                    "{}: attributed drive diverged at {len} records, warmup {warmup}",
+                    spec_entry.name
+                );
+                assert_eq!(
+                    fused_run, &reference,
+                    "{}: fused attributed drive diverged at {len} records, warmup {warmup}",
+                    spec_entry.name
+                );
+            }
+        }
     }
 }

@@ -9,8 +9,8 @@
 //! window of predict/update/notify calls must perform **zero**
 //! allocations for every predictor the acceptance criteria name.
 
-use imli_repro::sim::{drive_block, lookup, make_predictor, scenario_by_name, Column};
-use imli_repro::workloads::{cbp4_suite, ScenarioEvent};
+use imli_repro::sim::{event_blocks, lookup, make_predictor, scenario_by_name, Column, Counts};
+use imli_repro::workloads::{cbp4_suite, EventStream, ScenarioEvent};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -110,10 +110,10 @@ fn steady_state_predict_update_is_allocation_free() {
         );
     }
 
-    // The same guarantee for the drive loop the simulator actually
-    // runs, in simulator-sized blocks: `drive_block` is the monomorphized
-    // per-predictor block loop behind every plain simulation entry
-    // point, driven here for one host of each table-backed family.
+    // The same guarantee for the per-predictor block loop the drive
+    // runs on a solo host, in simulator-sized blocks: the monomorphized
+    // `ConditionalPredictor::run_block`, driven here for one host of
+    // each table-backed family.
     for name in [
         "tage-sc-l",
         "tage-sc-l+imli",
@@ -124,31 +124,33 @@ fn steady_state_predict_update_is_allocation_free() {
         let mut predictor = make_predictor(name).expect("registered");
         let mut stats = imli_repro::components::PredictorStats::default();
         for block in warmup.chunks(4096) {
-            drive_block(predictor.as_mut(), block, &mut stats);
+            predictor.run_block(block, &mut stats);
         }
 
         let before = ALLOCATIONS.load(Ordering::Relaxed);
         for block in measured.chunks(4096) {
-            drive_block(predictor.as_mut(), block, &mut stats);
+            predictor.run_block(block, &mut stats);
         }
         let after = ALLOCATIONS.load(Ordering::Relaxed);
 
-        assert!(stats.predicted > 20_000, "{name}: drive_block ran");
+        assert!(stats.predicted > 20_000, "{name}: run_block ran");
         assert_eq!(
             after - before,
             0,
-            "{name}: steady-state drive_block allocated {} times",
+            "{name}: steady-state run_block allocated {} times",
             after - before,
         );
     }
 
     // A fused column with shared TAGE lanes: five TAGE-SC variants on
-    // one TAGE front beside a solo host, driven plain
-    // (`Column::run_block`, behind `simulate_stream_multi`) and through
-    // the attribution channel (`Column::run_block_attributed`, behind
-    // the fused report and scenario drives). Lane state is sized when
-    // the column is built, so neither drive may allocate afterwards.
+    // one TAGE front beside a solo host, through the one block drive
+    // (`Column::drive`) with the plain observer and with the
+    // warmup/steady attribution observer. Lane state is sized when the
+    // column is built and the observers when they are made, so neither
+    // drive may allocate afterwards.
     {
+        use imli_repro::sim::Phases;
+
         let specs: Vec<_> = [
             "tage-gsc",
             "tage-gsc+sic",
@@ -161,47 +163,45 @@ fn steady_state_predict_update_is_allocation_free() {
         .map(|n| lookup(n).expect("registered"))
         .collect();
         let mut plain = Column::build(&specs);
-        let mut stats = vec![imli_repro::components::PredictorStats::default(); specs.len()];
-        for block in warmup.chunks(4096) {
-            plain.run_block(block, &mut stats);
-        }
+        let mut counts = Counts::new(specs.len());
+        plain.drive(&mut &warmup[..], &mut counts);
+        let mut blocks = measured;
         let before = ALLOCATIONS.load(Ordering::Relaxed);
-        for block in measured.chunks(4096) {
-            plain.run_block(block, &mut stats);
-        }
+        plain.drive(&mut blocks, &mut counts);
         let after = ALLOCATIONS.load(Ordering::Relaxed);
-        assert!(stats.iter().all(|s| s.predicted > 20_000), "column ran");
+        assert!(counts.0.iter().all(|s| s.predicted > 20_000), "column ran");
         assert_eq!(
             after - before,
             0,
-            "shared-lane column run_block allocated {} times",
+            "shared-lane column plain drive allocated {} times",
             after - before
         );
 
         let mut attributed = Column::build(&specs);
-        let mut reverts = vec![0u64; specs.len()];
-        let mut tally =
-            |spec: usize,
-             _: &imli_repro::trace::BranchRecord,
-             _: bool,
-             attribution: imli_repro::components::PredictionAttribution| {
-                reverts[spec] += u64::from(
-                    attribution.component == imli_repro::components::ProviderComponent::Corrector,
-                );
-            };
-        for block in warmup.chunks(4096) {
-            attributed.run_block_attributed(block, &mut tally);
-        }
+        attributed.drive(&mut &warmup[..], &mut Phases::new(specs.len(), 0));
+        // The measured window splits into both phases.
+        let boundary = measured.iter().map(|r| r.instructions()).sum::<u64>() / 2;
+        let mut phases = Phases::new(specs.len(), boundary);
+        let mut blocks = measured;
         let before = ALLOCATIONS.load(Ordering::Relaxed);
-        for block in measured.chunks(4096) {
-            attributed.run_block_attributed(block, &mut tally);
-        }
+        let totals = attributed.drive(&mut blocks, &mut phases);
         let after = ALLOCATIONS.load(Ordering::Relaxed);
-        assert!(reverts[..5].iter().all(|&r| r > 0), "lanes attributed");
+        let runs = attributed.finish(phases, "measured", &totals);
+        assert!(
+            runs.iter()
+                .all(|r| r.warmup.stats.predicted > 10_000 && r.steady.stats.predicted > 10_000),
+            "both phases ran"
+        );
+        assert!(
+            runs[..5]
+                .iter()
+                .all(|r| r.steady.attribution.get("corrector").is_some()),
+            "lanes attributed"
+        );
         assert_eq!(
             after - before,
             0,
-            "shared-lane column run_block_attributed allocated {} times",
+            "shared-lane column phased drive allocated {} times",
             after - before
         );
     }
@@ -240,18 +240,18 @@ fn steady_state_predict_update_is_allocation_free() {
         );
     }
 
-    // The scenario drive loop: multi-tenant records plus partial
-    // context-switch flushes, exactly what `bp scenario` replays per
-    // event, each prediction tallied per tenant as
-    // `simulate_scenario_multi` does. The events are materialized up
-    // front (event *generation* may allocate; consuming them must not),
-    // and partial flushes go through `flush_history()`, which is
-    // required to reuse the predictor's existing buffers. Full flushes
-    // rebuild the predictor and are allocating by design, so they are
-    // excluded here. The tallies start empty at the measured window, so
-    // it includes each component's first provided prediction.
+    // The scenario drive: multi-tenant records plus partial
+    // context-switch flushes, through the one block drive with the
+    // per-tenant observer, exactly as `simulate_scenario_multi` runs it.
+    // The events are materialized up front (event *generation* may
+    // allocate; consuming them must not), and partial flushes go
+    // through `flush_history()`, which is required to reuse the
+    // predictor's existing buffers. Full flushes rebuild the predictor
+    // and are allocating by design, so they are excluded here. The
+    // tallies start empty at the measured window, so it includes each
+    // component's first provided prediction.
     {
-        use imli_repro::sim::AttributionSummary;
+        use imli_repro::sim::Tenants;
 
         let scenario = scenario_by_name("paper_switch").expect("builtin");
         let mut events = scenario.events();
@@ -262,50 +262,34 @@ fn steady_state_predict_update_is_allocation_free() {
         let (warmup_events, measured_events) = all.split_at(all.len() / 2);
         let tenants = scenario.tenants.len();
         for name in ["tage-sc-l", "tage-gsc+imli", "gehl+imli"] {
-            let mut predictor = make_predictor(name).expect("registered");
-            let mut tallies = vec![AttributionSummary::default(); tenants];
-            let mut drive = |window: &[ScenarioEvent],
-                             tallies: &mut [AttributionSummary]|
-             -> (u64, u64) {
-                let (mut predicted, mut flushes) = (0u64, 0u64);
-                for ev in window {
-                    match ev {
-                        ScenarioEvent::Record { record, tenant } => {
-                            if record.is_conditional() {
-                                let (pred, attribution) = predictor.predict_attributed(record.pc);
-                                predictor.update(record);
-                                tallies[*tenant as usize].record(&attribution, pred, record.taken);
-                                predicted += 1;
-                            } else {
-                                predictor.notify_nonconditional(record);
-                            }
-                        }
-                        ScenarioEvent::Flush(_) => {
-                            predictor.flush_history();
-                            flushes += 1;
-                        }
-                    }
-                }
-                (predicted, flushes)
-            };
-            drive(
-                warmup_events,
-                &mut vec![AttributionSummary::default(); tenants],
-            );
+            let specs = [lookup(name).expect("registered")];
+            let mut column = Column::build(&specs);
+            let mut warm = Replay::new(warmup_events, tenants);
+            column.drive(&mut event_blocks(&mut warm), &mut Tenants::new(1, tenants));
 
+            let mut tallies = Tenants::new(1, tenants);
+            let mut window = Replay::new(measured_events, tenants);
+            let mut blocks = event_blocks(&mut window);
             let before = ALLOCATIONS.load(Ordering::Relaxed);
-            let (predicted, flushes) = drive(measured_events, &mut tallies);
+            let totals = column.drive(&mut blocks, &mut tallies);
             let after = ALLOCATIONS.load(Ordering::Relaxed);
+            drop(blocks);
 
+            let run = &column.finish(tallies, "", &totals)[0];
+            let predicted = run.stats.predicted;
+            let flushes = totals.flushes;
             assert_eq!(
-                tallies
+                run.tenants
                     .iter()
-                    .map(AttributionSummary::total_provided)
+                    .map(|t| t.attribution.total_provided())
                     .sum::<u64>(),
                 predicted,
                 "{name}: every measured prediction was tallied"
             );
-
+            assert!(
+                run.tenants.iter().all(|t| t.stats.predicted > 0),
+                "{name}: every tenant ran"
+            );
             assert!(
                 predicted > 20_000,
                 "{name}: scenario window drove the hot path"
@@ -319,5 +303,34 @@ fn steady_state_predict_update_is_allocation_free() {
                 after - before,
             );
         }
+    }
+}
+
+/// A materialized window of scenario events, replayed as a stream.
+struct Replay<'a> {
+    events: std::slice::Iter<'a, ScenarioEvent>,
+    tenants: u32,
+}
+
+impl<'a> Replay<'a> {
+    fn new(events: &'a [ScenarioEvent], tenants: usize) -> Self {
+        Replay {
+            events: events.iter(),
+            tenants: tenants as u32,
+        }
+    }
+}
+
+impl EventStream for Replay<'_> {
+    fn name(&self) -> &str {
+        "replay"
+    }
+
+    fn next_event(&mut self) -> Option<ScenarioEvent> {
+        self.events.next().copied()
+    }
+
+    fn tenant_count(&self) -> u32 {
+        self.tenants
     }
 }

@@ -4,8 +4,8 @@
 //! schedules and tenant mixes.
 
 use imli_repro::sim::{
-    lookup, run_scenario, scenario_by_name, simulate_scenario, PredictorSpec, ScenarioFlush,
-    ScenarioSpec, TenantSpec,
+    lookup, run_scenario_with_cache, scenario_by_name, simulate_scenario, PredictorSpec,
+    ScenarioFlush, ScenarioSpec, TenantSpec,
 };
 use imli_repro::trace::BranchStream;
 use imli_repro::workloads::{
@@ -96,15 +96,15 @@ proptest! {
         }
     }
 
-    /// `run_scenario` produces the identical report — bytes included —
+    /// `run_scenario_with_cache` produces the identical report — bytes included —
     /// across repeated runs and across `--jobs 1` vs `--jobs 8`
     /// (solo-per-predictor vs fused scheduling).
     #[test]
     fn scenario_report_is_jobs_and_rerun_invariant(scenario in arb_scenario()) {
         let predictors = predictors();
-        let solo = run_scenario(&scenario, &predictors, 8, &|_| {}).expect("valid");
-        let rerun = run_scenario(&scenario, &predictors, 8, &|_| {}).expect("valid");
-        let fused = run_scenario(&scenario, &predictors, 1, &|_| {}).expect("valid");
+        let solo = run_scenario_with_cache(&scenario, &predictors, 8, None, &|_| {}).expect("valid");
+        let rerun = run_scenario_with_cache(&scenario, &predictors, 8, None, &|_| {}).expect("valid");
+        let fused = run_scenario_with_cache(&scenario, &predictors, 1, None, &|_| {}).expect("valid");
         prop_assert_eq!(&solo, &rerun, "rerun diverged");
         prop_assert_eq!(&solo, &fused, "worker count changed the result");
         prop_assert_eq!(solo.to_json(), fused.to_json());
@@ -196,8 +196,8 @@ fn builtin_hostile_mix_is_rerun_invariant() {
     let mut scenario = scenario_by_name("hostile_mix").expect("builtin");
     scenario.instructions = 10_000;
     let predictors = predictors();
-    let a = run_scenario(&scenario, &predictors, 4, &|_| {}).expect("valid");
-    let b = run_scenario(&scenario, &predictors, 4, &|_| {}).expect("valid");
+    let a = run_scenario_with_cache(&scenario, &predictors, 4, None, &|_| {}).expect("valid");
+    let b = run_scenario_with_cache(&scenario, &predictors, 4, None, &|_| {}).expect("valid");
     assert_eq!(a, b);
     assert_eq!(a.to_json(), b.to_json());
 }

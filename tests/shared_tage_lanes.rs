@@ -3,10 +3,10 @@
 //! host. Every fused drive must still return exactly what a solo run of
 //! each spec returns, field for field, in spec order:
 //!
-//! * the sweep's solved TAGE-SC configs through `simulate_stream_multi`
-//!   against `simulate`;
+//! * the sweep's solved TAGE-SC configs through one column's plain
+//!   drive against `simulate`;
 //! * the paper report set, warmup/steady split and attribution
-//!   included, through `simulate_stream_attributed_multi` against
+//!   included, through one column's phased drive against
 //!   `simulate_stream_attributed`;
 //! * the scenario set with no flush, partial and full flushes, through
 //!   `simulate_scenario_multi` against `simulate_scenario`;
@@ -16,11 +16,11 @@
 
 use imli_repro::sim::{
     lookup, paper_report_predictors, plan_column, scenario_by_name, scenario_report_predictors,
-    simulate, simulate_scenario, simulate_scenario_multi, simulate_stream_attributed,
-    simulate_stream_attributed_multi, simulate_stream_multi, solve_budget, HostPlan, PredictorSpec,
-    ScenarioFlush, STANDARD_BUDGETS_KBIT, SWEEP_FAMILIES,
+    simulate, simulate_scenario, simulate_scenario_multi, simulate_stream_attributed, solve_budget,
+    stream_blocks, AttributedRun, Column, Counts, HostPlan, Phases, PredictorSpec, ScenarioFlush,
+    SimResult, STANDARD_BUDGETS_KBIT, SWEEP_FAMILIES,
 };
-use imli_repro::workloads::{find_benchmark, generate, FlushMode};
+use imli_repro::workloads::{find_benchmark, generate, BenchmarkSpec, FlushMode};
 
 const BENCH: &str = "SPEC2K6-04";
 
@@ -48,6 +48,31 @@ fn specs(names: &[&str]) -> Vec<PredictorSpec> {
         .collect()
 }
 
+/// One column of `specs` over `bench`, plain drive.
+fn fused(specs: &[PredictorSpec], bench: &BenchmarkSpec, instructions: u64) -> Vec<SimResult> {
+    let counts = Counts::new(specs.len());
+    Column::build(specs).run(
+        &bench.name,
+        &mut stream_blocks(bench.stream(instructions)),
+        counts,
+    )
+}
+
+/// One column of `specs` over `bench`, warmup/steady attribution.
+fn fused_attributed(
+    specs: &[PredictorSpec],
+    bench: &BenchmarkSpec,
+    instructions: u64,
+    warmup: u64,
+) -> Vec<AttributedRun> {
+    let phases = Phases::new(specs.len(), warmup);
+    Column::build(specs).run(
+        &bench.name,
+        &mut stream_blocks(bench.stream(instructions)),
+        phases,
+    )
+}
+
 /// The TAGE fronts of a column plan, as lane lists.
 fn fronts(plan: &[HostPlan]) -> Vec<&[usize]> {
     plan.iter()
@@ -65,7 +90,7 @@ fn sweep_tage_configs_fused_equal_solo_runs() {
     let trace = generate(&bench, instructions);
     let specs = sweep_specs(&TAGE_FAMILIES);
     assert_eq!(specs.len(), 24);
-    let fused = simulate_stream_multi(&specs, bench.stream(instructions));
+    let fused = fused(&specs, &bench, instructions);
     assert_eq!(fused.len(), specs.len());
     for (spec, run) in specs.iter().zip(&fused) {
         let solo = simulate(spec.make().as_mut(), &trace);
@@ -80,7 +105,7 @@ fn report_set_attributed_fused_equals_solo_runs() {
     let specs = paper_report_predictors();
     // A boundary inside a later block, and one before the first record.
     for warmup in [35_000, 0] {
-        let fused = simulate_stream_attributed_multi(&specs, bench.stream(instructions), warmup);
+        let fused = fused_attributed(&specs, &bench, instructions, warmup);
         assert_eq!(fused.len(), specs.len());
         for (spec, run) in specs.iter().zip(&fused) {
             let solo = simulate_stream_attributed(
@@ -151,8 +176,8 @@ fn interleaved_tage_and_other_specs_keep_spec_order() {
             HostPlan::Solo(6),
         ]
     );
-    let fused = simulate_stream_multi(&specs, bench.stream(instructions));
-    let attributed = simulate_stream_attributed_multi(&specs, bench.stream(instructions), 10_000);
+    let fused = fused(&specs, &bench, instructions);
+    let attributed = fused_attributed(&specs, &bench, instructions, 10_000);
     for (i, spec) in specs.iter().enumerate() {
         let solo = simulate(spec.make().as_mut(), &trace);
         assert_eq!(fused[i], solo, "{}", spec.name);
