@@ -62,7 +62,7 @@ impl GlobalHistory {
     /// # Panics
     ///
     /// Panics if `capacity` is not a power of two or is smaller than 64.
-    // bp-lint: allow-item(hot-path-alloc, "buffer construction is cold; push/low_bits/evicted are allocation-free (tests/hotpath_allocations.rs)")
+    // bp-lint: allow-item(hot-path-alloc, "buffer construction is cold; push/low_bits/evictions are allocation-free (tests/hotpath_allocations.rs)")
     pub fn new(capacity: usize) -> Self {
         assert!(
             capacity.is_power_of_two() && capacity >= 64,
@@ -115,27 +115,47 @@ impl GlobalHistory {
         (self.words[word] >> (slot % 64)) & 1 == 1
     }
 
-    /// The outcome pushed `len` pushes ago as 0/1 — `bit(len - 1)` —
-    /// or 0 while `len` exceeds the pushes so far.
+    /// The next 32 eviction taps of a fold over the `len` newest
+    /// outcomes: bit `k` is the outcome that push `k` from now evicts,
+    /// `bit(len - 1 - k)` today, or 0 where that outcome would precede
+    /// the first push.
     ///
-    /// This is the eviction tap of a fold over the `len` newest
-    /// outcomes ([`HistoryState::push`](crate::HistoryState::push)),
-    /// read once per branch per distinct fold length. Unlike
-    /// [`bit`](Self::bit) it does not test `len` against the capacity:
-    /// fold lengths are shorter than the capacity by construction
-    /// (checked in debug builds). The `head` guard stays — it is what
-    /// keeps a restore to fewer than `len` pushes reading zeros.
+    /// [`HistoryState::push`](crate::HistoryState::push) reads this
+    /// window once every 32 pushes per long fold. Every tap is between
+    /// `len - 31` and `len` pushes old: already pushed, so the pushes in
+    /// between cannot change it, and younger than the capacity, so not
+    /// yet overwritten. It is one unaligned 32-bit read from at most two
+    /// buffer words; the `head` guard keeps a restore to fewer than
+    /// `len` pushes reading zeros.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is not in `32..capacity`: a shorter fold's taps
+    /// include outcomes not pushed yet (they come from
+    /// [`low_bits`](Self::low_bits) instead), and a longer one's are
+    /// overwritten.
     #[inline]
-    pub fn evicted(&self, len: usize) -> u32 {
-        debug_assert!(
-            len >= 1 && len < self.capacity(),
-            "eviction tap {len} outside 1..capacity"
+    pub fn evictions(&self, len: usize) -> u32 {
+        assert!(
+            (32..self.capacity()).contains(&len),
+            "eviction window {len} outside 32..capacity"
         );
-        if len as u64 > self.head {
+        // `lead` taps precede the first push and read 0.
+        let (start, lead) = match self.head.checked_sub(len as u64) {
+            Some(start) => (start, 0),
+            None => (0, len as u64 - self.head),
+        };
+        if lead >= 32 {
             return 0;
         }
-        let slot = (self.head - len as u64) & self.mask;
-        ((self.words[(slot / 64) as usize] >> (slot % 64)) & 1) as u32
+        let slot = start & self.mask;
+        let shift = slot % 64;
+        let mut bits = self.words[(slot / 64) as usize] >> shift;
+        if shift != 0 {
+            let next = ((slot + 64) & self.mask) / 64;
+            bits |= self.words[next as usize] << (64 - shift);
+        }
+        (bits as u32) << lead
     }
 
     /// Packs the `n` most recent outcomes into the low bits of a `u64`
@@ -251,17 +271,23 @@ mod tests {
             .fold(0, |acc, i| (acc << 1) | u64::from(h.bit(i)))
     }
 
+    /// The per-bit definition `evictions` must match: bit `k` is
+    /// `bit(len - 1 - k)`.
+    fn per_bit_evictions(h: &GlobalHistory, len: usize) -> u32 {
+        (0..32).fold(0, |acc, k| acc | (u32::from(h.bit(len - 1 - k)) << k))
+    }
+
     /// Checks both register-free views against the per-bit reads: every
-    /// `low_bits` width and every eviction tap the capacity allows.
+    /// `low_bits` width and every eviction window the capacity allows.
     fn assert_views_match_bits(h: &GlobalHistory, what: &str) {
         for n in [0usize, 1, 3, 31, 32, 33, 63, 64] {
             assert_eq!(h.low_bits(n), per_bit_low_bits(h, n), "{what}, n {n}");
         }
-        for len in 1..h.capacity() {
+        for len in 32..h.capacity() {
             assert_eq!(
-                h.evicted(len),
-                u32::from(h.bit(len - 1)),
-                "{what}, eviction tap {len}"
+                h.evictions(len),
+                per_bit_evictions(h, len),
+                "{what}, eviction window {len}"
             );
         }
     }
@@ -473,6 +499,18 @@ mod tests {
             h.push(false);
         }
         h.restore(cp); // 64 == capacity pushes since cp: still rejected
+    }
+
+    #[test]
+    #[should_panic(expected = "eviction window 31")]
+    fn evictions_reject_windows_reaching_unpushed_outcomes() {
+        let _ = GlobalHistory::new(64).evictions(31);
+    }
+
+    #[test]
+    #[should_panic(expected = "eviction window 64")]
+    fn evictions_reject_windows_at_capacity() {
+        let _ = GlobalHistory::new(64).evictions(64);
     }
 
     #[test]

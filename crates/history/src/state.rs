@@ -17,14 +17,18 @@ pub type FoldId = usize;
 /// evicted bit.
 ///
 /// The folds are stored structure-of-arrays (current value, fold width,
-/// width mask, eviction XOR point in parallel vectors) rather than as a
-/// `Vec<FoldedHistory>`: the per-branch update of all folds — 36 for a
-/// 12-table TAGE — is the hottest loop on the TAGE-SC-L profile, and the
-/// flat layout lets [`HistoryState::push`] update eight folds per
-/// iteration with AVX2 variable shifts where the CPU supports it (with a
-/// bit-identical scalar loop everywhere else). Every fold follows the
-/// exact [`FoldedHistory`] recurrence; the property tests compare against
-/// its from-scratch reference.
+/// width mask, eviction XOR bit, tap selectors and eviction window in
+/// parallel vectors) rather than as a `Vec<FoldedHistory>`: the
+/// per-branch update of all folds — 36 for a 12-table TAGE — is the
+/// hottest loop on the TAGE-SC-L profile, and the flat layout lets
+/// [`HistoryState::push`] update eight folds per iteration with AVX2
+/// variable shifts where the CPU supports it (with a bit-identical
+/// scalar loop everywhere else). Every fold's evicted bit comes from a
+/// register: the 32 newest outcomes for a segment of at most 32, and the
+/// fold's eviction window for a longer one — its next 32 taps, read from
+/// the buffer once every 32 pushes ([`GlobalHistory::evictions`]). Every
+/// fold follows the exact [`FoldedHistory`] recurrence; the property
+/// tests compare against its from-scratch reference.
 ///
 /// ```
 /// use bp_history::HistoryState;
@@ -37,28 +41,34 @@ pub type FoldId = usize;
 pub struct HistoryState {
     global: GlobalHistory,
     path: PathHistory,
+    /// Number of registered folds. The per-fold vectors below are padded
+    /// to a multiple of [`LANES`] with all-zero lanes, which the step
+    /// keeps at 0 (their mask is 0), so the AVX2 kernel has no tail.
+    folds: usize,
     /// Current value of each fold (the mutable hot state).
     comps: Vec<u32>,
     /// Fold width (compressed length) per fold.
     clens: Vec<u32>,
     /// `(1 << clen) - 1` per fold.
     masks: Vec<u32>,
-    /// `original_len % clen` per fold: where the evicted bit XORs out.
-    outpoints: Vec<u32>,
-    /// For each fold, the index of its segment length in `unique_lens`.
-    eviction_slot: Vec<u32>,
-    /// Distinct fold segment lengths, in registration order.
-    unique_lens: Vec<usize>,
-    /// Per-push scratch: the evicted bit (0/1) of each unique length.
-    evicted: Vec<u32>,
-    /// Per-push scratch: each fold's evicted bit already shifted to its
-    /// XOR-out point (`evicted[slot] << outpoint`). Expanding this with
-    /// a scalar loop *before* the fold kernel replaces a `vpgatherdd` +
-    /// `vpsllvd` pair per SIMD block — the gather is the slowest
-    /// instruction of the whole push and sits on the inter-branch
-    /// critical path (the next lookup's indices read the fold
-    /// registers this kernel writes).
-    evicted_out: Vec<u32>,
+    /// `1 << (original_len % clen)` per fold: where the evicted bit
+    /// XORs out.
+    outbits: Vec<u32>,
+    /// Segment length (`original_len`) per fold.
+    lens: Vec<usize>,
+    /// Per fold with a segment of at most [`WINDOW`]: bit
+    /// `original_len - 1`, which selects its tap among the 32 newest
+    /// outcomes. 0 for longer segments.
+    short_taps: Vec<u32>,
+    /// Per fold with a segment longer than [`WINDOW`]: its eviction taps
+    /// for the `WINDOW` pushes from the last window read, bit `phase`
+    /// the next one. 0 for shorter segments, so each fold's tap is the
+    /// OR of both selections without a per-fold branch.
+    windows: Vec<u32>,
+    /// Pushes since `windows` was read; `WINDOW` marks it stale, so the
+    /// next push reads it again (after 32 pushes, a flush, a restore or
+    /// a new fold).
+    phase: u32,
     /// Whether any fold is 32 bits wide (forces the u64 scalar loop; no
     /// registry predictor uses folds wider than 16 bits).
     wide_fold: bool,
@@ -66,6 +76,13 @@ pub struct HistoryState {
     /// construction.
     avx2: bool,
 }
+
+/// Pushes served by one eviction-window read, and the width of the
+/// newest-outcome register the short folds tap.
+const WINDOW: u32 = 32;
+
+/// Folds per AVX2 iteration.
+const LANES: usize = 8;
 
 /// Checkpoint of a [`HistoryState`]: the global head pointer plus the
 /// folded values and path register.
@@ -85,7 +102,7 @@ impl HistoryCheckpoint {
     /// occupy (global head pointer + every fold + path register).
     pub fn cost_bits(&self, state: &HistoryState) -> u64 {
         let mut bits = u64::from(GlobalHistoryCheckpoint::cost_bits(state.global.capacity()));
-        for &clen in &state.clens {
+        for &clen in &state.clens[..state.folds] {
             bits += u64::from(clen);
         }
         bits += state.path.len() as u64;
@@ -117,14 +134,15 @@ impl HistoryState {
         HistoryState {
             global: GlobalHistory::new(capacity),
             path: PathHistory::new(path_len),
+            folds: 0,
             comps: Vec::new(),
             clens: Vec::new(),
             masks: Vec::new(),
-            outpoints: Vec::new(),
-            eviction_slot: Vec::new(),
-            unique_lens: Vec::new(),
-            evicted: Vec::new(),
-            evicted_out: Vec::new(),
+            outbits: Vec::new(),
+            lens: Vec::new(),
+            short_taps: Vec::new(),
+            windows: Vec::new(),
+            phase: WINDOW,
             wide_fold: false,
             avx2: detect_avx2(),
         }
@@ -147,26 +165,32 @@ impl HistoryState {
         // Reuse the scalar type's validation so both paths reject the
         // same geometries with the same messages.
         let _ = FoldedHistory::new(original_len, compressed_len);
-        self.comps.push(0);
-        self.clens.push(compressed_len as u32);
-        self.masks.push(if compressed_len == 32 {
+        let id = self.folds;
+        if id.is_multiple_of(LANES) {
+            let padded = id + LANES;
+            self.comps.resize(padded, 0);
+            self.clens.resize(padded, 0);
+            self.masks.resize(padded, 0);
+            self.outbits.resize(padded, 0);
+            self.lens.resize(padded, 0);
+            self.short_taps.resize(padded, 0);
+            self.windows.resize(padded, 0);
+        }
+        self.clens[id] = compressed_len as u32;
+        self.masks[id] = if compressed_len == 32 {
             u32::MAX
         } else {
             (1u32 << compressed_len) - 1
-        });
-        self.outpoints.push((original_len % compressed_len) as u32);
-        self.wide_fold |= compressed_len == 32;
-        let slot = match self.unique_lens.iter().position(|&l| l == original_len) {
-            Some(slot) => slot,
-            None => {
-                self.unique_lens.push(original_len);
-                self.evicted.push(0);
-                self.unique_lens.len() - 1
-            }
         };
-        self.eviction_slot.push(slot as u32);
-        self.evicted_out.push(0);
-        self.comps.len() - 1
+        self.outbits[id] = 1 << (original_len % compressed_len);
+        self.lens[id] = original_len;
+        if original_len <= WINDOW as usize {
+            self.short_taps[id] = 1 << (original_len - 1);
+        }
+        self.folds += 1;
+        self.phase = WINDOW;
+        self.wide_fold |= compressed_len == 32;
+        id
     }
 
     /// Pushes a branch outcome and its PC, updating the global history,
@@ -175,65 +199,114 @@ impl HistoryState {
     /// Runs once per conditional branch for every history-based
     /// predictor, updating *every* registered fold — 36 folds for a
     /// 12-table TAGE (one index and two tag folds per table), the
-    /// hottest loop on the TAGE-SC-L profile. Three passes, each with
-    /// mutually independent iterations: tap the evicted bit of every
-    /// *distinct* segment length ([`GlobalHistory::evicted`]; TAGE has
-    /// three folds per segment, so this cuts buffer reads threefold), expand
-    /// it per fold pre-shifted to the fold's XOR-out point with a plain
-    /// scalar loop, then step all fold registers — eight per AVX2
-    /// iteration (`vpsrlvd` for the heterogeneous fold widths, a
-    /// straight `loadu` of the expanded eviction words) on hosts that
-    /// have it, through the bit-identical scalar recurrence otherwise.
-    /// The scalar expansion looks like extra work but removes a
-    /// `vpgatherdd`/`vpsllvd` pair per SIMD block, and the gather was
-    /// the slowest instruction on the inter-branch critical path.
+    /// hottest loop on the TAGE-SC-L profile. One pass: each fold takes
+    /// its evicted bit from a register — bit `original_len - 1` of the
+    /// 32 newest outcomes for a segment of at most 32, bit `phase` of
+    /// its eviction window for a longer one — and XORs it in at its
+    /// out-point while the register steps, eight folds per AVX2
+    /// iteration (`vpsrlvd` for the per-fold widths) on hosts that have
+    /// it, through the bit-identical scalar loop otherwise. The windows
+    /// are re-read from the buffer every 32 pushes, and on the first
+    /// push after [`flush`](Self::flush), [`restore`](Self::restore) or
+    /// [`add_fold`](Self::add_fold): no per-push buffer read and no
+    /// per-push scratch store sits on the inter-branch critical path
+    /// (the next lookup's indices read the fold registers this step
+    /// writes).
     pub fn push(&mut self, taken: bool, pc: u64) {
-        for (slot, &len) in self.unique_lens.iter().enumerate() {
-            self.evicted[slot] = self.global.evicted(len);
+        if self.phase == WINDOW {
+            self.read_windows();
         }
-        for ((out, &slot), &op) in self
-            .evicted_out
-            .iter_mut()
-            .zip(&self.eviction_slot)
-            .zip(&self.outpoints)
-        {
-            *out = self.evicted[slot as usize] << op;
-        }
-        self.fold_step(taken);
+        self.fold_step(taken, self.global.low_bits(WINDOW as usize) as u32);
+        self.phase += 1;
         self.global.push(taken);
         self.path.push(pc);
     }
 
-    /// Advances every fold register by one inserted outcome, consuming
-    /// the gathered per-segment evicted bits.
-    fn fold_step(&mut self, taken: bool) {
+    /// Reads every long fold's next [`WINDOW`] eviction taps. Folds of
+    /// one segment length are registered together (TAGE's index and
+    /// two tag folds), so a repeated length reuses the read before it.
+    fn read_windows(&mut self) {
+        let mut last = (0, 0);
+        for (window, &len) in self.windows.iter_mut().zip(&self.lens) {
+            if len > WINDOW as usize {
+                if len != last.0 {
+                    last = (len, self.global.evictions(len));
+                }
+                *window = last.1;
+            }
+        }
+        self.phase = 0;
+    }
+
+    /// Advances every fold register by one inserted outcome; `recent`
+    /// is the 32 newest outcomes before it, bit 0 newest.
+    fn fold_step(&mut self, taken: bool, recent: u32) {
         #[cfg(target_arch = "x86_64")]
         if self.avx2 && !self.wide_fold {
             // SAFETY: AVX2 support was verified at construction;
             // `wide_fold` guarantees every clen <= 31 so the u32 lane
-            // arithmetic cannot overflow a lane; `evicted_out` has one
-            // entry per fold by construction.
-            unsafe {
-                fold_step_avx2(
-                    &mut self.comps,
-                    &self.clens,
-                    &self.masks,
-                    &self.evicted_out,
-                    taken,
-                );
-            }
+            // arithmetic cannot overflow a lane.
+            unsafe { self.fold_step_avx2(taken, recent) };
             return;
         }
-        self.fold_step_scalar(taken);
+        self.fold_step_scalar(taken, recent);
     }
 
     /// Scalar fold step: the [`FoldedHistory::update`] recurrence over
     /// the flat arrays, in u64 so 32-bit-wide folds stay exact.
-    fn fold_step_scalar(&mut self, taken: bool) {
-        for i in 0..self.comps.len() {
+    fn fold_step_scalar(&mut self, taken: bool, recent: u32) {
+        let phase_bit = 1 << self.phase;
+        for i in 0..self.folds {
+            let taps = (recent & self.short_taps[i]) | (self.windows[i] & phase_bit);
+            let out = if taps != 0 { self.outbits[i] } else { 0 };
             let wide = (u64::from(self.comps[i]) << 1) | u64::from(taken);
             let comp = (wide ^ (wide >> self.clens[i])) as u32 & self.masks[i];
-            self.comps[i] = comp ^ self.evicted_out[i];
+            self.comps[i] = comp ^ out;
+        }
+    }
+
+    /// AVX2 fold step: the scalar step for eight folds per iteration,
+    /// with a per-lane variable shift (`vpsrlvd`) for the heterogeneous
+    /// widths and a compare-and-mask for the taps, over every lane of
+    /// the padded vectors. Exactly the [`FoldedHistory::update`]
+    /// recurrence in u32 — sound because every clen <= 31, so `wide`
+    /// needs at most 32 bits.
+    ///
+    /// # Safety
+    ///
+    /// The caller must verify AVX2 support and that no fold is 32 bits
+    /// wide.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx2")]
+    unsafe fn fold_step_avx2(&mut self, taken: bool, recent: u32) {
+        use std::arch::x86_64::*;
+        let ins = _mm256_set1_epi32(i32::from(taken));
+        let recent = _mm256_set1_epi32(recent as i32);
+        let phase_bit = _mm256_set1_epi32(1 << self.phase);
+        let zero = _mm256_setzero_si256();
+        let mut i = 0;
+        // Eight lanes of a per-fold vector from fold `i` on.
+        macro_rules! lanes {
+            ($v:expr) => {
+                _mm256_loadu_si256($v[i..i + LANES].as_ptr().cast())
+            };
+        }
+        while i < self.comps.len() {
+            let taps = _mm256_or_si256(
+                _mm256_and_si256(recent, lanes!(self.short_taps)),
+                _mm256_and_si256(lanes!(self.windows), phase_bit),
+            );
+            let out = _mm256_andnot_si256(_mm256_cmpeq_epi32(taps, zero), lanes!(self.outbits));
+            let wide = _mm256_or_si256(_mm256_slli_epi32::<1>(lanes!(self.comps)), ins);
+            let comp = _mm256_and_si256(
+                _mm256_xor_si256(wide, _mm256_srlv_epi32(wide, lanes!(self.clens))),
+                lanes!(self.masks),
+            );
+            _mm256_storeu_si256(
+                self.comps[i..i + LANES].as_mut_ptr().cast(),
+                _mm256_xor_si256(comp, out),
+            );
+            i += LANES;
         }
     }
 
@@ -250,7 +323,7 @@ impl HistoryState {
     /// Panics if `id` was not returned by [`HistoryState::add_fold`].
     #[inline]
     pub fn fold(&self, id: FoldId) -> u32 {
-        self.comps[id]
+        self.folds()[id]
     }
 
     /// The current values of every registered fold, indexed by
@@ -259,7 +332,7 @@ impl HistoryState {
     /// reads 36): one slice bound instead of a bounds check per call.
     #[inline]
     pub fn folds(&self) -> &[u32] {
-        &self.comps
+        &self.comps[..self.folds]
     }
 
     /// Direct access to the global history.
@@ -275,7 +348,7 @@ impl HistoryState {
 
     /// Number of registered folds.
     pub fn fold_count(&self) -> usize {
-        self.comps.len()
+        self.folds
     }
 
     /// Erases every component of the bundle (a context-switch flush):
@@ -289,12 +362,12 @@ impl HistoryState {
     /// invariants, and restoring one reproduces the *flushed* view, the
     /// correct architectural outcome. The fold registers equal their
     /// naive recomputation over the (now all-zero) global buffer, which
-    /// is 0 — the post-flush invariant the property tests pin.
+    /// is 0 — the post-flush invariant the property tests pin. The
+    /// eviction windows go stale and are re-read on the next push.
     pub fn flush(&mut self) {
         self.global.flush();
         self.comps.fill(0);
-        self.evicted.fill(0);
-        self.evicted_out.fill(0);
+        self.phase = WINDOW;
         self.path.set_value(0);
     }
 
@@ -303,12 +376,13 @@ impl HistoryState {
     pub fn checkpoint(&self) -> HistoryCheckpoint {
         HistoryCheckpoint {
             global: self.global.checkpoint(),
-            folds: self.comps.clone(),
+            folds: self.folds().to_vec(),
             path: self.path.value(),
         }
     }
 
-    /// Restores a checkpoint taken earlier on this bundle.
+    /// Restores a checkpoint taken earlier on this bundle. The eviction
+    /// windows go stale and are re-read on the next push.
     ///
     /// # Panics
     ///
@@ -317,7 +391,7 @@ impl HistoryState {
     pub fn restore(&mut self, cp: &HistoryCheckpoint) {
         assert_eq!(
             cp.folds.len(),
-            self.comps.len(),
+            self.folds,
             "checkpoint fold layout mismatch"
         );
         self.global.restore(cp.global);
@@ -325,51 +399,8 @@ impl HistoryState {
             assert!(v <= self.masks[i], "value wider than fold");
             self.comps[i] = v;
         }
+        self.phase = WINDOW;
         self.path.set_value(cp.path);
-    }
-}
-
-/// AVX2 fold step: eight folds per iteration, per-lane variable shifts
-/// (`vpsrlvd`) for the heterogeneous fold widths, and a straight
-/// `loadu` of the pre-expanded, pre-shifted eviction words (see
-/// [`HistoryState::push`]), with a scalar tail. Exactly the
-/// [`FoldedHistory::update`] recurrence in u32 — sound because the
-/// caller guarantees every clen <= 31, so `wide` needs at most 32 bits.
-///
-/// # Safety
-///
-/// The caller must verify AVX2 support, that no fold is 32 bits wide,
-/// and that `evicted_out` has at least `comps.len()` entries.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn fold_step_avx2(
-    comps: &mut [u32],
-    clens: &[u32],
-    masks: &[u32],
-    evicted_out: &[u32],
-    taken: bool,
-) {
-    use std::arch::x86_64::*;
-    let n = comps.len();
-    let ins = _mm256_set1_epi32(i32::from(taken));
-    let mut i = 0;
-    while i + 8 <= n {
-        let c = _mm256_loadu_si256(comps.as_ptr().add(i).cast());
-        let cl = _mm256_loadu_si256(clens.as_ptr().add(i).cast());
-        let m = _mm256_loadu_si256(masks.as_ptr().add(i).cast());
-        let out = _mm256_loadu_si256(evicted_out.as_ptr().add(i).cast());
-        let wide = _mm256_or_si256(_mm256_slli_epi32::<1>(c), ins);
-        let comp = _mm256_and_si256(_mm256_xor_si256(wide, _mm256_srlv_epi32(wide, cl)), m);
-        _mm256_storeu_si256(
-            comps.as_mut_ptr().add(i).cast(),
-            _mm256_xor_si256(comp, out),
-        );
-        i += 8;
-    }
-    while i < n {
-        let wide = (comps[i] << 1) | u32::from(taken);
-        comps[i] = ((wide ^ (wide >> clens[i])) & masks[i]) ^ evicted_out[i];
-        i += 1;
     }
 }
 
@@ -638,6 +669,167 @@ mod tests {
             }
             hs.restore(&cp);
             prop_assert_eq!(snapshot, (hs.fold(f), hs.path(), hs.global().low_bits(64)));
+        }
+    }
+
+    /// Capacity of the window-boundary bundles.
+    const CAP: usize = 1024;
+
+    /// Segment lengths on both sides of every eviction-window boundary:
+    /// the 32-outcome register, the two-word window read, and the
+    /// capacity.
+    const WINDOW_LENS: [usize; 10] = [1, 2, 31, 32, 33, 63, 64, 65, 640, CAP - 1];
+
+    /// A deterministic xorshift stream.
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
+    }
+
+    /// Every fold of `hs` equals its from-scratch recomputation over the
+    /// global buffer.
+    fn check_naive(hs: &HistoryState, what: &str) -> Result<(), TestCaseError> {
+        let global = hs.global();
+        let bits: Vec<bool> = (0..global.capacity()).map(|age| global.bit(age)).collect();
+        for (id, &len) in hs.lens[..hs.folds].iter().enumerate() {
+            let naive = FoldedHistory::new(len, hs.clens[id] as usize).fold_naive(|age| bits[age]);
+            prop_assert_eq!(
+                hs.fold(id),
+                naive,
+                "{}: fold {} of segment {}",
+                what,
+                id,
+                len
+            );
+        }
+        Ok(())
+    }
+
+    /// Pushes `n` outcomes drawn from `x` into every bundle, checking
+    /// each against the naive folds after every push, or only after the
+    /// last one unless `each`.
+    fn push_checked(
+        bundles: &mut [HistoryState],
+        n: usize,
+        each: bool,
+        x: &mut u64,
+        what: &str,
+    ) -> Result<(), TestCaseError> {
+        for i in 0..n {
+            let r = xorshift(x);
+            for hs in bundles.iter_mut() {
+                hs.push(r & 1 == 1, r >> 8);
+                if each || i + 1 == n {
+                    check_naive(hs, what)?;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(16))]
+
+        /// Folds on both sides of every window boundary — register taps
+        /// (segments up to 32), window taps (longer ones) and a segment
+        /// one short of the capacity — stay equal to their naive
+        /// recomputation through pushes, flushes and checkpoint /
+        /// wrong-path / restore rounds, on the AVX2 kernel (widths
+        /// 1..=31) and on the u64 scalar loop (the same folds plus one
+        /// 32 bits wide). Each case starts with a restore to fewer
+        /// pushes than the longest segments after a wrong path longer
+        /// than `CAP - len` for them, where only the pre-history guard
+        /// keeps the taps reading zeros; later wrong paths are as deep
+        /// as every segment stays intact for.
+        #[test]
+        fn folds_match_naive_across_window_boundaries(
+            widths in proptest::collection::vec(1usize..32, 20..21),
+            wide_len in 0usize..10,
+            young in 0usize..639,
+            ops in proptest::collection::vec((0u8..8, any::<u64>()), 1..24),
+            seed in any::<u64>(),
+        ) {
+            let mut narrow = HistoryState::new(CAP, 16);
+            for (i, &width) in widths.iter().enumerate() {
+                narrow.add_fold(WINDOW_LENS[i % WINDOW_LENS.len()], width);
+            }
+            let mut wide = narrow.clone();
+            wide.add_fold(WINDOW_LENS[wide_len], 32);
+            let mut bundles = [narrow, wide];
+            let mut x = seed | 1;
+
+            push_checked(&mut bundles, young, false, &mut x, "young pushes")?;
+            // Longer than `CAP - 640`, and as deep as a restore allows.
+            let deep = CAP - 1 - young;
+            let cps: Vec<_> = bundles.iter().map(HistoryState::checkpoint).collect();
+            push_checked(&mut bundles, deep, false, &mut x, "deep wrong path")?;
+            for (hs, cp) in bundles.iter_mut().zip(&cps) {
+                hs.restore(cp);
+                check_naive(hs, "young restore")?;
+            }
+
+            for (kind, r) in ops {
+                match kind {
+                    0 => {
+                        for hs in bundles.iter_mut() {
+                            hs.flush();
+                            check_naive(hs, "flush")?;
+                        }
+                    }
+                    1..=3 => {
+                        // The deepest wrong path after which every
+                        // segment's outcomes are still in the buffer and
+                        // a restore is legal.
+                        let head = bundles[0].global().pushes() as usize;
+                        let legal = (CAP - head.min(CAP - 1)).min(CAP - 1);
+                        let wrong = (r % (legal as u64 + 1)) as usize;
+                        let cps: Vec<_> = bundles.iter().map(HistoryState::checkpoint).collect();
+                        push_checked(&mut bundles, wrong, false, &mut x, "wrong path")?;
+                        for (hs, cp) in bundles.iter_mut().zip(&cps) {
+                            hs.restore(cp);
+                            check_naive(hs, "restore")?;
+                        }
+                    }
+                    _ => push_checked(&mut bundles, (r % 70) as usize, true, &mut x, "pushes")?,
+                }
+            }
+        }
+
+        /// The scalar loop and the AVX2 kernel step the same random fold
+        /// population to the same registers after every push (on hosts
+        /// without AVX2 both bundles run the scalar loop).
+        #[test]
+        fn scalar_loop_matches_avx2_kernel(
+            geometry in proptest::collection::vec((1usize..CAP, 1usize..32), 1..40),
+            ops in proptest::collection::vec((0u8..16, any::<u64>()), 1..200),
+        ) {
+            let mut kernel = HistoryState::new(CAP, 16);
+            for &(len, width) in &geometry {
+                kernel.add_fold(len, width);
+            }
+            let mut scalar = kernel.clone();
+            scalar.avx2 = false;
+            let (mut cp, mut cp_pushes) = (kernel.checkpoint(), 0);
+            for (kind, r) in ops {
+                match kind {
+                    0 => {
+                        kernel.flush();
+                        scalar.flush();
+                    }
+                    1 => (cp, cp_pushes) = (kernel.checkpoint(), kernel.global().pushes()),
+                    2 if kernel.global().pushes() - cp_pushes < CAP as u64 => {
+                        kernel.restore(&cp);
+                        scalar.restore(&cp);
+                    }
+                    _ => {
+                        kernel.push(r & 1 == 1, r >> 8);
+                        scalar.push(r & 1 == 1, r >> 8);
+                    }
+                }
+                prop_assert_eq!(kernel.folds(), scalar.folds());
+            }
         }
     }
 }

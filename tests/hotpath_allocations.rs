@@ -142,6 +142,37 @@ fn steady_state_predict_update_is_allocation_free() {
         );
     }
 
+    // The first history push after `flush_history()` re-reads every long
+    // fold's eviction window (the stale-window path of
+    // `HistoryState::push`). Flushing before every branch sends each
+    // measured push down that path; it refills buffers sized when the
+    // folds were registered, so it must not allocate either.
+    for name in ["tage-sc-l", "gehl", "perceptron"] {
+        let mut predictor = make_predictor(name).expect("registered");
+        for record in warmup.iter().filter(|r| r.is_conditional()) {
+            let _ = predictor.predict(record.pc);
+            predictor.update(record);
+        }
+
+        let mut refills = 0u64;
+        let before = ALLOCATIONS.load(Ordering::Relaxed);
+        for record in measured.iter().filter(|r| r.is_conditional()).take(5_000) {
+            predictor.flush_history();
+            let _ = predictor.predict(record.pc);
+            predictor.update(record);
+            refills += 1;
+        }
+        let after = ALLOCATIONS.load(Ordering::Relaxed);
+
+        assert_eq!(refills, 5_000, "{name}: every push followed a flush");
+        assert_eq!(
+            after - before,
+            0,
+            "{name}: {refills} pushes right after flush_history allocated {} times",
+            after - before,
+        );
+    }
+
     // A fused column with shared TAGE lanes: five TAGE-SC variants on
     // one TAGE front beside a solo host, through the one block drive
     // (`Column::drive`) with the plain observer and with the
