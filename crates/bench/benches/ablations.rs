@@ -1,4 +1,5 @@
-//! Design ablations flagged in DESIGN.md: accuracy as a function of the
+//! Ablations of the IMLI design (the paper numbers they relate to are in
+//! the `src/bin/exp_*.rs` doc comments): accuracy as a function of the
 //! IMLI table geometries. Criterion measures the fixed-geometry
 //! simulation cost; the printed MPKI sweeps are the accuracy ablation.
 //!

@@ -1,7 +1,8 @@
 //! Shared harness code for the experiment binaries (`src/bin/exp_*.rs`).
 //!
-//! Every binary regenerates one table or figure of the paper (see
-//! `DESIGN.md`'s experiment index). They share the conventions here:
+//! Every binary regenerates one table or figure of the paper; the doc
+//! comment at the top of each `src/bin/exp_*.rs` names the table or
+//! figure and gives the paper's numbers. They share the conventions here:
 //!
 //! * the per-benchmark instruction budget comes from the
 //!   `IMLI_REPRO_INSTR` environment variable (default: 2,000,000 —

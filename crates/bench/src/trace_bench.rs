@@ -1,32 +1,28 @@
 //! The trace-I/O throughput benchmark behind `bp bench`.
 //!
-//! Measures, for each benchmark of the quick suite, the cost of the
-//! on-disk data path in both trace formats:
+//! Measures, for each benchmark of the quick suite, the on-disk data
+//! path of the trace format:
 //!
+//! * **size** — bytes on disk and bytes per record;
+//! * **write** — serialize the trace to a buffered file;
 //! * **read** — stream every record back through
-//!   `bp_trace::TraceReader` (version-dispatched), format-for-format;
+//!   `bp_trace::TraceReader`, CRC checks included;
 //! * **read + simulate** — the same stream fed to a bimodal predictor
-//!   via `simulate_stream`, format-for-format;
-//! * **pipeline** — the `bp simulate <file>` path *as shipped* for each
-//!   format: v1 files were (and are) materialized with `read_trace`
-//!   and simulated over the in-memory trace, while v2 files stream
-//!   through `simulate_stream` in O(1) memory. This is the end-to-end
-//!   before/after of the v2 migration, and the headline speedup.
+//!   via `simulate_stream`, the `bp simulate <file>` path.
 //!
-//! The report serializes to `BENCH_trace_io.json` — the repo's
-//! performance trajectory artifact, regenerated by CI on every change
-//! so regressions in the trace hot path are visible in review.
+//! The report serializes to `BENCH_trace_io.json`, regenerated by CI so
+//! a regression in the trace hot path is visible in review.
 //!
 //! Timings take the best of several repetitions (the usual
 //! cache-warmup smoothing); sizes are exact.
 
 use bp_components::Bimodal;
-use bp_sim::{lookup, simulate, simulate_stream, Engine, PredictorSpec};
-use bp_trace::{read_trace, write_trace, write_trace_v2, Trace, TraceIoError, TraceReader};
+use bp_sim::simulate_stream;
+use bp_trace::{write_trace, Trace, TraceIoError, TraceReader};
 use bp_workloads::{cbp4_suite, generate, BenchmarkSpec};
 use std::fs::File;
 use std::io::{BufReader, BufWriter};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 // bp-lint: allow(determinism, "wall-clock timing is the measurand of a throughput bench; timing fields are excluded from CI's byte-comparison")
 use std::time::Instant;
 
@@ -36,49 +32,7 @@ const REPS: usize = 3;
 /// Benchmarks from the CBP4-like suite used as the quick suite.
 const QUICK_SUITE_LEN: usize = 3;
 
-/// Measured cost of one trace format on one benchmark.
-#[derive(Debug, Clone, Copy)]
-pub struct FormatMetrics {
-    /// Serialized size in bytes.
-    pub bytes: u64,
-    /// Seconds to write the file (buffered, including flush).
-    pub write_seconds: f64,
-    /// Seconds to stream every record back from the file.
-    pub read_seconds: f64,
-    /// Seconds to stream the file through a bimodal predictor.
-    pub read_simulate_seconds: f64,
-    /// Seconds for this format's *shipped* file-simulation pipeline:
-    /// materialize-then-simulate for v1 (the pre-v2 `bp simulate`
-    /// path), streaming `simulate_stream` for v2.
-    pub pipeline_seconds: f64,
-}
-
-impl FormatMetrics {
-    /// Records per second for the pure read path.
-    pub fn read_records_per_sec(&self, records: u64) -> f64 {
-        per_sec(records, self.read_seconds)
-    }
-
-    /// Records per second for the read + simulate path.
-    pub fn read_simulate_records_per_sec(&self, records: u64) -> f64 {
-        per_sec(records, self.read_simulate_seconds)
-    }
-
-    /// Records per second for the shipped file-simulation pipeline.
-    pub fn pipeline_records_per_sec(&self, records: u64) -> f64 {
-        per_sec(records, self.pipeline_seconds)
-    }
-}
-
-fn per_sec(records: u64, seconds: f64) -> f64 {
-    if seconds <= 0.0 {
-        0.0
-    } else {
-        records as f64 / seconds
-    }
-}
-
-/// One benchmark's v1-vs-v2 measurements.
+/// One benchmark's measurements.
 #[derive(Debug, Clone)]
 pub struct BenchmarkMeasurement {
     /// Benchmark name.
@@ -87,10 +41,14 @@ pub struct BenchmarkMeasurement {
     pub records: u64,
     /// Retired instructions in the trace.
     pub instructions: u64,
-    /// Format v1 metrics.
-    pub v1: FormatMetrics,
-    /// Format v2 metrics.
-    pub v2: FormatMetrics,
+    /// Serialized size in bytes.
+    pub bytes: u64,
+    /// Seconds to write the file (buffered, including flush).
+    pub write_seconds: f64,
+    /// Seconds to stream every record back from the file.
+    pub read_seconds: f64,
+    /// Seconds to stream the file through a bimodal predictor.
+    pub read_simulate_seconds: f64,
 }
 
 /// The full `bp bench` report.
@@ -100,124 +58,90 @@ pub struct TraceIoReport {
     pub instructions: u64,
     /// Per-benchmark measurements.
     pub benchmarks: Vec<BenchmarkMeasurement>,
-    /// Registry names of the predictors in the engine-grid leg.
-    pub grid_predictors: Vec<String>,
-    /// Mean per-worker *end-to-end* cell throughput of the engine grid
-    /// over the quick suite (records/sec, generation + simulation),
-    /// from [`bp_sim::GridResult::mean_records_per_sec`] — not
-    /// comparable to the pure read/simulate legs above.
-    pub grid_mean_records_per_sec: f64,
+}
+
+fn per(amount: f64, over: f64) -> f64 {
+    if over <= 0.0 {
+        0.0
+    } else {
+        amount / over
+    }
+}
+
+impl BenchmarkMeasurement {
+    /// Bytes on disk per record.
+    pub fn bytes_per_record(&self) -> f64 {
+        per(self.bytes as f64, self.records as f64)
+    }
+
+    /// Records per second for the pure read path.
+    pub fn read_records_per_sec(&self) -> f64 {
+        per(self.records as f64, self.read_seconds)
+    }
+
+    /// Records per second for the read + simulate path.
+    pub fn read_simulate_records_per_sec(&self) -> f64 {
+        per(self.records as f64, self.read_simulate_seconds)
+    }
+
+    fn to_json(&self) -> String {
+        format!(
+            "{{\"name\": {}, \"records\": {}, \"instructions\": {}, \"bytes\": {}, \
+             \"bytes_per_record\": {}, \"write_seconds\": {}, \"read_seconds\": {}, \
+             \"read_records_per_sec\": {}, \"read_simulate_seconds\": {}, \
+             \"read_simulate_records_per_sec\": {}}}",
+            json_string(&self.benchmark),
+            self.records,
+            self.instructions,
+            self.bytes,
+            json_f64(self.bytes_per_record()),
+            json_f64(self.write_seconds),
+            json_f64(self.read_seconds),
+            json_f64(self.read_records_per_sec()),
+            json_f64(self.read_simulate_seconds),
+            json_f64(self.read_simulate_records_per_sec()),
+        )
+    }
 }
 
 impl TraceIoReport {
-    /// Total v1 bytes across the suite.
-    pub fn v1_bytes(&self) -> u64 {
-        self.benchmarks.iter().map(|b| b.v1.bytes).sum()
-    }
-
-    /// Total v2 bytes across the suite.
-    pub fn v2_bytes(&self) -> u64 {
-        self.benchmarks.iter().map(|b| b.v2.bytes).sum()
-    }
-
-    /// v2 size as a fraction of v1 (< 0.5 meets the format's goal).
-    pub fn size_ratio(&self) -> f64 {
-        let v1 = self.v1_bytes();
-        if v1 == 0 {
-            return 0.0;
+    /// The whole suite summed as one measurement named `totals`.
+    pub fn totals(&self) -> BenchmarkMeasurement {
+        let mut t = BenchmarkMeasurement {
+            benchmark: "totals".to_owned(),
+            records: 0,
+            instructions: 0,
+            bytes: 0,
+            write_seconds: 0.0,
+            read_seconds: 0.0,
+            read_simulate_seconds: 0.0,
+        };
+        for b in &self.benchmarks {
+            t.records += b.records;
+            t.instructions += b.instructions;
+            t.bytes += b.bytes;
+            t.write_seconds += b.write_seconds;
+            t.read_seconds += b.read_seconds;
+            t.read_simulate_seconds += b.read_simulate_seconds;
         }
-        self.v2_bytes() as f64 / v1 as f64
-    }
-
-    /// Aggregate v2/v1 speedup of the pure read path.
-    pub fn read_speedup(&self) -> f64 {
-        let v1: f64 = self.benchmarks.iter().map(|b| b.v1.read_seconds).sum();
-        let v2: f64 = self.benchmarks.iter().map(|b| b.v2.read_seconds).sum();
-        if v2 <= 0.0 {
-            return 0.0;
-        }
-        v1 / v2
-    }
-
-    /// Aggregate v2/v1 speedup of the read + simulate path.
-    pub fn read_simulate_speedup(&self) -> f64 {
-        let v1: f64 = self
-            .benchmarks
-            .iter()
-            .map(|b| b.v1.read_simulate_seconds)
-            .sum();
-        let v2: f64 = self
-            .benchmarks
-            .iter()
-            .map(|b| b.v2.read_simulate_seconds)
-            .sum();
-        if v2 <= 0.0 {
-            return 0.0;
-        }
-        v1 / v2
-    }
-
-    /// Aggregate v2/v1 speedup of the shipped file-simulation pipeline
-    /// (v1 materialize-then-simulate → v2 streaming simulate): the
-    /// end-to-end win of the migration and the headline number.
-    pub fn pipeline_speedup(&self) -> f64 {
-        let v1: f64 = self.benchmarks.iter().map(|b| b.v1.pipeline_seconds).sum();
-        let v2: f64 = self.benchmarks.iter().map(|b| b.v2.pipeline_seconds).sum();
-        if v2 <= 0.0 {
-            return 0.0;
-        }
-        v1 / v2
+        t
     }
 
     /// Serializes the report as pretty-printed JSON (hand-rolled; the
     /// workspace has no serde).
     pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        out.push_str("  \"bench\": \"trace_io\",\n");
-        out.push_str(&format!("  \"instructions\": {},\n", self.instructions));
-        out.push_str("  \"benchmarks\": [\n");
-        for (i, b) in self.benchmarks.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"name\": {}, \"records\": {}, \"instructions\": {},\n",
-                json_string(&b.benchmark),
-                b.records,
-                b.instructions
-            ));
-            out.push_str(&format!(
-                "     \"v1\": {},\n     \"v2\": {}}}{}\n",
-                format_metrics_json(&b.v1, b.records),
-                format_metrics_json(&b.v2, b.records),
-                if i + 1 < self.benchmarks.len() {
-                    ","
-                } else {
-                    ""
-                }
-            ));
-        }
-        out.push_str("  ],\n");
-        out.push_str(&format!(
-            "  \"totals\": {{\"v1_bytes\": {}, \"v2_bytes\": {}, \"size_ratio\": {}, \
-             \"read_speedup\": {}, \"read_simulate_speedup\": {}, \"pipeline_speedup\": {}}},\n",
-            self.v1_bytes(),
-            self.v2_bytes(),
-            json_f64(self.size_ratio()),
-            json_f64(self.read_speedup()),
-            json_f64(self.read_simulate_speedup()),
-            json_f64(self.pipeline_speedup()),
-        ));
-        out.push_str(&format!(
-            "  \"grid\": {{\"predictors\": [{}], \"mean_records_per_sec\": {}}}\n",
-            self.grid_predictors
-                .iter()
-                .map(|p| json_string(p))
-                .collect::<Vec<_>>()
-                .join(", "),
-            json_f64(self.grid_mean_records_per_sec),
-        ));
-        out.push('}');
-        out.push('\n');
-        out
+        let rows: Vec<String> = self
+            .benchmarks
+            .iter()
+            .map(|b| format!("    {}", b.to_json()))
+            .collect();
+        format!(
+            "{{\n  \"bench\": \"trace_io\",\n  \"instructions\": {},\n  \"benchmarks\": [\n{}\n  ],\n  \
+             \"totals\": {}\n}}\n",
+            self.instructions,
+            rows.join(",\n"),
+            self.totals().to_json(),
+        )
     }
 }
 
@@ -239,23 +163,6 @@ pub(crate) fn json_f64(v: f64) -> String {
     }
 }
 
-fn format_metrics_json(m: &FormatMetrics, records: u64) -> String {
-    format!(
-        "{{\"bytes\": {}, \"write_seconds\": {}, \"read_seconds\": {}, \
-         \"read_records_per_sec\": {}, \"read_simulate_seconds\": {}, \
-         \"read_simulate_records_per_sec\": {}, \"pipeline_seconds\": {}, \
-         \"pipeline_records_per_sec\": {}}}",
-        m.bytes,
-        json_f64(m.write_seconds),
-        json_f64(m.read_seconds),
-        json_f64(m.read_records_per_sec(records)),
-        json_f64(m.read_simulate_seconds),
-        json_f64(m.read_simulate_records_per_sec(records)),
-        json_f64(m.pipeline_seconds),
-        json_f64(m.pipeline_records_per_sec(records)),
-    )
-}
-
 /// The benchmarks `bp bench` measures: a small, fixed prefix of the
 /// CBP4-like suite, so results are comparable run-to-run.
 pub fn quick_suite() -> Vec<BenchmarkSpec> {
@@ -269,41 +176,47 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     (value, started.elapsed().as_secs_f64())
 }
 
-/// Best-of-`REPS` timing of a fallible read-path leg.
-fn best_of<T>(mut f: impl FnMut() -> Result<T, TraceIoError>) -> Result<f64, TraceIoError> {
+/// Best-of-`REPS` timing of a read-path leg, which must stream exactly
+/// `expected` records: a short read would invalidate the numbers.
+fn best_of(
+    expected: u64,
+    mut f: impl FnMut() -> Result<u64, TraceIoError>,
+) -> Result<f64, TraceIoError> {
     let mut best = f64::INFINITY;
     for _ in 0..REPS {
-        let (result, seconds) = timed(&mut f);
-        result?;
+        let (records, seconds) = timed(&mut f);
+        let records = records?;
+        if records != expected {
+            return Err(TraceIoError::CountMismatch {
+                declared: expected,
+                actual: records,
+            });
+        }
         best = best.min(seconds);
     }
     Ok(best)
 }
 
-fn drain_reader(path: &Path, expected_records: u64) -> Result<(), TraceIoError> {
-    let file = File::open(path)?;
-    let mut reader = TraceReader::new(BufReader::new(file))?;
+fn open(path: &Path) -> Result<TraceReader<BufReader<File>>, TraceIoError> {
+    TraceReader::new(BufReader::new(File::open(path)?))
+}
+
+fn drain_reader(path: &Path) -> Result<u64, TraceIoError> {
+    let mut reader = open(path)?;
     let mut records = 0u64;
     while reader.try_next()?.is_some() {
         records += 1;
     }
-    if records != expected_records {
-        return Err(TraceIoError::CountMismatch {
-            declared: expected_records,
-            actual: records,
-        });
-    }
-    Ok(())
+    Ok(records)
 }
 
 fn simulate_reader(path: &Path) -> Result<u64, TraceIoError> {
-    let file = File::open(path)?;
-    let mut reader = TraceReader::new(BufReader::new(file))?;
+    let mut reader = open(path)?;
     let result = simulate_stream(&mut Bimodal::new(1_024), &mut reader);
     if let Some(e) = reader.error() {
         // simulate_stream cannot surface stream errors; re-check here
-        // so a truncated file fails the bench (with the real cause)
-        // instead of skewing the numbers.
+        // so a corrupt or truncated file fails the bench with the real
+        // cause.
         return Err(TraceIoError::Io(std::io::Error::other(format!(
             "stream ended early after {} records: {e}",
             result.records
@@ -312,41 +225,24 @@ fn simulate_reader(path: &Path) -> Result<u64, TraceIoError> {
     Ok(result.records)
 }
 
-/// The pre-v2 `bp simulate <file>` pipeline: materialize the whole
-/// trace, then simulate over memory.
-fn simulate_materialized(path: &Path) -> Result<u64, TraceIoError> {
-    let file = File::open(path)?;
-    let trace = read_trace(BufReader::new(file))?;
-    Ok(simulate(&mut Bimodal::new(1_024), &trace).records)
-}
-
-fn measure_format(
+fn measure(
+    spec: &BenchmarkSpec,
     trace: &Trace,
     path: &Path,
-    write: impl Fn(BufWriter<File>, &Trace) -> Result<(), TraceIoError>,
-    materializing_pipeline: bool,
-) -> Result<FormatMetrics, TraceIoError> {
+) -> Result<BenchmarkMeasurement, TraceIoError> {
     let (written, write_seconds) = timed(|| -> Result<(), TraceIoError> {
-        let file = File::create(path)?;
-        write(BufWriter::new(file), trace)
+        write_trace(BufWriter::new(File::create(path)?), trace)
     });
     written?;
-    let bytes = std::fs::metadata(path)?.len();
-    let read_seconds = best_of(|| drain_reader(path, trace.len() as u64))?;
-    let read_simulate_seconds = best_of(|| simulate_reader(path))?;
-    let pipeline_seconds = if materializing_pipeline {
-        best_of(|| simulate_materialized(path))?
-    } else {
-        // The streaming pipeline *is* the read+simulate leg; reuse its
-        // timing instead of streaming the whole file three more times.
-        read_simulate_seconds
-    };
-    Ok(FormatMetrics {
-        bytes,
+    let records = trace.len() as u64;
+    Ok(BenchmarkMeasurement {
+        benchmark: spec.name.clone(),
+        records,
+        instructions: trace.instruction_count(),
+        bytes: std::fs::metadata(path)?.len(),
         write_seconds,
-        read_seconds,
-        read_simulate_seconds,
-        pipeline_seconds,
+        read_seconds: best_of(records, || drain_reader(path))?,
+        read_simulate_seconds: best_of(records, || simulate_reader(path))?,
     })
 }
 
@@ -364,38 +260,17 @@ pub fn run_trace_io_bench(
     scratch_dir: &Path,
 ) -> Result<TraceIoReport, TraceIoError> {
     std::fs::create_dir_all(scratch_dir)?;
-    let specs = quick_suite();
-    let mut benchmarks = Vec::with_capacity(specs.len());
-    for spec in &specs {
-        let trace = generate(spec, instructions);
-        let v1_path: PathBuf = scratch_dir.join(format!("{}.v1.bptr", spec.name));
-        let v2_path: PathBuf = scratch_dir.join(format!("{}.v2.bptr", spec.name));
-        let v1 = measure_format(&trace, &v1_path, write_trace, true)?;
-        let v2 = measure_format(&trace, &v2_path, write_trace_v2, false)?;
-        benchmarks.push(BenchmarkMeasurement {
-            benchmark: spec.name.clone(),
-            records: trace.len() as u64,
-            instructions: trace.instruction_count(),
-            v1,
-            v2,
-        });
-        let _ = std::fs::remove_file(&v1_path);
-        let _ = std::fs::remove_file(&v2_path);
+    let mut benchmarks = Vec::new();
+    for spec in quick_suite() {
+        let trace = generate(&spec, instructions);
+        let path = scratch_dir.join(format!("{}.bptr", spec.name));
+        benchmarks.push(measure(&spec, &trace, &path)?);
+        let _ = std::fs::remove_file(&path);
     }
     let _ = std::fs::remove_dir(scratch_dir);
-
-    // Engine leg: per-cell records/sec is now part of GridResult; report
-    // the aggregate over a cheap two-predictor grid on the same suite.
-    let grid_predictors: Vec<PredictorSpec> = ["bimodal", "gshare"]
-        .iter()
-        .filter_map(|n| lookup(n))
-        .collect();
-    let grid = Engine::new().run_grid(&grid_predictors, &specs, instructions);
     Ok(TraceIoReport {
         instructions,
         benchmarks,
-        grid_predictors: grid.predictors.clone(),
-        grid_mean_records_per_sec: grid.mean_records_per_sec(),
     })
 }
 
@@ -403,48 +278,48 @@ pub fn run_trace_io_bench(
 mod tests {
     use super::*;
 
-    fn tiny_report() -> TraceIoReport {
+    /// Tests run on parallel threads, so each gets its own scratch
+    /// directory, named by `test`.
+    fn tiny_report(test: &str) -> TraceIoReport {
         let scratch =
-            std::env::temp_dir().join(format!("bp-trace-bench-test-{}", std::process::id()));
+            std::env::temp_dir().join(format!("bp-trace-bench-{test}-{}", std::process::id()));
         run_trace_io_bench(30_000, &scratch).expect("bench runs")
     }
 
     #[test]
     fn report_covers_the_quick_suite_and_meets_the_size_goal() {
-        let report = tiny_report();
+        let report = tiny_report("size");
         assert_eq!(report.benchmarks.len(), QUICK_SUITE_LEN);
         for b in &report.benchmarks {
-            assert!(b.records > 0);
-            assert!(b.v1.bytes > 0 && b.v2.bytes > 0);
+            assert!(b.records > 0 && b.bytes > 0);
             assert!(
-                b.v2.bytes * 2 <= b.v1.bytes,
-                "{}: v2 {} bytes not <= 50% of v1 {}",
+                b.bytes_per_record() <= 11.0,
+                "{}: {:.2} bytes/record",
                 b.benchmark,
-                b.v2.bytes,
-                b.v1.bytes
+                b.bytes_per_record()
             );
+            assert!(b.read_records_per_sec() > 0.0);
+            assert!(b.read_simulate_records_per_sec() > 0.0);
         }
-        assert!(report.size_ratio() <= 0.5);
-        assert!(report.grid_mean_records_per_sec > 0.0);
-        assert_eq!(report.grid_predictors.len(), 2);
+        assert!(report.totals().bytes_per_record() <= 11.0);
     }
 
     #[test]
     fn json_is_well_formed_enough_to_spot_check() {
-        let report = tiny_report();
+        let report = tiny_report("json");
         let json = report.to_json();
         assert!(json.starts_with("{\n"));
         assert!(json.trim_end().ends_with('}'));
-        assert_eq!(json.matches("\"v1\"").count(), QUICK_SUITE_LEN);
-        assert_eq!(json.matches("\"v2\"").count(), QUICK_SUITE_LEN);
-        assert!(json.contains("\"size_ratio\""));
-        assert!(json.contains("\"read_simulate_speedup\""));
-        assert!(json.contains("\"pipeline_speedup\""));
+        assert_eq!(json.matches("\"name\"").count(), QUICK_SUITE_LEN + 1);
         assert_eq!(
-            json.matches("\"pipeline_seconds\"").count(),
-            2 * QUICK_SUITE_LEN
+            json.matches("\"bytes_per_record\"").count(),
+            QUICK_SUITE_LEN + 1
         );
-        assert!(json.contains("\"mean_records_per_sec\""));
+        assert_eq!(
+            json.matches("\"read_simulate_records_per_sec\"").count(),
+            QUICK_SUITE_LEN + 1
+        );
+        assert!(json.contains("\"totals\""));
         assert!(!json.contains("NaN") && !json.contains("inf"));
         // Balanced braces/brackets — cheap structural sanity without a
         // JSON parser in the workspace.

@@ -162,6 +162,9 @@ impl GehlConfig {
         if !(1..=7).contains(&self.counter_bits) {
             return Err("counter width must be in 1..=7".into());
         }
+        if !(1..=64).contains(&self.path_bits) {
+            return Err("path_bits must be in 1..=64".into());
+        }
         if !(0..=self.threshold_max).contains(&self.threshold_init) {
             return Err("threshold_init must be in 0..=threshold_max".into());
         }

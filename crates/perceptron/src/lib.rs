@@ -105,6 +105,9 @@ impl PerceptronConfig {
         if !(2..=7).contains(&self.weight_bits) {
             return Err("weight width out of range".into());
         }
+        if !(1..=64).contains(&self.path_bits) {
+            return Err("path_bits must be in 1..=64".into());
+        }
         if !(0..=self.threshold_max).contains(&self.threshold_init) {
             return Err("threshold_init must be in 0..=threshold_max".into());
         }

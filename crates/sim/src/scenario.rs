@@ -38,6 +38,11 @@ use bp_workloads::{
 };
 use std::fmt::Write as _;
 
+/// Largest accepted adversarial gene count (1 MiB of genes). A genome
+/// is allocated whole when its tenant's stream is built, so an
+/// unbounded count from a scenario file would be a blind allocation.
+const MAX_GENES: usize = 1 << 16;
+
 /// One tenant of a scenario: a named synthetic benchmark, or an
 /// adversarial genome replay.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -49,7 +54,7 @@ pub enum TenantSpec {
     Adversarial {
         /// Genome seed.
         seed: u64,
-        /// Gene count (>= 1).
+        /// Gene count (`1..=MAX_GENES`).
         genes: usize,
     },
 }
@@ -141,6 +146,11 @@ impl ScenarioSpec {
                 TenantSpec::Adversarial { genes, .. } => {
                     if *genes == 0 {
                         return Err("adversarial tenant needs at least one gene".to_owned());
+                    }
+                    if *genes > MAX_GENES {
+                        return Err(format!(
+                            "adversarial tenant has {genes} genes, above the cap of {MAX_GENES}"
+                        ));
                     }
                 }
             }
@@ -1051,6 +1061,9 @@ mod tests {
             r#"{"name": "x", "tenants": [{"benchmark": "MM-4"}], "flush": {"period": 1, "mode": "sideways"}}"#,
             r#"{"name": "bad name!", "tenants": [{"benchmark": "MM-4"}]}"#,
             r#"{"name": "x", "tenants": [{"benchmark": "MM-4", "adversarial": {"seed": 1, "genes": 2}}]}"#,
+            // Rejected by validation, before any genome is allocated.
+            r#"{"name": "x", "tenants": [{"adversarial": {"seed": 1, "genes": 65537}}]}"#,
+            r#"{"name": "x", "tenants": [{"adversarial": {"seed": 1, "genes": 4294967296}}]}"#,
         ] {
             assert!(parse_scenario_file(bad).is_err(), "{bad}");
         }

@@ -118,6 +118,9 @@ impl TageConfig {
         if !((2..=5).contains(&self.counter_bits) && (1..=4).contains(&self.useful_bits)) {
             return Err("counter widths out of range".into());
         }
+        if !(1..=64).contains(&self.path_bits) {
+            return Err("path_bits must be in 1..=64".into());
+        }
         Ok(())
     }
 

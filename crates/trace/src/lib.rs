@@ -20,9 +20,23 @@
 //!   materialized representation, still the right tool for analyses
 //!   that need random access or multiple passes);
 //! * [`TraceReader`] — a streaming reader over serialized trace files
-//!   (the [`write_trace`] format), which never loads the whole file;
+//!   (the [`write_trace`] / [`BlockWriter`] format), which never loads
+//!   the whole file;
 //! * `bp_workloads::stream_benchmark` — lazy synthetic-benchmark
 //!   generation (in the workloads crate).
+//!
+//! # The trace file format
+//!
+//! There is one on-disk format (version 3, `io.rs`): a header with the
+//! trace name and record count, then 4096-record blocks of
+//! delta-encoded records (about 5 bytes per record on the synthetic
+//! suites), then a terminator frame carrying the total count. Every
+//! frame ends with a CRC-32C chained from the previous frame's, seeded
+//! by the header, and [`TraceReader`] checks it before handing out any
+//! of the frame's records: a corrupt file is a typed [`TraceIoError`]
+//! (`ChecksumMismatch`, truncation, a bad frame), never different
+//! records. Earlier format versions are rejected as
+//! `UnsupportedVersion`.
 //!
 //! Streams are single-pass; every producer in the workspace is
 //! deterministic, so constructing a fresh stream replays the identical
@@ -46,14 +60,12 @@
 #![warn(missing_docs)]
 
 mod io;
-mod io_v2;
 mod record;
 mod stats;
 mod stream;
 mod trace;
 
-pub use io::{read_trace, write_trace, TraceIoError, TraceReader};
-pub use io_v2::{write_trace_v2, BlockWriter};
+pub use io::{read_trace, write_trace, BlockWriter, TraceIoError, TraceReader};
 pub use record::{BranchKind, BranchRecord};
 pub use stats::{KindCounts, TraceStats};
 pub use stream::{BranchStream, Records, TraceStream};

@@ -1,9 +1,6 @@
-//! Property tests for the trace serialization formats (v1 and v2).
+//! Property tests for the trace serialization format.
 
-use bp_trace::{
-    read_trace, write_trace, write_trace_v2, BlockWriter, BranchKind, BranchRecord, BranchStream,
-    Trace, TraceReader,
-};
+use bp_trace::{read_trace, write_trace, BlockWriter, BranchKind, BranchRecord, Trace};
 use proptest::prelude::*;
 
 fn arb_record() -> impl Strategy<Value = BranchRecord> {
@@ -23,72 +20,44 @@ fn arb_record() -> impl Strategy<Value = BranchRecord> {
         })
 }
 
+fn written(trace: &Trace) -> Vec<u8> {
+    let mut buf = Vec::new();
+    write_trace(&mut buf, trace).expect("serialize");
+    buf
+}
+
+/// A loop-shaped trace of `n` records: small PC deltas, as real traces
+/// have.
+fn regular(n: usize) -> Trace {
+    let mut t = Trace::new("flips");
+    for i in 0..n {
+        let pc = 0x40_0000 + (i as u64 % 97) * 4;
+        t.push(
+            BranchRecord::conditional(pc, pc.wrapping_sub(0x40), i % 3 == 0)
+                .with_leading_instructions((i % 11) as u32),
+        );
+    }
+    t
+}
+
 proptest! {
     /// Any trace — arbitrary PCs, targets, kinds, flags, and name —
     /// survives a serialize/deserialize round trip bit-exactly.
     #[test]
     fn round_trip_is_identity(
         name in "[a-zA-Z0-9 _-]{0,40}",
-        records in proptest::collection::vec(arb_record(), 0..200),
-    ) {
-        let mut trace = Trace::new(name);
-        trace.extend(records);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &trace).expect("serialize");
-        let back = read_trace(buf.as_slice()).expect("deserialize");
-        prop_assert_eq!(back, trace);
-    }
-
-    /// Truncating a serialized trace at any point either still parses to
-    /// a prefix-consistent header error or fails cleanly — never panics.
-    #[test]
-    fn truncation_never_panics(
-        records in proptest::collection::vec(arb_record(), 0..50),
-        cut_fraction in 0.0f64..1.0,
-    ) {
-        let mut trace = Trace::new("t");
-        trace.extend(records);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &trace).expect("serialize");
-        let cut = ((buf.len() as f64) * cut_fraction) as usize;
-        let _ = read_trace(&buf[..cut]); // any Result is fine; no panic
-    }
-
-    /// Statistics are invariant under serialization.
-    #[test]
-    fn stats_survive_round_trip(
-        records in proptest::collection::vec(arb_record(), 1..100),
-    ) {
-        let mut trace = Trace::new("s");
-        trace.extend(records);
-        let mut buf = Vec::new();
-        write_trace(&mut buf, &trace).expect("serialize");
-        let back = read_trace(buf.as_slice()).expect("deserialize");
-        prop_assert_eq!(back.stats(), trace.stats());
-        prop_assert_eq!(back.instruction_count(), trace.instruction_count());
-        prop_assert_eq!(back.conditional_count(), trace.conditional_count());
-    }
-
-    /// Any trace — arbitrary PCs, targets, kinds, flags, and name —
-    /// survives a v2 (block-framed, delta-encoded) round trip
-    /// bit-exactly through the version-dispatching reader.
-    #[test]
-    fn v2_round_trip_is_identity(
-        name in "[a-zA-Z0-9 _-]{0,40}",
         records in proptest::collection::vec(arb_record(), 0..300),
     ) {
         let mut trace = Trace::new(name);
         trace.extend(records);
-        let mut buf = Vec::new();
-        write_trace_v2(&mut buf, &trace).expect("serialize v2");
-        let back = read_trace(buf.as_slice()).expect("deserialize v2");
+        let back = read_trace(written(&trace).as_slice()).expect("deserialize");
         prop_assert_eq!(back, trace);
     }
 
-    /// The streaming v2 writer (record count unknown until finish)
+    /// The streaming writer (record count unknown until finish)
     /// produces a file the reader replays identically.
     #[test]
-    fn v2_streamed_write_round_trips(
+    fn streamed_write_round_trips(
         records in proptest::collection::vec(arb_record(), 0..200),
     ) {
         let mut trace = Trace::new("streamed");
@@ -103,64 +72,71 @@ proptest! {
         prop_assert_eq!(back, trace);
     }
 
-    /// Truncating a v2 file at any point either errors cleanly or
-    /// (before the terminator is reached) never yields more records
-    /// than were written — no panics, no silently invented data.
+    /// Truncating a file at any point is a typed error — never a panic,
+    /// never a shorter trace read as whole.
     #[test]
-    fn v2_truncation_never_panics(
+    fn truncation_never_panics(
         records in proptest::collection::vec(arb_record(), 0..100),
         cut_fraction in 0.0f64..1.0,
     ) {
         let mut trace = Trace::new("t");
         trace.extend(records);
-        let mut buf = Vec::new();
-        write_trace_v2(&mut buf, &trace).expect("serialize");
+        let buf = written(&trace);
         let cut = ((buf.len() as f64) * cut_fraction) as usize;
-        if let Ok(back) = read_trace(&buf[..cut]) {
-            prop_assert_eq!(back, trace.clone());
-        } // any typed error is fine; no panic
+        prop_assert!(read_trace(&buf[..cut]).is_err(), "cut at {} of {}", cut, buf.len());
     }
 
-    /// The version-dispatching reader reports the header version and
-    /// reads both formats of the same trace to identical records.
+    /// Statistics are invariant under serialization.
     #[test]
-    fn version_dispatch_reads_both_formats(
-        records in proptest::collection::vec(arb_record(), 0..150),
+    fn stats_survive_round_trip(
+        records in proptest::collection::vec(arb_record(), 1..100),
     ) {
-        let mut trace = Trace::new("both");
+        let mut trace = Trace::new("s");
         trace.extend(records);
-        let mut v1 = Vec::new();
-        write_trace(&mut v1, &trace).expect("v1");
-        let mut v2 = Vec::new();
-        write_trace_v2(&mut v2, &trace).expect("v2");
-        let r1 = TraceReader::new(v1.as_slice()).expect("open v1");
-        let r2 = TraceReader::new(v2.as_slice()).expect("open v2");
-        prop_assert_eq!(r1.version(), 1);
-        prop_assert_eq!(r2.version(), 2);
-        prop_assert_eq!(r1.remaining(), trace.len());
-        prop_assert_eq!(r2.remaining(), trace.len());
-        prop_assert_eq!(r1.collect_trace(), trace.clone());
-        prop_assert_eq!(r2.collect_trace(), trace);
+        let back = read_trace(written(&trace).as_slice()).expect("deserialize");
+        prop_assert_eq!(back.stats(), trace.stats());
+        prop_assert_eq!(back.instruction_count(), trace.instruction_count());
+        prop_assert_eq!(back.conditional_count(), trace.conditional_count());
     }
 
-    /// v2's size is tightly bounded even on adversarial traces: a v1
-    /// record is a fixed 22 bytes, a v2 record is at worst 26 (flags +
-    /// two 10-byte zigzag varints + a 5-byte leading varint, when every
-    /// delta is a full-width random u64), plus 8 bytes per block frame
-    /// and a 16-byte terminator. Realistic delta-friendly traces are a
-    /// fraction of v1 (covered by unit tests and `bp bench`); this
-    /// property pins the worst case.
+    /// The size is tightly bounded even on adversarial traces: a record
+    /// is at worst 26 bytes (flags + two 10-byte zigzag varints + a
+    /// 5-byte leading varint, when every delta is a full-width random
+    /// u64), plus 12 bytes per block frame, a 20-byte terminator and the
+    /// header. Realistic traces are a fraction of this (covered by unit
+    /// tests and `bp bench`); this property pins the worst case.
     #[test]
-    fn v2_size_is_bounded_even_on_random_traces(
+    fn size_is_bounded_even_on_random_traces(
         records in proptest::collection::vec(arb_record(), 64..256),
     ) {
         let mut trace = Trace::new("sz");
         trace.extend(records);
-        let mut v1 = Vec::new();
-        write_trace(&mut v1, &trace).expect("v1");
-        let mut v2 = Vec::new();
-        write_trace_v2(&mut v2, &trace).expect("v2");
-        let worst = v1.len() + 4 * trace.len() + 8 + 16;
-        prop_assert!(v2.len() <= worst, "v2 {} > bound {}", v2.len(), worst);
+        let header = 4 + 4 + 4 + trace.name().len() + 8;
+        let worst = header + 26 * trace.len() + 12 + 20;
+        let bytes = written(&trace).len();
+        prop_assert!(bytes <= worst, "{} bytes > bound {}", bytes, worst);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Flipping 1–4 random bits anywhere in a multi-frame file is a
+    /// typed error or reads back the original records — never different
+    /// records.
+    #[test]
+    fn bit_flips_never_yield_different_records(
+        flips in proptest::collection::vec(any::<u64>(), 1..5),
+    ) {
+        let trace = regular(5_000);
+        let mut buf = written(&trace);
+        let bits = buf.len() as u64 * 8;
+        for flip in flips {
+            let bit = flip % bits;
+            buf[(bit / 8) as usize] ^= 1 << (bit % 8);
+        }
+        if let Ok(back) = read_trace(buf.as_slice()) {
+            prop_assert_eq!(back, trace);
+        }
     }
 }

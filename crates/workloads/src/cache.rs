@@ -1,9 +1,9 @@
-//! Caching generated benchmarks to disk in trace format v2.
+//! Caching generated benchmarks to disk in the trace format.
 //!
 //! Generation is deterministic but not free; re-simulating the same
 //! benchmark across many predictor configurations regenerates the same
 //! records every time. [`TraceFileSink`] is a [`RecordSink`] whose
-//! destination is a v2 [`BlockWriter`] instead of memory, and
+//! destination is a [`BlockWriter`] instead of memory, and
 //! [`cache_benchmark`] streams a whole benchmark through it — so a
 //! trace of any length caches in O(one kernel phase) memory, and later
 //! runs replay it through `bp_trace::TraceReader` instead of the kernel
@@ -14,7 +14,7 @@ use crate::spec::BenchmarkSpec;
 use bp_trace::{BlockWriter, BranchRecord, BranchStream, TraceIoError};
 use std::io::Write;
 
-/// A [`RecordSink`] that serializes every record to a v2 trace stream
+/// A [`RecordSink`] that serializes every record to a trace stream
 /// as it arrives.
 ///
 /// Because [`RecordSink::push_record`] cannot surface I/O failures, a
@@ -31,7 +31,7 @@ pub struct TraceFileSink<W: Write> {
 }
 
 impl<W: Write> TraceFileSink<W> {
-    /// Opens a sink writing a v2 trace named `name` to `writer`.
+    /// Opens a sink writing a trace named `name` to `writer`.
     ///
     /// # Errors
     ///
@@ -85,7 +85,7 @@ impl<W: Write> RecordSink for TraceFileSink<W> {
 }
 
 /// Generates `spec` at `instructions` retired instructions straight to
-/// `writer` as a v2 trace, in O(one kernel phase) memory, returning the
+/// `writer` as a trace file, in O(one kernel phase) memory, returning the
 /// record count.
 ///
 /// The cached file replays record-for-record identically to

@@ -6,13 +6,13 @@
 //!                               reference, exact storage)
 //! bp list benchmarks            list the 80 synthetic benchmarks
 //! bp list predictors            same as `bp list`
-//! bp generate <bench> <instr> <file> [--v1]
-//!                               generate a benchmark trace to disk
-//!                               (format v2 streamed in O(1) memory by
-//!                               default; --v1 writes the legacy format)
+//! bp generate <bench> <instr> <file>
+//!                               generate a benchmark trace to disk,
+//!                               streamed in O(1) memory
 //! bp simulate <config> <bench-or-file> [instr]
 //!                               run one predictor over a benchmark name
-//!                               or a serialized trace file (v1 or v2)
+//!                               or a trace file (every frame's CRC-32C
+//!                               is checked; a corrupt file is an error)
 //! bp profile <config> <bench> [instr] [top]
 //!                               per-static-branch misprediction profile
 //! bp compare <bench> [instr]    all registered predictors on one benchmark
@@ -49,8 +49,8 @@
 //!                               the deterministic SWEEP_<suite>.md /
 //!                               SWEEP_<suite>.json artifacts
 //! bp bench [--quick] [--instr N] [--out FILE]
-//!                               trace-I/O throughput benchmark (v1 vs v2
-//!                               write/read/simulate); emits
+//!                               trace-I/O benchmark (bytes/record,
+//!                               write, read, read+simulate); emits
 //!                               BENCH_trace_io.json
 //! bp bench --sim [--quick] [--instr N] [--out FILE] [--baseline FILE]
 //!                               simulator throughput benchmark
@@ -90,7 +90,7 @@ use imli_repro::sim::{
     PredictorFamily, PredictorSpec, SimCache, TextTable, SCENARIO_NAMES, STANDARD_BUDGETS_KBIT,
     SWEEP_FAMILIES,
 };
-use imli_repro::trace::{read_trace, write_trace, Trace, TraceReader};
+use imli_repro::trace::{read_trace, Trace, TraceReader};
 use imli_repro::workloads::{
     cache_benchmark, cbp3_suite, cbp4_suite, find_benchmark, generate, suite_by_name,
 };
@@ -100,7 +100,7 @@ use std::process::ExitCode;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage:\n  bp list [benchmarks|predictors]\n  bp generate <bench> <instr> <file> [--v1]\n  \
+        "usage:\n  bp list [benchmarks|predictors]\n  bp generate <bench> <instr> <file>\n  \
          bp simulate <config> <bench-or-file> [instr]\n  bp profile <config> <bench> [instr] [top]\n  \
          bp compare <bench> [instr]\n  \
          bp grid <suite> [--jobs N] [--json] [--instr N] [--family F] [--predictors a,b,c] \
@@ -168,30 +168,16 @@ fn run(args: &[String]) -> Result<Option<()>, String> {
             println!("{table}");
             Ok(())
         }
-        ["generate", bench, instr, path] | ["generate", bench, instr, path, "--v1"] => {
-            if path == "--v1" {
-                // `bp generate <bench> <instr> --v1` with the output
-                // path forgotten would otherwise write a file literally
-                // named "--v1".
-                return Err("generate needs an output file path before --v1".to_owned());
-            }
-            let legacy_v1 = args.last().is_some_and(|a| a == "--v1");
+        ["generate", bench, instr, path] => {
             parse_u64(instr, "instruction count").and_then(|instructions| {
                 let spec = find_benchmark(bench).ok_or_else(|| {
                     format!("unknown benchmark {bench} (try `bp list benchmarks`)")
                 })?;
                 let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-                if legacy_v1 {
-                    let trace = generate(&spec, instructions);
-                    write_trace(BufWriter::new(file), &trace)
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
-                    println!("wrote {trace} (format v1)");
-                } else {
-                    // v2 streams straight to disk: no materialized trace.
-                    let records = cache_benchmark(&spec, instructions, BufWriter::new(file))
-                        .map_err(|e| format!("cannot write {path}: {e}"))?;
-                    println!("wrote {} ({records} records, format v2)", spec.name);
-                }
+                // Streams straight to disk: no materialized trace.
+                let records = cache_benchmark(&spec, instructions, BufWriter::new(file))
+                    .map_err(|e| format!("cannot write {path}: {e}"))?;
+                println!("wrote {} ({records} records)", spec.name);
                 Ok(())
             })
         }
@@ -203,8 +189,8 @@ fn run(args: &[String]) -> Result<Option<()>, String> {
                 .unwrap_or(1_000_000);
             let mut p = make_predictor(config)
                 .ok_or_else(|| format!("unknown predictor {config} (try `bp list predictors`)"))?;
-            // Both benchmark names and trace files (v1 or v2) simulate
-            // through the streaming path in O(1) memory.
+            // Both benchmark names and trace files simulate through the
+            // streaming path in O(1) memory.
             let result = if let Some(spec) = find_benchmark(source) {
                 simulate_stream(p.as_mut(), spec.stream(instructions))
             } else {
@@ -1080,14 +1066,11 @@ fn run_lint(flags: &[String]) -> Result<(), String> {
     }
 }
 
-/// trace-I/O throughput benchmark (format v1 vs v2), written as JSON to
-/// `BENCH_trace_io.json` (or `--out`) and summarized on stdout.
-///
-/// The default budget matches the paper's trace scale (~30M
-/// instructions per CBP trace), where the costs being measured are
-/// realistic: a materialized v1 trace no longer fits in cache, which is
-/// the regime the streaming v2 pipeline exists for. `--quick` is the
-/// CI smoke setting.
+/// Runs `bp bench`: the trace-I/O benchmark (see
+/// `bp_bench::trace_bench`), written as JSON to `BENCH_trace_io.json`
+/// (or `--out`) and summarized on stdout. The default budget matches
+/// the paper's trace scale (~30M instructions per CBP trace); `--quick`
+/// is the CI smoke setting.
 fn run_bench(flags: &[String]) -> Result<(), String> {
     let mut quick = false;
     let mut sim = false;
@@ -1178,34 +1161,22 @@ fn run_bench(flags: &[String]) -> Result<(), String> {
     let mut table = TextTable::new(vec![
         "benchmark",
         "records",
-        "v1 bytes",
-        "v2 bytes",
-        "v2/v1",
-        "v1 pipeline Mrec/s",
-        "v2 pipeline Mrec/s",
+        "bytes",
+        "B/record",
+        "read Mrec/s",
+        "read+sim Mrec/s",
     ]);
-    for b in &report.benchmarks {
+    for b in report.benchmarks.iter().chain([&report.totals()]) {
         table.row(vec![
             b.benchmark.clone(),
             b.records.to_string(),
-            b.v1.bytes.to_string(),
-            b.v2.bytes.to_string(),
-            format!("{:.3}", b.v2.bytes as f64 / b.v1.bytes as f64),
-            format!("{:.2}", b.v1.pipeline_records_per_sec(b.records) / 1e6),
-            format!("{:.2}", b.v2.pipeline_records_per_sec(b.records) / 1e6),
+            b.bytes.to_string(),
+            format!("{:.2}", b.bytes_per_record()),
+            format!("{:.2}", b.read_records_per_sec() / 1e6),
+            format!("{:.2}", b.read_simulate_records_per_sec() / 1e6),
         ]);
     }
-    println!("{table}");
-    println!(
-        "totals: v2 size {:.1} % of v1; file-simulate pipeline speedup {:.2}x \
-         (streaming read {:.2}x, streaming read+simulate {:.2}x); \
-         engine grid {:.2} Mrec/s per worker (gen+sim)\nwrote {out_path}",
-        report.size_ratio() * 100.0,
-        report.pipeline_speedup(),
-        report.read_speedup(),
-        report.read_simulate_speedup(),
-        report.grid_mean_records_per_sec / 1e6,
-    );
+    println!("{table}\nwrote {out_path}");
     Ok(())
 }
 

@@ -76,6 +76,9 @@ fn out_of_range_config_fields_fail_validation_instead_of_building() {
             ("max_history", 1 << 50),
             ("sic_entries", 1 << 40),
             ("entries", 1 << 40),
+            // The path-history register holds at most 64 bits.
+            ("path_bits", 65),
+            ("path_bits", 0),
         ] {
             let needle = format!("\"{field}\": ");
             let Some(at) = text.find(&needle) else {
