@@ -1,6 +1,9 @@
 //! Property tests for the trace serialization format.
 
-use bp_trace::{read_trace, write_trace, BlockWriter, BranchKind, BranchRecord, Trace};
+use bp_trace::{
+    read_trace, write_trace, BlockWriter, BranchKind, BranchRecord, BranchStream, Trace,
+    TraceReader,
+};
 use proptest::prelude::*;
 
 fn arb_record() -> impl Strategy<Value = BranchRecord> {
@@ -84,6 +87,55 @@ proptest! {
         let buf = written(&trace);
         let cut = ((buf.len() as f64) * cut_fraction) as usize;
         prop_assert!(read_trace(&buf[..cut]).is_err(), "cut at {} of {}", cut, buf.len());
+    }
+
+    /// The block-framed, delta-encoded layout (first shipped as format
+    /// v2) replays bit-exactly through the streaming reader too: the
+    /// header count is exact and no error is stashed.
+    #[test]
+    fn v2_round_trip_is_identity(
+        name in "[a-zA-Z0-9 _-]{0,40}",
+        records in proptest::collection::vec(arb_record(), 0..300),
+    ) {
+        let mut trace = Trace::new(name);
+        trace.extend(records);
+        let buf = written(&trace);
+        let mut reader = TraceReader::new(buf.as_slice()).expect("open");
+        prop_assert_eq!(reader.name(), trace.name());
+        prop_assert_eq!(reader.remaining(), trace.len());
+        let mut back = Trace::new(reader.name());
+        while let Some(record) = reader.try_next().expect("read") {
+            back.push(record);
+        }
+        prop_assert!(reader.error().is_none());
+        prop_assert_eq!(back, trace);
+    }
+
+    /// Truncating a file at any point never panics the streaming
+    /// reader: it yields a prefix of the written records, then a typed
+    /// error — never the end of a whole trace.
+    #[test]
+    fn v2_truncation_never_panics(
+        records in proptest::collection::vec(arb_record(), 0..100),
+        cut_fraction in 0.0f64..1.0,
+    ) {
+        let mut trace = Trace::new("t");
+        trace.extend(records);
+        let buf = written(&trace);
+        let cut = ((buf.len() as f64) * cut_fraction) as usize;
+        if let Ok(mut reader) = TraceReader::new(&buf[..cut]) {
+            let mut yielded = 0;
+            let end = loop {
+                match reader.try_next() {
+                    Ok(Some(record)) => {
+                        prop_assert_eq!(&record, &trace.records()[yielded]);
+                        yielded += 1;
+                    }
+                    other => break other,
+                }
+            };
+            prop_assert!(end.is_err(), "cut at {} of {} read as whole", cut, buf.len());
+        }
     }
 
     /// Statistics are invariant under serialization.
