@@ -237,6 +237,7 @@ pub fn default_policy() -> Policy {
             "crates/components/src/config.rs",
             "crates/bench/src/sim_bench.rs",
             "crates/bench/src/trace_bench.rs",
+            "crates/bench/src/claims.rs",
         ],
         panic_free_modules: &[
             "crates/cache/src/lib.rs",

@@ -8,9 +8,8 @@
 //! the PC with global-history segments, magnitude-threshold training)
 //! whose summation optionally includes the IMLI-SIC and IMLI-OH
 //! components, reusing the exact same [`imli::ImliState`] plumbing as the
-//! TAGE-GSC and GEHL hosts. The workspace's generality experiment
-//! (`exp_generality`) shows the same benchmarks benefitting on all three
-//! hosts.
+//! TAGE-GSC and GEHL hosts. The claims ledger's `any-neural-host` row
+//! (`bp claims`) checks that IMLI improves it on both suites.
 
 #![warn(missing_docs)]
 

@@ -20,7 +20,7 @@
 //!   dedup, dynamic self-scheduling of fused or per-cell work units,
 //!   deterministic grid-ordered results, progress callbacks;
 //! * [`run_suite`] / [`SuiteResult`] — whole-suite runs (parallelized
-//!   across benchmarks) and suite-vs-suite comparisons;
+//!   across benchmarks);
 //! * [`registry`] — every named predictor configuration of the paper's
 //!   evaluation as a structured [`PredictorSpec`] (name, family, paper
 //!   reference, factory), constructible by string name;
@@ -33,8 +33,8 @@
 //!   behind the paper's §4.2.1/§4.3.2 complexity argument;
 //! * [`MispredictionProfile`] — per-static-branch misprediction
 //!   attribution (the paper's "few hard branches dominate" analysis);
-//! * [`TextTable`] — fixed-width table rendering for the experiment
-//!   binaries that regenerate the paper's tables and figures.
+//! * [`TextTable`] — fixed-width table rendering for `bp`'s terminal
+//!   output.
 
 #![warn(missing_docs)]
 
@@ -78,7 +78,7 @@ pub use scenario::{
     TenantSpec, TenantTally, SCENARIO_NAMES, SCENARIO_REPORT_NAMES,
 };
 pub use speculative::{speculative_imli_fidelity, SpeculationReport};
-pub use suite::{run_suite, SuiteComparison, SuiteMismatchError, SuiteResult};
+pub use suite::{run_suite, SuiteResult};
 pub use sweep::{
     parse_predictor_file, parse_sweep_file, run_sweep, run_sweep_with_cache, solve_budget,
     SweepFileConfig, SweepReport, SweepRow, BUDGET_TOLERANCE, STANDARD_BUDGETS_KBIT,

@@ -1,4 +1,4 @@
-//! Whole-suite simulation and suite-vs-suite comparison.
+//! Whole-suite simulation.
 
 use crate::engine::{Engine, GridStrategy, Rows};
 use crate::run::SimResult;
@@ -43,104 +43,6 @@ impl fmt::Display for SuiteResult {
             self.mean_mpki(),
             self.rows.len()
         )
-    }
-}
-
-/// A baseline-vs-variant comparison over a suite.
-#[derive(Debug, Clone)]
-pub struct SuiteComparison {
-    /// Baseline results.
-    pub baseline: SuiteResult,
-    /// Variant results.
-    pub variant: SuiteResult,
-}
-
-/// The error returned by [`SuiteComparison::new`] when the two results
-/// do not cover the identical benchmark list.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SuiteMismatchError {
-    /// Benchmark names of the baseline result, in order.
-    pub baseline: Vec<String>,
-    /// Benchmark names of the variant result, in order.
-    pub variant: Vec<String>,
-}
-
-impl fmt::Display for SuiteMismatchError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let first_diff = self
-            .baseline
-            .iter()
-            .zip(&self.variant)
-            .position(|(b, v)| b != v);
-        write!(
-            f,
-            "comparison requires identical benchmark lists: baseline has {} benchmarks, \
-             variant has {}",
-            self.baseline.len(),
-            self.variant.len()
-        )?;
-        if let Some(i) = first_diff {
-            write!(
-                f,
-                "; first divergence at index {i} ({:?} vs {:?})",
-                self.baseline[i], self.variant[i]
-            )?;
-        }
-        Ok(())
-    }
-}
-
-impl std::error::Error for SuiteMismatchError {}
-
-impl SuiteComparison {
-    /// Builds a comparison.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SuiteMismatchError`] describing the divergence if
-    /// the two results cover different benchmark lists.
-    pub fn new(baseline: SuiteResult, variant: SuiteResult) -> Result<Self, SuiteMismatchError> {
-        let names = |r: &SuiteResult| -> Vec<String> {
-            r.rows.iter().map(|row| row.benchmark.clone()).collect()
-        };
-        let (b, v) = (names(&baseline), names(&variant));
-        if b != v {
-            return Err(SuiteMismatchError {
-                baseline: b,
-                variant: v,
-            });
-        }
-        Ok(SuiteComparison { baseline, variant })
-    }
-
-    /// Per-benchmark MPKI reduction (baseline − variant; positive =
-    /// variant better), in suite order.
-    pub fn reductions(&self) -> Vec<(String, f64)> {
-        self.baseline
-            .rows
-            .iter()
-            .zip(&self.variant.rows)
-            .map(|(b, v)| (b.benchmark.clone(), b.mpki() - v.mpki()))
-            .collect()
-    }
-
-    /// The `n` benchmarks with the largest MPKI reduction, sorted
-    /// descending — the paper's "most benefitting benchmarks" figures.
-    pub fn top_benefitting(&self, n: usize) -> Vec<(String, f64)> {
-        let mut r = self.reductions();
-        r.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite MPKI"));
-        r.truncate(n);
-        r
-    }
-
-    /// Relative mean-MPKI reduction in percent (positive = variant
-    /// better), the paper's headline "-x %" numbers.
-    pub fn mean_reduction_percent(&self) -> f64 {
-        let b = self.baseline.mean_mpki();
-        if b == 0.0 {
-            return 0.0;
-        }
-        (b - self.variant.mean_mpki()) / b * 100.0
     }
 }
 
@@ -196,65 +98,6 @@ mod tests {
         assert_eq!(s.mpki_of("b"), Some(30.0));
         assert_eq!(s.mpki_of("c"), None);
         assert!(format!("{s}").contains("fake"));
-    }
-
-    #[test]
-    fn comparison_reductions_and_top() {
-        let base = SuiteResult {
-            predictor: "base".into(),
-            rows: vec![
-                fake_result("a", 10),
-                fake_result("b", 30),
-                fake_result("c", 5),
-            ],
-        };
-        let var = SuiteResult {
-            predictor: "var".into(),
-            rows: vec![
-                fake_result("a", 10),
-                fake_result("b", 10),
-                fake_result("c", 4),
-            ],
-        };
-        let cmp = SuiteComparison::new(base, var).expect("same benchmark lists");
-        let top = cmp.top_benefitting(2);
-        assert_eq!(top[0].0, "b");
-        assert!((top[0].1 - 20.0).abs() < 1e-9);
-        assert_eq!(top[1].0, "c");
-        assert!(cmp.mean_reduction_percent() > 0.0);
-    }
-
-    #[test]
-    fn comparison_rejects_different_benchmarks_with_context() {
-        let a = SuiteResult {
-            predictor: "a".into(),
-            rows: vec![fake_result("x", 1), fake_result("z", 1)],
-        };
-        let b = SuiteResult {
-            predictor: "b".into(),
-            rows: vec![fake_result("x", 1), fake_result("y", 1)],
-        };
-        let err = SuiteComparison::new(a, b).unwrap_err();
-        assert_eq!(err.baseline, vec!["x", "z"]);
-        assert_eq!(err.variant, vec!["x", "y"]);
-        let msg = format!("{err}");
-        assert!(msg.contains("identical benchmark lists"), "{msg}");
-        assert!(msg.contains("index 1"), "{msg}");
-        assert!(msg.contains("\"z\"") && msg.contains("\"y\""), "{msg}");
-    }
-
-    #[test]
-    fn comparison_rejects_length_mismatch() {
-        let a = SuiteResult {
-            predictor: "a".into(),
-            rows: vec![fake_result("x", 1)],
-        };
-        let b = SuiteResult {
-            predictor: "b".into(),
-            rows: vec![],
-        };
-        let err = SuiteComparison::new(a, b).unwrap_err();
-        assert!(format!("{err}").contains("1 benchmarks"));
     }
 
     #[test]

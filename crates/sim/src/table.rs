@@ -1,9 +1,9 @@
-//! Fixed-width text tables for the experiment binaries.
+//! Fixed-width text tables for terminal output.
 
 use std::fmt;
 
-/// A simple column-aligned text table, used by the `exp_*` binaries to
-/// print rows in the same layout as the paper's tables.
+/// A simple column-aligned text table, used by `bp` to print rows in
+/// the same layout as the paper's tables.
 ///
 /// ```
 /// use bp_sim::TextTable;

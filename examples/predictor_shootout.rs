@@ -10,8 +10,7 @@ use imli_repro::workloads::cbp4_suite;
 
 fn main() {
     // A representative slice: the two flagship planted benchmarks plus
-    // four generic ones. (The full 2×40-benchmark runs live in the
-    // exp_* binaries of the bp-bench crate.)
+    // four generic ones. (`bp claims` runs the full 2×40 benchmarks.)
     let suite: Vec<_> = cbp4_suite()
         .into_iter()
         .filter(|s| {

@@ -48,6 +48,11 @@
 //!                               (config × benchmark) grid, and emit
 //!                               the deterministic SWEEP_<suite>.md /
 //!                               SWEEP_<suite>.json artifacts
+//! bp claims [--jobs N] [--instr N] [--json] [--out-dir D]
+//!                               the paper-claims ledger: every checked
+//!                               claim's shape verdict, written to the
+//!                               deterministic CLAIMS_paper.md /
+//!                               CLAIMS_paper.json
 //! bp bench [--quick] [--instr N] [--out FILE]
 //!                               trace-I/O benchmark (bytes/record,
 //!                               write, read, read+simulate); emits
@@ -71,12 +76,13 @@
 //!                               invalid files, full clear
 //! ```
 //!
-//! `bp grid|report|sweep|scenario` additionally take `--cache [DIR]`
+//! `bp grid|report|sweep|scenario|claims` additionally take `--cache [DIR]`
 //! (default `.bp-cache`) and `--cache-mode rw|ro|refresh`: cells whose
 //! content-addressed key (config text × workload × budgets) is already
 //! in the cache are spliced in without simulating, and only the misses
 //! run. Artifacts are byte-identical with the cache off, cold, or warm.
 
+use imli_repro::bench::claims::{run_claims, DEFAULT_INSTRUCTIONS};
 use imli_repro::bench::sim_bench::{
     parse_predictor_throughputs, run_sim_bench, throughput_regressions, DEFAULT_REPS,
 };
@@ -86,9 +92,9 @@ use imli_repro::sim::{
     family_members, lookup, make_predictor, paper_report_predictors, parse_predictor_file,
     parse_scenario_file, parse_sweep_file, registry, run_report_with_cache,
     run_scenario_with_cache, run_sweep_with_cache, scenario_by_name, scenario_report_predictors,
-    simulate, simulate_stream, CachePolicy, CacheStore, Engine, GridStrategy, MispredictionProfile,
-    PredictorFamily, PredictorSpec, SimCache, TextTable, SCENARIO_NAMES, STANDARD_BUDGETS_KBIT,
-    SWEEP_FAMILIES,
+    simulate, simulate_stream, CachePolicy, CacheStore, CellUpdate, Engine, GridStrategy,
+    MispredictionProfile, PredictorFamily, PredictorSpec, SimCache, TextTable, SCENARIO_NAMES,
+    STANDARD_BUDGETS_KBIT, SWEEP_FAMILIES,
 };
 use imli_repro::trace::{read_trace, Trace, TraceReader};
 use imli_repro::workloads::{
@@ -97,6 +103,60 @@ use imli_repro::workloads::{
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
+
+/// Why a command failed.
+enum CmdError {
+    /// A message, printed as `error: …` with exit status 1.
+    Message(String),
+    /// Writing to stdout failed. A closed pipe (`bp … | head`) ends the
+    /// command quietly with exit status 0.
+    Stdout(std::io::Error),
+}
+
+impl From<String> for CmdError {
+    fn from(message: String) -> Self {
+        CmdError::Message(message)
+    }
+}
+
+impl From<&str> for CmdError {
+    fn from(message: &str) -> Self {
+        CmdError::Message(message.to_owned())
+    }
+}
+
+/// `print!` through [`CmdError::Stdout`]: every stdout write of a
+/// command goes through here, so a closed stdout is an error the
+/// command returns, not a panic.
+macro_rules! out {
+    ($($arg:tt)*) => {{
+        let mut stdout = std::io::stdout().lock();
+        write!(stdout, $($arg)*)
+            .and_then(|()| stdout.flush())
+            .map_err(CmdError::Stdout)?
+    }};
+}
+
+/// `println!` through [`out!`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        out!("{}\n", format_args!($($arg)*))
+    };
+}
+
+/// The progress callback of the grid-shaped commands: when `show`, a
+/// `[done/total] config on benchmark (MPKI)` line on stderr.
+fn progress(show: bool) -> impl Fn(CellUpdate<'_>) + Sync {
+    move |update| {
+        if show {
+            eprint!(
+                "\r[{}/{}] {} on {} ({:.3} MPKI)          ",
+                update.completed, update.total, update.predictor, update.benchmark, update.mpki
+            );
+            let _ = std::io::stderr().flush();
+        }
+    }
+}
 
 fn usage() -> ExitCode {
     eprintln!(
@@ -111,6 +171,8 @@ fn usage() -> ExitCode {
          [--predictors a,b,c] [--config FILE] [--out-dir D] [--cache [DIR]] [--cache-mode M]\n  \
          bp sweep <suite> [--budgets 8,16,...] [--families a,b,c] [--config FILE] [--jobs N] \
          [--instr N] [--json] [--out-dir D] [--quick] [--cache [DIR]] [--cache-mode M]\n  \
+         bp claims [--jobs N] [--instr N] [--json] [--out-dir D] [--cache [DIR]] \
+         [--cache-mode M]\n  \
          bp bench [--quick] [--instr N] [--out FILE]\n  \
          bp bench --sim [--quick] [--instr N] [--out FILE] [--baseline FILE] [--cache [DIR]]\n  \
          bp lint [--json] [--fix-audit]\n  \
@@ -131,12 +193,12 @@ fn parse_u64(s: &str, what: &str) -> Result<u64, String> {
     s.parse().map_err(|_| format!("bad {what}: {s}"))
 }
 
-fn run(args: &[String]) -> Result<Option<()>, String> {
+fn run(args: &[String]) -> Result<Option<()>, CmdError> {
     match args.iter().map(String::as_str).collect::<Vec<_>>()[..] {
         ["list", "benchmarks"] => {
             for (suite, specs) in [("CBP4", cbp4_suite()), ("CBP3", cbp3_suite())] {
                 for spec in specs {
-                    println!("{suite}/{}", spec.name);
+                    outln!("{suite}/{}", spec.name);
                 }
             }
             Ok(())
@@ -165,21 +227,19 @@ fn run(args: &[String]) -> Result<Option<()>, String> {
                     spec.paper_ref.clone(),
                 ]);
             }
-            println!("{table}");
+            outln!("{table}");
             Ok(())
         }
         ["generate", bench, instr, path] => {
-            parse_u64(instr, "instruction count").and_then(|instructions| {
-                let spec = find_benchmark(bench).ok_or_else(|| {
-                    format!("unknown benchmark {bench} (try `bp list benchmarks`)")
-                })?;
-                let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
-                // Streams straight to disk: no materialized trace.
-                let records = cache_benchmark(&spec, instructions, BufWriter::new(file))
-                    .map_err(|e| format!("cannot write {path}: {e}"))?;
-                println!("wrote {} ({records} records)", spec.name);
-                Ok(())
-            })
+            let instructions = parse_u64(instr, "instruction count")?;
+            let spec = find_benchmark(bench)
+                .ok_or_else(|| format!("unknown benchmark {bench} (try `bp list benchmarks`)"))?;
+            let file = File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+            // Streams straight to disk: no materialized trace.
+            let records = cache_benchmark(&spec, instructions, BufWriter::new(file))
+                .map_err(|e| format!("cannot write {path}: {e}"))?;
+            outln!("wrote {} ({records} records)", spec.name);
+            Ok(())
         }
         ["simulate", config, source] | ["simulate", config, source, _] => {
             let instructions = args
@@ -199,11 +259,11 @@ fn run(args: &[String]) -> Result<Option<()>, String> {
                     .map_err(|e| format!("cannot parse {source}: {e}"))?;
                 let result = simulate_stream(p.as_mut(), &mut reader);
                 if let Some(e) = reader.error() {
-                    return Err(format!("error while streaming {source}: {e}"));
+                    return Err(format!("error while streaming {source}: {e}").into());
                 }
                 result
             };
-            println!("{result}");
+            outln!("{result}");
             Ok(())
         }
         ["profile", config, bench] | ["profile", config, bench, ..] => {
@@ -221,7 +281,7 @@ fn run(args: &[String]) -> Result<Option<()>, String> {
             let mut p =
                 make_predictor(config).ok_or_else(|| format!("unknown predictor {config}"))?;
             let profile = MispredictionProfile::collect(p.as_mut(), &trace);
-            println!(
+            outln!(
                 "{config} on {}: {:.3} MPKI; top-{top} branches cause {:.0} % of mispredictions",
                 trace.name(),
                 profile.mpki(),
@@ -236,13 +296,14 @@ fn run(args: &[String]) -> Result<Option<()>, String> {
                     format!("{:.1} %", b.misprediction_rate() * 100.0),
                 ]);
             }
-            println!("{table}");
+            outln!("{table}");
             Ok(())
         }
         ["grid", suite, ..] => run_grid(suite, &args[2..]),
         ["report", suite, ..] => run_report_cmd(suite, &args[2..]),
         ["scenario", spec, ..] => run_scenario_cmd(spec, &args[2..]),
         ["sweep", suite, ..] => run_sweep_cmd(suite, &args[2..]),
+        ["claims", ..] => run_claims_cmd(&args[1..]),
         ["bench", ..] => run_bench(&args[1..]),
         ["lint", ..] => run_lint(&args[1..]),
         ["cache", ..] => run_cache_cmd(&args[1..]),
@@ -265,7 +326,7 @@ fn run(args: &[String]) -> Result<Option<()>, String> {
             for (name, mpki) in rows {
                 table.row(vec![name, format!("{mpki:.3}")]);
             }
-            println!("{} ({} instructions)\n{table}", trace.name(), instructions);
+            outln!("{} ({} instructions)\n{table}", trace.name(), instructions);
             Ok(())
         }
         _ => return Ok(None),
@@ -324,9 +385,9 @@ fn report_cache_outcome(cache: Option<&SimCache>, cells: usize) {
     }
 }
 
-/// Flags shared by the `bp grid` and `bp report` sweep commands, plus
-/// the report-only extras (`--warmup`, `--out-dir`), which `grid`
-/// rejects as unknown.
+/// The flags of the grid-shaped commands, parsed by
+/// [`parse_sweep_flags`]; each command accepts its own subset and
+/// rejects the rest as unknown.
 struct SweepFlags {
     jobs: Option<usize>,
     json: bool,
@@ -338,17 +399,22 @@ struct SweepFlags {
     cache: Option<SimCache>,
 }
 
-/// Parses the shared sweep flags (`--jobs`, `--instr`, `--json`,
-/// `--family`, `--predictors`, `--cache [DIR]`, `--cache-mode M`).
-/// `command` names the subcommand for error messages; `report_flags`
-/// additionally enables `--warmup` and `--out-dir`, while `grid` alone
-/// takes `--strategy`.
+/// The flags every grid-shaped command accepts, and those that pick its
+/// predictor set.
+const SHARED_FLAGS: &[&str] = &["--jobs", "--instr", "--json", "--cache", "--cache-mode"];
+const PREDICTOR_FLAGS: &[&str] = &["--family", "--predictors", "--config"];
+
+/// Parses the flags of a grid-shaped command (`--jobs`, `--instr`,
+/// `--json`, `--family`, `--predictors`, `--config`, `--cache [DIR]`,
+/// `--cache-mode M`, `--strategy`, `--warmup`, `--out-dir`), accepting
+/// only those in the `accepted` lists. `command` names the subcommand
+/// for error messages.
 fn parse_sweep_flags(
     command: &str,
     flags: &[String],
     default_instructions: u64,
     initial_predictors: Vec<PredictorSpec>,
-    report_flags: bool,
+    accepted: &[&[&str]],
 ) -> Result<SweepFlags, String> {
     let mut parsed = SweepFlags {
         jobs: None,
@@ -364,6 +430,9 @@ fn parse_sweep_flags(
     let mut cache_mode: Option<CachePolicy> = None;
     let mut it = flags.iter();
     while let Some(flag) = it.next() {
+        if !accepted.iter().any(|set| set.contains(&flag.as_str())) {
+            return Err(format!("unknown {command} flag {flag}"));
+        }
         if flag == "--cache" {
             cache_dir = Some(take_cache_dir(&mut it));
             continue;
@@ -422,7 +491,7 @@ fn parse_sweep_flags(
                 parsed.predictors =
                     parse_predictor_file(&text).map_err(|e| format!("{path}: {e}"))?;
             }
-            "--strategy" if !report_flags => {
+            "--strategy" => {
                 let v = value("strategy name")?;
                 parsed.strategy = match v.to_ascii_lowercase().as_str() {
                     "auto" => GridStrategy::Auto,
@@ -431,10 +500,10 @@ fn parse_sweep_flags(
                     other => return Err(format!("unknown strategy {other} (auto, cell, fused)")),
                 };
             }
-            "--warmup" if report_flags => {
+            "--warmup" => {
                 parsed.warmup = Some(parse_u64(value("instruction count")?, "instruction count")?);
             }
-            "--out-dir" if report_flags => {
+            "--out-dir" => {
                 parsed.out_dir = value("directory")?.to_owned();
             }
             other => return Err(format!("unknown {command} flag {other}")),
@@ -444,9 +513,29 @@ fn parse_sweep_flags(
     Ok(parsed)
 }
 
+/// Writes a command's artifact pair, `<out_dir>/<stem>.md` and
+/// `<out_dir>/<stem>.json`, and returns both paths.
+fn write_artifacts(
+    out_dir: &str,
+    stem: &str,
+    markdown: &str,
+    json: &str,
+) -> Result<(std::path::PathBuf, std::path::PathBuf), String> {
+    std::fs::create_dir_all(out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
+    let dir = std::path::Path::new(out_dir);
+    let paths = (
+        dir.join(format!("{stem}.md")),
+        dir.join(format!("{stem}.json")),
+    );
+    for (path, text) in [(&paths.0, markdown), (&paths.1, json)] {
+        std::fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+    }
+    Ok(paths)
+}
+
 /// Parses and runs `bp grid <suite> [--jobs N] [--json] [--instr N]
 /// [--family F] [--predictors a,b,c]`.
-fn run_grid(suite_name: &str, flags: &[String]) -> Result<(), String> {
+fn run_grid(suite_name: &str, flags: &[String]) -> Result<(), CmdError> {
     let benchmarks = suite_by_name(suite_name)
         .ok_or_else(|| format!("unknown suite {suite_name} (try cbp4, cbp3, or paper)"))?;
     let SweepFlags {
@@ -457,7 +546,13 @@ fn run_grid(suite_name: &str, flags: &[String]) -> Result<(), String> {
         strategy,
         cache,
         ..
-    } = parse_sweep_flags("grid", flags, 1_000_000, registry(), false)?;
+    } = parse_sweep_flags(
+        "grid",
+        flags,
+        1_000_000,
+        registry(),
+        &[SHARED_FLAGS, PREDICTOR_FLAGS, &["--strategy"]],
+    )?;
 
     let engine = jobs
         .map_or_else(Engine::new, Engine::with_jobs)
@@ -465,15 +560,12 @@ fn run_grid(suite_name: &str, flags: &[String]) -> Result<(), String> {
         .with_cache(cache);
     let started = std::time::Instant::now();
     let show_progress = !json;
-    let grid = engine.run_grid_with_progress(&predictors, &benchmarks, instructions, &|update| {
-        if show_progress {
-            eprint!(
-                "\r[{}/{}] {} on {} ({:.3} MPKI)          ",
-                update.completed, update.total, update.predictor, update.benchmark, update.mpki
-            );
-            let _ = std::io::stderr().flush();
-        }
-    });
+    let grid = engine.run_grid_with_progress(
+        &predictors,
+        &benchmarks,
+        instructions,
+        &progress(show_progress),
+    );
     let elapsed = started.elapsed();
     if show_progress {
         eprintln!();
@@ -481,7 +573,7 @@ fn run_grid(suite_name: &str, flags: &[String]) -> Result<(), String> {
     report_cache_outcome(engine.cache(), predictors.len() * benchmarks.len());
 
     if json {
-        println!(
+        outln!(
             "{}",
             grid_to_json(suite_name, instructions, engine.jobs(), &grid)
         );
@@ -508,7 +600,7 @@ fn run_grid(suite_name: &str, flags: &[String]) -> Result<(), String> {
                 format!("{:.2}", grid.row_records_per_sec(p) / 1e6),
             ]);
         }
-        println!(
+        outln!(
             "{} grid: {} predictors x {} benchmarks at {} instructions, {} jobs, {:.2}s\n{table}",
             suite_name,
             grid.predictors.len(),
@@ -531,7 +623,7 @@ fn run_grid(suite_name: &str, flags: &[String]) -> Result<(), String> {
 /// analyzes per-name, against the Table 1/2 configuration ladder. The
 /// report depends only on its inputs — two runs with the same flags
 /// produce byte-identical files.
-fn run_report_cmd(suite_name: &str, flags: &[String]) -> Result<(), String> {
+fn run_report_cmd(suite_name: &str, flags: &[String]) -> Result<(), CmdError> {
     let benchmarks = suite_by_name(suite_name)
         .ok_or_else(|| format!("unknown suite {suite_name} (try cbp4, cbp3, or paper)"))?;
     let default_predictors: Vec<PredictorSpec> = if suite_name.eq_ignore_ascii_case("paper") {
@@ -548,13 +640,20 @@ fn run_report_cmd(suite_name: &str, flags: &[String]) -> Result<(), String> {
         out_dir,
         strategy: _,
         cache,
-    } = parse_sweep_flags("report", flags, 500_000, default_predictors, true)?;
+    } = parse_sweep_flags(
+        "report",
+        flags,
+        500_000,
+        default_predictors,
+        &[SHARED_FLAGS, PREDICTOR_FLAGS, &["--warmup", "--out-dir"]],
+    )?;
     // Default warmup: the first fifth of each benchmark.
     let warmup = warmup.unwrap_or(instructions / 5);
     if warmup >= instructions {
         return Err(format!(
             "warmup ({warmup}) must be smaller than the instruction budget ({instructions})"
-        ));
+        )
+        .into());
     }
 
     let engine = jobs.map_or_else(Engine::new, Engine::with_jobs);
@@ -567,34 +666,19 @@ fn run_report_cmd(suite_name: &str, flags: &[String]) -> Result<(), String> {
         warmup,
         engine.jobs(),
         cache.as_ref(),
-        &|update| {
-            if show_progress {
-                eprint!(
-                    "\r[{}/{}] {} on {} ({:.3} MPKI)          ",
-                    update.completed, update.total, update.predictor, update.benchmark, update.mpki
-                );
-                let _ = std::io::stderr().flush();
-            }
-        },
+        &progress(show_progress),
     );
     if show_progress {
         eprintln!();
     }
     report_cache_outcome(cache.as_ref(), predictors.len() * benchmarks.len());
 
-    std::fs::create_dir_all(&out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
-    let stem = format!("REPORT_{}", suite_name.to_ascii_lowercase());
-    let md_path = std::path::Path::new(&out_dir).join(format!("{stem}.md"));
-    let json_path = std::path::Path::new(&out_dir).join(format!("{stem}.json"));
-    let markdown = report.to_markdown();
     let json_doc = report.to_json();
-    std::fs::write(&md_path, &markdown)
-        .map_err(|e| format!("cannot write {}: {e}", md_path.display()))?;
-    std::fs::write(&json_path, &json_doc)
-        .map_err(|e| format!("cannot write {}: {e}", json_path.display()))?;
+    let stem = format!("REPORT_{}", suite_name.to_ascii_lowercase());
+    let (md_path, json_path) = write_artifacts(&out_dir, &stem, &report.to_markdown(), &json_doc)?;
 
     if json {
-        print!("{json_doc}");
+        out!("{json_doc}");
     } else {
         // The Mrec/s column is live telemetry from the engine's
         // per-cell timings; it goes to stdout only — the written
@@ -610,7 +694,7 @@ fn run_report_cmd(suite_name: &str, flags: &[String]) -> Result<(), String> {
                 format!("{:.2}", report.row_records_per_sec(p) / 1e6),
             ]);
         }
-        println!(
+        outln!(
             "{} report: {} predictors x {} benchmarks at {} instructions (warmup {})\n{table}\
              wrote {} and {}",
             suite_name,
@@ -638,7 +722,7 @@ fn run_report_cmd(suite_name: &str, flags: &[String]) -> Result<(), String> {
 /// replaces the predictor set with custom configurations, as in
 /// `bp report`. Artifacts `SCENARIO_<name>.md` / `SCENARIO_<name>.json`
 /// are byte-deterministic: same inputs, same bytes, any `--jobs`.
-fn run_scenario_cmd(spec_arg: &str, flags: &[String]) -> Result<(), String> {
+fn run_scenario_cmd(spec_arg: &str, flags: &[String]) -> Result<(), CmdError> {
     let mut scenario = match scenario_by_name(spec_arg) {
         Some(s) => s,
         None => {
@@ -651,76 +735,22 @@ fn run_scenario_cmd(spec_arg: &str, flags: &[String]) -> Result<(), String> {
             parse_scenario_file(&text).map_err(|e| format!("{spec_arg}: {e}"))?
         }
     };
-    let mut predictors = scenario_report_predictors();
-    let mut jobs: Option<usize> = None;
-    let mut json = false;
-    let mut out_dir = ".".to_owned();
-    let mut cache_dir: Option<String> = None;
-    let mut cache_mode: Option<CachePolicy> = None;
-    let mut it = flags.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--cache" {
-            cache_dir = Some(take_cache_dir(&mut it));
-            continue;
-        }
-        let mut value = |what: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{flag} needs a {what}"))
-        };
-        match flag.as_str() {
-            "--cache-mode" => cache_mode = Some(parse_cache_mode(value("cache mode")?)?),
-            "--jobs" => {
-                let v = value("worker count")?;
-                jobs = Some(
-                    v.parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("bad worker count: {v}"))?,
-                );
-            }
-            "--instr" => {
-                scenario.instructions =
-                    parse_u64(value("instruction count")?, "instruction count")?;
-            }
-            "--json" => json = true,
-            "--family" => {
-                let v = value("family name")?;
-                let family = PredictorFamily::ALL
-                    .into_iter()
-                    .find(|f| f.to_string() == v.to_ascii_lowercase())
-                    .ok_or_else(|| {
-                        format!("unknown family {v} (tage, gehl, perceptron, baseline)")
-                    })?;
-                predictors = family_members(family);
-            }
-            "--predictors" => {
-                let v = value("comma-separated list")?;
-                predictors = v
-                    .split(',')
-                    .map(|name| {
-                        lookup(name.trim()).ok_or_else(|| {
-                            format!(
-                                "unknown predictor {} (try `bp list predictors`)",
-                                name.trim()
-                            )
-                        })
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--config" => {
-                let path = value("config file path")?;
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read {path}: {e}"))?;
-                predictors = parse_predictor_file(&text).map_err(|e| format!("{path}: {e}"))?;
-            }
-            "--out-dir" => {
-                out_dir = value("directory")?.to_owned();
-            }
-            other => return Err(format!("unknown scenario flag {other}")),
-        }
-    }
-    let cache = build_cache(cache_dir, cache_mode)?;
+    let SweepFlags {
+        jobs,
+        json,
+        instructions,
+        predictors,
+        out_dir,
+        cache,
+        ..
+    } = parse_sweep_flags(
+        "scenario",
+        flags,
+        scenario.instructions,
+        scenario_report_predictors(),
+        &[SHARED_FLAGS, PREDICTOR_FLAGS, &["--out-dir"]],
+    )?;
+    scenario.instructions = instructions;
 
     let engine = jobs.map_or_else(Engine::new, Engine::with_jobs);
     let show_progress = !json;
@@ -729,34 +759,19 @@ fn run_scenario_cmd(spec_arg: &str, flags: &[String]) -> Result<(), String> {
         &predictors,
         engine.jobs(),
         cache.as_ref(),
-        &|update| {
-            if show_progress {
-                eprint!(
-                    "\r[{}/{}] {} on {} ({:.3} MPKI)          ",
-                    update.completed, update.total, update.predictor, update.benchmark, update.mpki
-                );
-                let _ = std::io::stderr().flush();
-            }
-        },
+        &progress(show_progress),
     )?;
     if show_progress {
         eprintln!();
     }
     report_cache_outcome(cache.as_ref(), predictors.len());
 
-    std::fs::create_dir_all(&out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
-    let stem = format!("SCENARIO_{}", report.scenario);
-    let md_path = std::path::Path::new(&out_dir).join(format!("{stem}.md"));
-    let json_path = std::path::Path::new(&out_dir).join(format!("{stem}.json"));
-    let markdown = report.to_markdown();
     let json_doc = report.to_json();
-    std::fs::write(&md_path, &markdown)
-        .map_err(|e| format!("cannot write {}: {e}", md_path.display()))?;
-    std::fs::write(&json_path, &json_doc)
-        .map_err(|e| format!("cannot write {}: {e}", json_path.display()))?;
+    let stem = format!("SCENARIO_{}", report.scenario);
+    let (md_path, json_path) = write_artifacts(&out_dir, &stem, &report.to_markdown(), &json_doc)?;
 
     if json {
-        print!("{json_doc}");
+        out!("{json_doc}");
     } else {
         let mut table = TextTable::new(vec!["config", "family", "combined MPKI", "flushes"]);
         for row in &report.rows {
@@ -767,7 +782,7 @@ fn run_scenario_cmd(spec_arg: &str, flags: &[String]) -> Result<(), String> {
                 row.run.flushes.to_string(),
             ]);
         }
-        println!(
+        outln!(
             "scenario {}: {} tenants x {} instructions, schedule {}, flush {}\n{table}\
              wrote {} and {}",
             report.scenario,
@@ -793,7 +808,7 @@ fn run_scenario_cmd(spec_arg: &str, flags: &[String]) -> Result<(), String> {
 /// written as the byte-deterministic `SWEEP_<suite>.md` /
 /// `SWEEP_<suite>.json` artifacts. `--quick` is the CI smoke setting
 /// (the paper's 64/256-Kbit points at a small instruction budget).
-fn run_sweep_cmd(suite_name: &str, flags: &[String]) -> Result<(), String> {
+fn run_sweep_cmd(suite_name: &str, flags: &[String]) -> Result<(), CmdError> {
     let benchmarks = suite_by_name(suite_name)
         .ok_or_else(|| format!("unknown suite {suite_name} (try cbp4, cbp3, or paper)"))?;
     let mut budgets: Vec<u64> = STANDARD_BUDGETS_KBIT.to_vec();
@@ -860,7 +875,7 @@ fn run_sweep_cmd(suite_name: &str, flags: &[String]) -> Result<(), String> {
             "--json" => json = true,
             "--quick" => quick = true,
             "--out-dir" => out_dir = value("directory")?.to_owned(),
-            other => return Err(format!("unknown sweep flag {other}")),
+            other => return Err(format!("unknown sweep flag {other}").into()),
         }
     }
     if quick {
@@ -876,7 +891,9 @@ fn run_sweep_cmd(suite_name: &str, flags: &[String]) -> Result<(), String> {
     }
     let instructions = instructions.unwrap_or(500_000);
     if budgets.is_empty() || families.is_empty() {
-        return Err("sweep needs at least one budget and one family".to_owned());
+        return Err("sweep needs at least one budget and one family"
+            .to_owned()
+            .into());
     }
 
     let cache = build_cache(cache_dir, cache_mode)?;
@@ -891,15 +908,7 @@ fn run_sweep_cmd(suite_name: &str, flags: &[String]) -> Result<(), String> {
         instructions,
         engine_jobs,
         cache.as_ref(),
-        &|update| {
-            if show_progress {
-                eprint!(
-                    "\r[{}/{}] {} on {} ({:.3} MPKI)          ",
-                    update.completed, update.total, update.predictor, update.benchmark, update.mpki
-                );
-                let _ = std::io::stderr().flush();
-            }
-        },
+        &progress(show_progress),
     )
     .map_err(|e| e.to_string())?;
     let elapsed = started.elapsed();
@@ -911,19 +920,12 @@ fn run_sweep_cmd(suite_name: &str, flags: &[String]) -> Result<(), String> {
         budgets.len() * families.len() * benchmarks.len(),
     );
 
-    std::fs::create_dir_all(&out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
-    let stem = format!("SWEEP_{}", suite_name.to_ascii_lowercase());
-    let md_path = std::path::Path::new(&out_dir).join(format!("{stem}.md"));
-    let json_path = std::path::Path::new(&out_dir).join(format!("{stem}.json"));
-    let markdown = report.to_markdown();
     let json_doc = report.to_json();
-    std::fs::write(&md_path, &markdown)
-        .map_err(|e| format!("cannot write {}: {e}", md_path.display()))?;
-    std::fs::write(&json_path, &json_doc)
-        .map_err(|e| format!("cannot write {}: {e}", json_path.display()))?;
+    let stem = format!("SWEEP_{}", suite_name.to_ascii_lowercase());
+    let (md_path, json_path) = write_artifacts(&out_dir, &stem, &report.to_markdown(), &json_doc)?;
 
     if json {
-        print!("{json_doc}");
+        out!("{json_doc}");
     } else {
         let mut table = TextTable::new(vec![
             "config",
@@ -941,7 +943,7 @@ fn run_sweep_cmd(suite_name: &str, flags: &[String]) -> Result<(), String> {
                 format!("{:.3}", row.mean_mpki()),
             ]);
         }
-        println!(
+        outln!(
             "{} sweep: {} budgets x {} families x {} benchmarks at {} instructions, {} jobs, \
              {:.2}s\n{table}wrote {} and {}",
             suite_name,
@@ -958,37 +960,93 @@ fn run_sweep_cmd(suite_name: &str, flags: &[String]) -> Result<(), String> {
     Ok(())
 }
 
+/// Parses and runs `bp claims [--jobs N] [--instr N] [--json]
+/// [--out-dir D] [--cache [DIR]] [--cache-mode M]`: the paper-claims
+/// ledger, one grid over both suites, written to the byte-deterministic
+/// `CLAIMS_paper.md` / `CLAIMS_paper.json`. There is one ledger, so the
+/// command takes no suite and no predictor flags.
+fn run_claims_cmd(flags: &[String]) -> Result<(), CmdError> {
+    let SweepFlags {
+        jobs,
+        json,
+        instructions,
+        out_dir,
+        cache,
+        ..
+    } = parse_sweep_flags(
+        "claims",
+        flags,
+        DEFAULT_INSTRUCTIONS,
+        Vec::new(),
+        &[SHARED_FLAGS, &["--out-dir"]],
+    )?;
+    let engine = jobs
+        .map_or_else(Engine::new, Engine::with_jobs)
+        .with_cache(cache);
+    let ledger = run_claims(&engine, instructions, &progress(!json));
+    if !json {
+        eprintln!();
+    }
+    let m = &ledger.measured;
+    report_cache_outcome(engine.cache(), m.configs.len() * m.benchmarks.len());
+
+    let json_doc = ledger.to_json();
+    let (md_path, json_path) =
+        write_artifacts(&out_dir, "CLAIMS_paper", &ledger.to_markdown(), &json_doc)?;
+
+    if json {
+        out!("{json_doc}");
+    } else {
+        for row in ledger.rows.iter().filter(|r| !r.holds) {
+            let suite = row.suite.map_or("", |s| s.label());
+            outln!("fails: {} {suite}: {}", row.claim.id, row.ours);
+        }
+        outln!(
+            "claims: {} of {} rows hold at {} instructions\nwrote {} and {}",
+            ledger.holding(),
+            ledger.rows.len(),
+            instructions,
+            md_path.display(),
+            json_path.display(),
+        );
+    }
+    Ok(())
+}
+
 /// Parses and runs `bp cache <stats|gc|clear> [DIR]`: result-cache
 /// maintenance. Output is deterministic for a given cache state — the
 /// store walks its directories in sorted order and prints plain
 /// counts, no timestamps or wall-clock.
-fn run_cache_cmd(args: &[String]) -> Result<(), String> {
+fn run_cache_cmd(args: &[String]) -> Result<(), CmdError> {
     let (action, dir) = match args {
         [action] => (action.as_str(), DEFAULT_CACHE_DIR),
         [action, dir] => (action.as_str(), dir.as_str()),
-        _ => return Err("usage: bp cache <stats|gc|clear> [DIR]".to_owned()),
+        _ => return Err("usage: bp cache <stats|gc|clear> [DIR]".to_owned().into()),
     };
     let store = CacheStore::new(dir);
     match action {
         "stats" => {
             let stats = store.stats();
-            println!(
+            outln!(
                 "{dir}: {} entries, {} bytes, {} invalid files",
-                stats.entries, stats.bytes, stats.invalid
+                stats.entries,
+                stats.bytes,
+                stats.invalid
             );
         }
         "gc" => {
             let outcome = store.gc();
-            println!(
+            outln!(
                 "{dir}: kept {} entries, removed {} invalid files",
-                outcome.kept, outcome.removed
+                outcome.kept,
+                outcome.removed
             );
         }
         "clear" => {
             let removed = store.clear();
-            println!("{dir}: removed {removed} entries");
+            outln!("{dir}: removed {removed} entries");
         }
-        other => return Err(format!("unknown cache action {other} (stats, gc, clear)")),
+        other => return Err(format!("unknown cache action {other} (stats, gc, clear)").into()),
     }
     Ok(())
 }
@@ -1002,14 +1060,14 @@ fn run_cache_cmd(args: &[String]) -> Result<(), String> {
 /// diagnostics, and checks that the committed `UNSAFE_AUDIT.md`
 /// matches the regenerated inventory (`--fix-audit` rewrites it
 /// instead). Exits nonzero on any violation, so CI can gate on it.
-fn run_lint(flags: &[String]) -> Result<(), String> {
+fn run_lint(flags: &[String]) -> Result<(), CmdError> {
     let mut json = false;
     let mut fix_audit = false;
     for flag in flags {
         match flag.as_str() {
             "--json" => json = true,
             "--fix-audit" => fix_audit = true,
-            other => return Err(format!("unknown bp lint flag: {other}")),
+            other => return Err(format!("unknown bp lint flag: {other}").into()),
         }
     }
     let cwd = std::env::current_dir().map_err(|e| format!("cannot read cwd: {e}"))?;
@@ -1042,12 +1100,12 @@ fn run_lint(flags: &[String]) -> Result<(), String> {
     }
 
     if json {
-        print!("{}", report.to_json());
+        out!("{}", report.to_json());
     } else {
         for d in &report.diagnostics {
-            println!("{d}");
+            outln!("{d}");
         }
-        println!(
+        outln!(
             "bp lint: {} files scanned, {} unsafe sites audited, {} violation(s){}",
             report.files_scanned,
             report.unsafe_sites.len(),
@@ -1062,7 +1120,7 @@ fn run_lint(flags: &[String]) -> Result<(), String> {
     if report.diagnostics.is_empty() {
         Ok(())
     } else {
-        Err(format!("{} lint violation(s)", report.diagnostics.len()))
+        Err(format!("{} lint violation(s)", report.diagnostics.len()).into())
     }
 }
 
@@ -1071,7 +1129,7 @@ fn run_lint(flags: &[String]) -> Result<(), String> {
 /// (or `--out`) and summarized on stdout. The default budget matches
 /// the paper's trace scale (~30M instructions per CBP trace); `--quick`
 /// is the CI smoke setting.
-fn run_bench(flags: &[String]) -> Result<(), String> {
+fn run_bench(flags: &[String]) -> Result<(), CmdError> {
     let mut quick = false;
     let mut sim = false;
     let mut instr: Option<u64> = None;
@@ -1126,17 +1184,23 @@ fn run_bench(flags: &[String]) -> Result<(), String> {
             "--baseline" => {
                 baseline_path = Some(it.next().ok_or("--baseline needs a file path")?.clone());
             }
-            other => return Err(format!("unknown bench flag {other}")),
+            other => return Err(format!("unknown bench flag {other}").into()),
         }
     }
     if quick && instr.is_some() {
-        return Err("--quick and --instr are mutually exclusive".to_owned());
+        return Err("--quick and --instr are mutually exclusive"
+            .to_owned()
+            .into());
     }
     if (baseline_path.is_some() || reps.is_some() || cache) && !sim {
-        return Err("--baseline, --reps, and --cache only apply to bench --sim".to_owned());
+        return Err("--baseline, --reps, and --cache only apply to bench --sim"
+            .to_owned()
+            .into());
     }
     if gate_pct.is_some() && baseline_path.is_none() {
-        return Err("--gate-pct needs a --baseline to gate against".to_owned());
+        return Err("--gate-pct needs a --baseline to gate against"
+            .to_owned()
+            .into());
     }
     if sim {
         return run_sim_bench_cmd(
@@ -1176,7 +1240,7 @@ fn run_bench(flags: &[String]) -> Result<(), String> {
             format!("{:.2}", b.read_simulate_records_per_sec() / 1e6),
         ]);
     }
-    println!("{table}\nwrote {out_path}");
+    outln!("{table}\nwrote {out_path}");
     Ok(())
 }
 
@@ -1197,7 +1261,7 @@ fn run_sim_bench_cmd(
     out_path: String,
     baseline_path: Option<String>,
     cache: Option<Option<String>>,
-) -> Result<(), String> {
+) -> Result<(), CmdError> {
     let instructions = instr.unwrap_or(if quick { 200_000 } else { 2_000_000 });
     // The grid leg covers 12 predictors × 8 benchmarks; run it at the
     // `bp report paper` default budget (a quarter of the throughput
@@ -1209,7 +1273,7 @@ fn run_sim_bench_cmd(
                 .map_err(|e| format!("cannot read baseline {path}: {e}"))?;
             let parsed = parse_predictor_throughputs(&json);
             if parsed.is_empty() {
-                return Err(format!("no predictor throughputs found in {path}"));
+                return Err(format!("no predictor throughputs found in {path}").into());
             }
             parsed
         }
@@ -1271,12 +1335,14 @@ fn run_sim_bench_cmd(
         }
         table.row(row);
     }
-    println!(
+    outln!(
         "simulate throughput on {} ({} records, min of {} reps after warmup)\n{table}",
-        report.benchmark, report.predictors[0].records, report.reps
+        report.benchmark,
+        report.predictors[0].records,
+        report.reps
     );
     if let Some(m) = &report.memory {
-        println!(
+        outln!(
             "memory: peak RSS {:.1} MiB, {} minor / {} major page faults",
             m.peak_rss_kib as f64 / 1024.0,
             m.minor_faults,
@@ -1284,7 +1350,7 @@ fn run_sim_bench_cmd(
         );
     }
     let g = &report.grid;
-    println!(
+    outln!(
         "grid: {} predictors x {} benchmarks at {} instructions, {} jobs: \
          per-cell {:.2}s, fused {:.2}s ({:.2}x), results identical: {}",
         g.predictors,
@@ -1297,7 +1363,7 @@ fn run_sim_bench_cmd(
         g.fused_matches_per_cell,
     );
     if let Some(c) = &report.cache {
-        println!(
+        outln!(
             "cache: {} cells at {} instructions, {} jobs: uncached {:.3}s, \
              cold {:.3}s ({:.2}x overhead), warm {:.4}s ({:.0}x speedup), \
              warm hits {}/{}, results identical: {}",
@@ -1314,11 +1380,11 @@ fn run_sim_bench_cmd(
             c.warm_matches_uncached,
         );
     }
-    println!("wrote {out_path}");
+    outln!("wrote {out_path}");
     if let Some(pct) = gate_pct {
         let regressions = throughput_regressions(&report, pct);
         if regressions.is_empty() {
-            println!("gate: no predictor regressed more than {pct}% vs baseline");
+            outln!("gate: no predictor regressed more than {pct}% vs baseline");
         } else {
             let worst: Vec<String> = regressions
                 .iter()
@@ -1327,7 +1393,8 @@ fn run_sim_bench_cmd(
             return Err(format!(
                 "throughput regression gate ({pct}% tolerance) failed: {}",
                 worst.join(", ")
-            ));
+            )
+            .into());
         }
     }
     Ok(())
@@ -1400,7 +1467,12 @@ fn main() -> ExitCode {
     match run(&args) {
         Ok(Some(())) => ExitCode::SUCCESS,
         Ok(None) => usage(),
-        Err(msg) => {
+        Err(CmdError::Stdout(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(CmdError::Stdout(e)) => {
+            eprintln!("error: cannot write to stdout: {e}");
+            ExitCode::FAILURE
+        }
+        Err(CmdError::Message(msg)) => {
             eprintln!("error: {msg}");
             ExitCode::FAILURE
         }
