@@ -4,7 +4,8 @@
 //! * [`claims`] — every checked claim of the paper's evaluation as one
 //!   data row, run as one engine grid over both suites and rendered as
 //!   the byte-deterministic `CLAIMS_paper.md` / `CLAIMS_paper.json`;
-//! * [`sim_bench`] — simulator throughput (`bp bench --sim`);
+//! * [`sim_bench`] — predictor throughput and its regression gate
+//!   (`bp bench --sim`);
 //! * [`trace_bench`] — trace-file size and decode throughput
 //!   (`bp bench`).
 

@@ -189,72 +189,3 @@ mod tests {
         assert!(profile.top(3).is_empty());
     }
 }
-
-/// MPKI over consecutive instruction windows: the predictor's learning
-/// curve. Useful for checking that suite budgets run past warm-up.
-///
-/// Returns one MPKI value per full window of `window_instructions`.
-pub fn learning_curve<P: ConditionalPredictor + ?Sized>(
-    predictor: &mut P,
-    trace: &Trace,
-    window_instructions: u64,
-) -> Vec<f64> {
-    assert!(window_instructions > 0, "window must be positive");
-    let mut curve = Vec::new();
-    let mut window_mispredictions = 0u64;
-    let mut window_instr = 0u64;
-    for record in trace.iter() {
-        if record.is_conditional() {
-            let pred = predictor.predict(record.pc);
-            window_mispredictions += u64::from(pred != record.taken);
-            predictor.update(record);
-        } else {
-            predictor.notify_nonconditional(record);
-        }
-        window_instr += record.instructions();
-        if window_instr >= window_instructions {
-            curve.push(window_mispredictions as f64 * 1000.0 / window_instr as f64);
-            window_mispredictions = 0;
-            window_instr = 0;
-        }
-    }
-    curve
-}
-
-#[cfg(test)]
-mod curve_tests {
-    use super::*;
-    use bp_components::Bimodal;
-    use bp_trace::BranchRecord;
-
-    #[test]
-    fn curve_descends_as_the_predictor_warms_up() {
-        let mut t = Trace::new("warmup");
-        for _ in 0..4000u64 {
-            // 50 distinct biased branches: bimodal needs a while to warm
-            // all entries.
-            for b in 0..50u64 {
-                t.push(
-                    BranchRecord::conditional(0x1000 + b * 8, 0x800, b % 5 != 0)
-                        .with_leading_instructions(4),
-                );
-            }
-        }
-        let curve = learning_curve(&mut Bimodal::new(4096), &t, 50_000);
-        assert!(curve.len() >= 10);
-        let early = curve[0];
-        let late = curve[curve.len() - 1];
-        assert!(
-            late <= early,
-            "curve must not rise after warmup: {early:.3} -> {late:.3}"
-        );
-        assert_eq!(late, 0.0, "biased branches are perfectly learned");
-    }
-
-    #[test]
-    #[should_panic(expected = "window must be positive")]
-    fn curve_rejects_zero_window() {
-        let mut p = Bimodal::new(64);
-        let _ = learning_curve(&mut p, &Trace::new("x"), 0);
-    }
-}

@@ -2,10 +2,10 @@
 //!
 //! The paper's evaluation is a grid: predictor configurations ×
 //! workloads, one fresh cold predictor per cell. Every grid-shaped run
-//! — [`Engine::run_grid`], [`crate::run_report_with_cache`],
-//! [`crate::run_scenario_with_cache`] and [`crate::run_suite`] — is one
-//! call of [`Engine::run_cells`], generic over the cell payload ([`SimResult`], [`AttributedRun`],
-//! [`ScenarioRun`]). It runs these steps in order:
+//! — [`Engine::run_grid`], [`crate::run_report_with_cache`] and
+//! [`crate::run_scenario_with_cache`] — is one call of
+//! [`Engine::run_cells`], generic over the cell payload ([`SimResult`],
+//! [`AttributedRun`], [`ScenarioRun`]). It runs these steps in order:
 //!
 //! 1. under an enabled cache, build every cell key and probe it;
 //! 2. report the hits' progress, in cell order;
@@ -32,8 +32,6 @@ use crate::cache::{CacheKey, SimCache};
 use crate::column::Column;
 use crate::registry::PredictorSpec;
 use crate::run::SimResult;
-use crate::suite::SuiteResult;
-use bp_components::ConditionalPredictor;
 use bp_workloads::BenchmarkSpec;
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
@@ -190,7 +188,7 @@ impl Engine {
         progress: &(dyn Fn(CellUpdate<'_>) + Sync),
     ) -> GridResult {
         let (cells, cell_seconds) = self
-            .run_cells(Rows::Specs(predictors), benchmarks, instructions, progress)
+            .run_cells(predictors, benchmarks, instructions, progress)
             .into_iter()
             .unzip();
         GridResult {
@@ -201,25 +199,25 @@ impl Engine {
         }
     }
 
-    /// Runs every (row × workload) cell and returns `(payload, wall
+    /// Runs every (spec × workload) cell and returns `(payload, wall
     /// seconds)` per cell in row-major order (see the module doc for the
     /// steps). Hits and dedup twins take no wall time. Progress fires
     /// exactly once per cell: hits first in cell order, then computed
     /// cells in completion order, then twins.
     pub(crate) fn run_cells<T: Payload>(
         &self,
-        rows: Rows<'_>,
+        specs: &[PredictorSpec],
         workloads: &[T::Workload],
         params: T::Params,
         progress: &(dyn Fn(CellUpdate<'_>) + Sync),
     ) -> Vec<(T, f64)> {
         let n_w = workloads.len();
-        let total = rows.len() * n_w;
+        let total = specs.len() * n_w;
         let mut cells: Vec<Option<(T, f64)>> = (0..total).map(|_| None).collect();
 
         // 1. Keys and probes, only under an enabled cache.
-        let cache = match (&self.cache, &rows) {
-            (Some(cache), Rows::Specs(specs)) if cache.enabled() => {
+        let cache = match &self.cache {
+            Some(cache) if cache.enabled() => {
                 let identities: Vec<String> = workloads.iter().map(Workload::identity).collect();
                 let keys: Vec<CacheKey> = (0..total)
                     .map(|idx| T::key(&specs[idx / n_w], &workloads[idx % n_w], params))
@@ -235,7 +233,7 @@ impl Engine {
 
         // 2. Hits report progress first, in cell order.
         let update = |idx: usize, payload: &T, completed: usize| CellUpdate {
-            predictor: rows.name(idx / n_w),
+            predictor: &specs[idx / n_w].name,
             benchmark: workloads[idx % n_w].name(),
             mpki: payload.mpki(),
             completed,
@@ -253,7 +251,7 @@ impl Engine {
         // compute byte-equal results, so one representative runs.
         // 4. Group the representatives into work units of (workload,
         // rows): all of a workload's misses (fused), or one cell each.
-        let fuse = self.fuse_columns(rows.len(), n_w);
+        let fuse = self.fuse_columns(specs.len(), n_w);
         let mut twin_of: Vec<Option<usize>> = vec![None; total];
         let mut representative: BTreeMap<(&str, usize), usize> = BTreeMap::new();
         let mut unit_of: Vec<Option<usize>> = vec![None; n_w];
@@ -285,18 +283,8 @@ impl Engine {
             units.len(),
             |u| {
                 let (w, unit) = &units[u];
-                match rows {
-                    Rows::Specs(specs) => {
-                        let specs: Vec<PredictorSpec> =
-                            unit.iter().map(|&p| specs[p].clone()).collect();
-                        T::run(&mut Column::build(&specs), &workloads[*w], params)
-                    }
-                    Rows::Factory(factory) => T::run(
-                        &mut Column::solo(factory().as_mut()),
-                        &workloads[*w],
-                        params,
-                    ),
-                }
+                let specs: Vec<PredictorSpec> = unit.iter().map(|&p| specs[p].clone()).collect();
+                T::run(&mut Column::build(&specs), &workloads[*w], params)
             },
             |u, results| {
                 let (w, unit) = &units[u];
@@ -331,34 +319,6 @@ impl Engine {
             .into_iter()
             .map(|cell| cell.expect("every cell filled"))
             .collect()
-    }
-}
-
-/// The rows of a cell grid.
-pub(crate) enum Rows<'a> {
-    /// Predictor specs: work units build them into a [`Column`], and
-    /// caches key them.
-    Specs(&'a [PredictorSpec]),
-    /// One row of fresh predictors from a factory, one per cell
-    /// ([`crate::run_suite`]). Never cached.
-    Factory(&'a (dyn Fn() -> Box<dyn ConditionalPredictor + Send> + Sync)),
-}
-
-impl Rows<'_> {
-    fn len(&self) -> usize {
-        match self {
-            Rows::Specs(specs) => specs.len(),
-            Rows::Factory(_) => 1,
-        }
-    }
-
-    /// The row's progress label: the registry name, or nothing for
-    /// factory-made predictors.
-    fn name(&self, row: usize) -> &str {
-        match self {
-            Rows::Specs(specs) => &specs[row].name,
-            Rows::Factory(_) => "",
-        }
     }
 }
 
@@ -543,19 +503,6 @@ impl GridResult {
         self.cells.iter().map(|c| c.records as f64).sum::<f64>() / seconds
     }
 
-    /// One predictor's row as a [`SuiteResult`] (the sequential API's
-    /// result type), by registry name.
-    pub fn suite_result(&self, predictor: &str) -> Option<SuiteResult> {
-        let p = self.predictors.iter().position(|n| n == predictor)?;
-        Some(SuiteResult {
-            predictor: self
-                .row(p)
-                .first()
-                .map_or_else(|| predictor.to_owned(), |r| r.predictor.clone()),
-            rows: self.row(p).to_vec(),
-        })
-    }
-
     /// Mean MPKI of each predictor row, in row order, as
     /// `(registry name, mean MPKI)`.
     pub fn mean_mpki_rows(&self) -> Vec<(&str, f64)> {
@@ -635,15 +582,17 @@ mod tests {
     }
 
     #[test]
-    fn suite_result_bridge_matches_rows() {
+    fn mean_mpki_rows_average_each_row() {
         let (predictors, benchmarks) = small_grid();
         let grid = Engine::with_jobs(2).run_grid(&predictors, &benchmarks, 10_000);
-        let suite = grid.suite_result("gshare").expect("row exists");
-        assert_eq!(suite.rows, grid.row(1));
-        assert!(grid.suite_result("nope").is_none());
         let means = grid.mean_mpki_rows();
         assert_eq!(means.len(), 2);
-        assert!((means[1].1 - suite.mean_mpki()).abs() < 1e-12);
+        for (p, (name, mean)) in means.into_iter().enumerate() {
+            assert_eq!(name, grid.predictors[p]);
+            let row = grid.row(p);
+            let expected = row.iter().map(SimResult::mpki).sum::<f64>() / row.len() as f64;
+            assert!((mean - expected).abs() < 1e-12, "{name}");
+        }
     }
 
     #[test]

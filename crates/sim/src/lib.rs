@@ -16,11 +16,9 @@
 //!   runs of one caller-owned predictor (a column of one), over
 //!   materialized traces or any stream in O(1) memory;
 //! * [`Engine`] — the parallel (predictor × workload) cell scheduler
-//!   behind every grid, report, scenario and suite run: cache probe,
-//!   dedup, dynamic self-scheduling of fused or per-cell work units,
-//!   deterministic grid-ordered results, progress callbacks;
-//! * [`run_suite`] / [`SuiteResult`] — whole-suite runs (parallelized
-//!   across benchmarks);
+//!   behind every grid, report, scenario, sweep and claims run: cache
+//!   probe, dedup, dynamic self-scheduling of fused or per-cell work
+//!   units, deterministic grid-ordered results, progress callbacks;
 //! * [`registry`] — every named predictor configuration of the paper's
 //!   evaluation as a structured [`PredictorSpec`] (name, family, paper
 //!   reference, factory), constructible by string name;
@@ -47,11 +45,10 @@ mod report;
 mod run;
 mod scenario;
 mod speculative;
-mod suite;
 mod sweep;
 mod table;
 
-pub use analysis::{learning_curve, BranchProfile, MispredictionProfile};
+pub use analysis::{BranchProfile, MispredictionProfile};
 pub use cache::{
     grid_cell_key, report_cell_key, scenario_cell_key, workload_identity, CacheKey, CachePolicy,
     CacheStats, CacheStore, GcOutcome, SimCache,
@@ -78,7 +75,6 @@ pub use scenario::{
     TenantSpec, TenantTally, SCENARIO_NAMES, SCENARIO_REPORT_NAMES,
 };
 pub use speculative::{speculative_imli_fidelity, SpeculationReport};
-pub use suite::{run_suite, SuiteResult};
 pub use sweep::{
     parse_predictor_file, parse_sweep_file, run_sweep, run_sweep_with_cache, solve_budget,
     SweepFileConfig, SweepReport, SweepRow, BUDGET_TOLERANCE, STANDARD_BUDGETS_KBIT,

@@ -502,9 +502,8 @@ pub fn registry() -> Vec<PredictorSpec> {
     ]
 }
 
-/// The default configuration set of `bp report paper` and the
-/// simulator benchmark's grid leg: the Table 1/2 ablation ladders plus
-/// the WH comparison points, in table order.
+/// The default configuration set of `bp report paper`: the Table 1/2
+/// ablation ladders plus the WH comparison points, in table order.
 pub const PAPER_REPORT_NAMES: [&str; 12] = [
     "tage-gsc",
     "tage-gsc+sic",

@@ -20,7 +20,7 @@
 
 use crate::cache::SimCache;
 use crate::column::Column;
-use crate::engine::{CellUpdate, Engine, Rows};
+use crate::engine::{CellUpdate, Engine};
 use crate::registry::PredictorSpec;
 use crate::run::{only, stream_blocks, Mpki, Phases, SimResult};
 use bp_components::{
@@ -343,7 +343,7 @@ pub fn run_report_with_cache(
     let timed = Engine::with_jobs(jobs)
         .with_cache(cache.cloned())
         .run_cells(
-            Rows::Specs(predictors),
+            predictors,
             benchmarks,
             (instructions, warmup_instructions),
             progress,

@@ -443,10 +443,10 @@ pub(crate) fn only<T>(mut results: Vec<T>) -> T {
 /// update every conditional branch, notify non-conditional branches.
 ///
 /// The predictor is *not* reset — callers wanting cold-start behaviour
-/// construct a fresh predictor per trace (as [`crate::run_suite`] does).
-/// The trace's records are handed to the drive as zero-copy blocks, and
-/// the result is bit-identical to [`simulate_stream`] over the
-/// equivalent stream.
+/// construct a fresh predictor per trace, as every [`crate::Engine`]
+/// cell does. The trace's records are handed to the drive as zero-copy
+/// blocks, and the result is bit-identical to [`simulate_stream`] over
+/// the equivalent stream.
 pub fn simulate(predictor: &mut dyn ConditionalPredictor, trace: &Trace) -> SimResult {
     only(Column::solo(predictor).run(trace.name(), &mut trace.records(), Counts::new(1)))
 }

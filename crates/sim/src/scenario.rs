@@ -27,7 +27,7 @@
 
 use crate::cache::SimCache;
 use crate::column::Column;
-use crate::engine::{CellUpdate, Engine, Rows};
+use crate::engine::{CellUpdate, Engine};
 use crate::registry::{lookup, PredictorSpec};
 use crate::report::PhaseSummary;
 use crate::run::{event_blocks, only, simulate_stream, Mpki, Tenants};
@@ -489,12 +489,7 @@ pub fn run_scenario_with_cache(
     }
     let timed = Engine::with_jobs(jobs)
         .with_cache(cache.cloned())
-        .run_cells(
-            Rows::Specs(predictors),
-            std::slice::from_ref(scenario),
-            (),
-            progress,
-        );
+        .run_cells(predictors, std::slice::from_ref(scenario), (), progress);
     let (runs, cell_seconds): (Vec<ScenarioRun>, Vec<f64>) = timed.into_iter().unzip();
     let rows = predictors
         .iter()

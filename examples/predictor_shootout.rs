@@ -5,7 +5,7 @@
 //! cargo run --release --example predictor_shootout
 //! ```
 
-use imli_repro::sim::{registry, run_suite, TextTable};
+use imli_repro::sim::{registry, Engine, TextTable};
 use imli_repro::workloads::cbp4_suite;
 
 fn main() {
@@ -26,22 +26,21 @@ fn main() {
         })
         .collect();
 
-    let mut rows: Vec<(String, f64, u64)> = Vec::new();
-    for spec in registry() {
-        let result = run_suite(&|| spec.make(), &suite, 400_000);
-        rows.push((
-            spec.name.to_owned(),
-            result.mean_mpki(),
-            spec.storage_bits(),
-        ));
-    }
+    let specs = registry();
+    let grid = Engine::new().run_grid(&specs, &suite, 400_000);
+    let mut rows: Vec<(&str, f64, u64)> = grid
+        .mean_mpki_rows()
+        .into_iter()
+        .zip(&specs)
+        .map(|((name, mpki), spec)| (name, mpki, spec.storage_bits()))
+        .collect();
     rows.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite"));
 
     let mut table = TextTable::new(vec!["rank", "config", "mean MPKI", "Kbit"]);
     for (i, (name, mpki, bits)) in rows.iter().enumerate() {
         table.row(vec![
             (i + 1).to_string(),
-            name.clone(),
+            (*name).to_owned(),
             format!("{mpki:.3}"),
             format!("{:.0}", *bits as f64 / 1024.0),
         ]);

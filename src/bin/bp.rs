@@ -58,10 +58,11 @@
 //!                               write, read, read+simulate); emits
 //!                               BENCH_trace_io.json
 //! bp bench --sim [--quick] [--instr N] [--out FILE] [--baseline FILE]
+//!                [--reps N] [--gate-pct P]
 //!                               simulator throughput benchmark
 //!                               (predict/update records/sec per
-//!                               predictor family; per-cell vs fused
-//!                               grid wall time); emits BENCH_sim.json
+//!                               predictor family); emits
+//!                               BENCH_sim.json
 //! bp lint [--json] [--fix-audit]
 //!                               workspace invariant lint gate:
 //!                               unsafe-audit, determinism,
@@ -174,7 +175,8 @@ fn usage() -> ExitCode {
          bp claims [--jobs N] [--instr N] [--json] [--out-dir D] [--cache [DIR]] \
          [--cache-mode M]\n  \
          bp bench [--quick] [--instr N] [--out FILE]\n  \
-         bp bench --sim [--quick] [--instr N] [--out FILE] [--baseline FILE] [--cache [DIR]]\n  \
+         bp bench --sim [--quick] [--instr N] [--out FILE] [--baseline FILE] [--reps N] \
+         [--gate-pct P]\n  \
          bp lint [--json] [--fix-audit]\n  \
          bp cache <stats|gc|clear> [DIR]"
     );
@@ -1137,25 +1139,11 @@ fn run_bench(flags: &[String]) -> Result<(), CmdError> {
     let mut gate_pct: Option<f64> = None;
     let mut out_path: Option<String> = None;
     let mut baseline_path: Option<String> = None;
-    let mut cache = false;
-    let mut cache_dir: Option<String> = None;
     let mut it = flags.iter();
     while let Some(flag) = it.next() {
         match flag.as_str() {
             "--quick" => quick = true,
             "--sim" => sim = true,
-            "--cache" => {
-                cache = true;
-                // Optional DIR operand; without one the bench uses a
-                // throwaway scratch directory (never `.bp-cache` — the
-                // cold leg clears the store every repetition).
-                if let Some(v) = it.clone().next() {
-                    if !v.starts_with('-') {
-                        cache_dir = Some(v.clone());
-                        it.next();
-                    }
-                }
-            }
             "--instr" => {
                 let v = it.next().ok_or("--instr needs an instruction count")?;
                 instr = Some(parse_u64(v, "instruction count")?);
@@ -1192,8 +1180,8 @@ fn run_bench(flags: &[String]) -> Result<(), CmdError> {
             .to_owned()
             .into());
     }
-    if (baseline_path.is_some() || reps.is_some() || cache) && !sim {
-        return Err("--baseline, --reps, and --cache only apply to bench --sim"
+    if (baseline_path.is_some() || reps.is_some()) && !sim {
+        return Err("--baseline and --reps only apply to bench --sim"
             .to_owned()
             .into());
     }
@@ -1210,7 +1198,6 @@ fn run_bench(flags: &[String]) -> Result<(), CmdError> {
             gate_pct,
             out_path.unwrap_or_else(|| "BENCH_sim.json".to_owned()),
             baseline_path,
-            cache.then_some(cache_dir),
         );
     }
     let out_path = out_path.unwrap_or_else(|| "BENCH_trace_io.json".to_owned());
@@ -1248,11 +1235,7 @@ fn run_bench(flags: &[String]) -> Result<(), CmdError> {
 /// `bp_bench::sim_bench`), written as JSON to `BENCH_sim.json` (or
 /// `--out`) and summarized on stdout. `--baseline FILE` embeds a
 /// previous run's records/sec as the comparison baseline; `--quick` is
-/// the CI smoke setting. `cache` is `Some` when `--cache` was given:
-/// `Some(Some(dir))` measures the result-cache leg in `dir` (cleared
-/// between cold repetitions), `Some(None)` in a throwaway scratch
-/// directory removed afterwards.
-#[allow(clippy::option_option)]
+/// the CI smoke setting.
 fn run_sim_bench_cmd(
     quick: bool,
     instr: Option<u64>,
@@ -1260,13 +1243,8 @@ fn run_sim_bench_cmd(
     gate_pct: Option<f64>,
     out_path: String,
     baseline_path: Option<String>,
-    cache: Option<Option<String>>,
 ) -> Result<(), CmdError> {
     let instructions = instr.unwrap_or(if quick { 200_000 } else { 2_000_000 });
-    // The grid leg covers 12 predictors × 8 benchmarks; run it at the
-    // `bp report paper` default budget (a quarter of the throughput
-    // trace keeps full runs tolerable on one core).
-    let grid_instructions = (instructions / 4).max(10_000);
     let baseline = match &baseline_path {
         Some(path) => {
             let json = std::fs::read_to_string(path)
@@ -1280,28 +1258,7 @@ fn run_sim_bench_cmd(
         None => Vec::new(),
     };
 
-    // --cache without DIR gets a pid-scoped scratch store, removed
-    // afterwards; an explicit DIR is the caller's to keep (and clear).
-    let (cache_path, cache_scratch) = match &cache {
-        Some(Some(dir)) => (Some(std::path::PathBuf::from(dir)), false),
-        Some(None) => (
-            Some(std::env::temp_dir().join(format!("bp-bench-cache-{}", std::process::id()))),
-            true,
-        ),
-        None => (None, false),
-    };
-    let report = run_sim_bench(
-        instructions,
-        grid_instructions,
-        reps,
-        &baseline,
-        cache_path.as_deref(),
-    );
-    if cache_scratch {
-        if let Some(path) = &cache_path {
-            let _ = std::fs::remove_dir_all(path);
-        }
-    }
+    let report = run_sim_bench(instructions, reps, &baseline);
     std::fs::write(&out_path, report.to_json())
         .map_err(|e| format!("cannot write {out_path}: {e}"))?;
 
@@ -1341,45 +1298,6 @@ fn run_sim_bench_cmd(
         report.predictors[0].records,
         report.reps
     );
-    if let Some(m) = &report.memory {
-        outln!(
-            "memory: peak RSS {:.1} MiB, {} minor / {} major page faults",
-            m.peak_rss_kib as f64 / 1024.0,
-            m.minor_faults,
-            m.major_faults
-        );
-    }
-    let g = &report.grid;
-    outln!(
-        "grid: {} predictors x {} benchmarks at {} instructions, {} jobs: \
-         per-cell {:.2}s, fused {:.2}s ({:.2}x), results identical: {}",
-        g.predictors,
-        g.benchmarks,
-        g.instructions,
-        g.jobs,
-        g.per_cell_seconds,
-        g.fused_seconds,
-        g.fused_speedup(),
-        g.fused_matches_per_cell,
-    );
-    if let Some(c) = &report.cache {
-        outln!(
-            "cache: {} cells at {} instructions, {} jobs: uncached {:.3}s, \
-             cold {:.3}s ({:.2}x overhead), warm {:.4}s ({:.0}x speedup), \
-             warm hits {}/{}, results identical: {}",
-            c.cells,
-            c.instructions,
-            c.jobs,
-            c.uncached.min_seconds,
-            c.cold.min_seconds,
-            c.cold_overhead(),
-            c.warm.min_seconds,
-            c.warm_speedup(),
-            c.warm_hits,
-            c.cells,
-            c.warm_matches_uncached,
-        );
-    }
     outln!("wrote {out_path}");
     if let Some(pct) = gate_pct {
         let regressions = throughput_regressions(&report, pct);

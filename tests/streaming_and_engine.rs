@@ -121,8 +121,9 @@ fn engine_grid_is_deterministic_across_job_counts() {
     assert_eq!(sequential, parallel);
 }
 
-/// The engine's grid agrees with the one-at-a-time sequential API: each
-/// row equals a fresh `run_suite` of that configuration.
+/// The engine's grid agrees with one-at-a-time solo runs that never go
+/// through `Engine`: each cell equals a fresh predictor streamed over
+/// its benchmark.
 #[test]
 fn engine_grid_matches_sequential_suite_runs() {
     let predictors: Vec<PredictorSpec> = ["gshare", "tage-gsc+imli"]
@@ -131,9 +132,10 @@ fn engine_grid_matches_sequential_suite_runs() {
         .collect();
     let benchmarks: Vec<BenchmarkSpec> = cbp4_suite().into_iter().take(4).collect();
     let grid = Engine::new().run_grid(&predictors, &benchmarks, 40_000);
-    for spec in &predictors {
-        let suite = imli_repro::sim::run_suite(&|| spec.make(), &benchmarks, 40_000);
-        let row = grid.suite_result(&spec.name).expect("row exists");
-        assert_eq!(suite.rows, row.rows, "{}", spec.name);
+    for (p, spec) in predictors.iter().enumerate() {
+        for (bench, cell) in benchmarks.iter().zip(grid.row(p)) {
+            let solo = simulate_stream(spec.make().as_mut(), bench.stream(40_000));
+            assert_eq!(&solo, cell, "{} on {}", spec.name, bench.name);
+        }
     }
 }
