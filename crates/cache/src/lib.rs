@@ -330,9 +330,6 @@ pub enum CachePolicy {
     /// Probe before computing, never write (e.g. a shared read-only
     /// cache directory).
     ReadOnly,
-    /// Ignore existing entries but overwrite them with fresh results
-    /// (recompute-and-repair).
-    Refresh,
 }
 
 /// Aggregate counts from walking a cache directory, in deterministic

@@ -114,24 +114,9 @@ impl ImliConfig {
             }
     }
 
-    /// Validates internal consistency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if table sizes are not powers of two, the counter width is
-    /// outside `1..=16`, or the outer-history table cannot hold
-    /// `pipe_bits` tracked branches of at least one iteration each.
-    /// The non-panicking twin is [`ImliConfig::check`].
-    pub fn validate(&self) {
-        if let Err(e) = self.check() {
-            // bp-lint: allow(panic-surface, "documented legacy panicking API; the validate-then-build path uses the non-panicking check()")
-            panic!("{e}");
-        }
-    }
-
     /// Checks internal consistency, returning the first violation
     /// instead of panicking (the config-layer entry point; the
-    /// constructors keep panicking via [`ImliConfig::validate`]).
+    /// constructors panic on its error).
     pub fn check(&self) -> Result<(), ConfigError> {
         if !(self.sic_entries.is_power_of_two() && self.oh_entries.is_power_of_two()) {
             return Err("table entry counts must be powers of two".into());
@@ -260,7 +245,7 @@ mod tests {
     #[test]
     fn default_matches_paper_budget() {
         let c = ImliConfig::default();
-        c.validate();
+        c.check().expect("valid config");
         // §4.4: 384 B SIC + 128 B OH history + 192 B OH table + 4 B
         // PIPE/counter = 708 bytes.
         assert_eq!(c.storage_bits(), 708 * 8);
@@ -271,7 +256,7 @@ mod tests {
     #[test]
     fn sic_only_budget() {
         let c = ImliConfig::sic_only();
-        c.validate();
+        c.check().expect("valid config");
         assert_eq!(c.storage_bits(), 512 * 6 + 10);
         assert_eq!(c.checkpoint_bits(), 10);
         assert!(!c.oh_enabled && c.sic_enabled);
@@ -280,7 +265,7 @@ mod tests {
     #[test]
     fn oh_only_flags() {
         let c = ImliConfig::oh_only();
-        c.validate();
+        c.check().expect("valid config");
         assert!(c.oh_enabled && !c.sic_enabled);
     }
 
@@ -295,10 +280,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "powers of two")]
     fn validate_rejects_bad_sizes() {
-        ImliConfig {
+        crate::state::ImliState::new(&ImliConfig {
             sic_entries: 500,
             ..ImliConfig::default()
-        }
-        .validate();
+        });
     }
 }

@@ -60,9 +60,9 @@ impl ImliState {
     ///
     /// # Panics
     ///
-    /// Panics if `config` fails [`ImliConfig::validate`].
+    /// Panics if `config` fails [`ImliConfig::check`].
     pub fn new(config: &ImliConfig) -> Self {
-        config.validate();
+        config.check().unwrap_or_else(|e| panic!("{e}"));
         ImliState {
             counter: ImliCounter::new(config.counter_bits),
             outer: OuterHistory::new(

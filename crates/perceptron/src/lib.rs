@@ -72,20 +72,6 @@ impl PerceptronConfig {
         }
     }
 
-    /// Validates the geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty segment list, out-of-range widths, or
-    /// non-increasing non-zero segments. The non-panicking twin is
-    /// [`PerceptronConfig::check`].
-    pub fn validate(&self) {
-        if let Err(e) = self.check() {
-            // bp-lint: allow(panic-surface, "documented legacy panicking API; the validate-then-build path uses the non-panicking check()")
-            panic!("{e}");
-        }
-    }
-
     /// Checks the geometry, returning the first violation instead of
     /// panicking.
     pub fn check(&self) -> Result<(), ConfigError> {
@@ -215,10 +201,11 @@ impl HashedPerceptron {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails [`PerceptronConfig::validate`].
+    /// Panics if the configuration fails [`PerceptronConfig::check`].
     // bp-lint: allow-item(hot-path-alloc, "table construction is cold; steady-state predict/update is allocation-free (tests/hotpath_allocations.rs)")
     pub fn new(config: PerceptronConfig) -> Self {
-        config.validate();
+        // bp-lint: allow(panic-surface, "the constructor's documented # Panics contract; the validate-then-build path calls check() first")
+        config.check().unwrap_or_else(|e| panic!("{e}"));
         let max_segment = config.segments.iter().copied().max().unwrap_or(1);
         let capacity = (max_segment + 1).next_power_of_two().max(1024);
         let mut history = HistoryState::new(capacity, config.path_bits);

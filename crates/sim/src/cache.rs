@@ -95,24 +95,13 @@ impl SimCache {
         self.policy != CachePolicy::Off
     }
 
-    /// Probes verify entries before reuse under this policy
-    /// ([`CachePolicy::Refresh`] deliberately ignores them).
-    fn reads_enabled(&self) -> bool {
-        matches!(self.policy, CachePolicy::ReadWrite | CachePolicy::ReadOnly)
-    }
-
-    /// Computed results are written back under this policy.
-    fn writes_enabled(&self) -> bool {
-        matches!(self.policy, CachePolicy::ReadWrite | CachePolicy::Refresh)
-    }
-
     /// Verified cache hits so far.
     pub fn hits(&self) -> u64 {
         self.counters.hits.load(Ordering::Relaxed)
     }
 
     /// Probes that missed (absent, unverifiable, or undecodable
-    /// entries; every probe under [`CachePolicy::Refresh`]).
+    /// entries).
     pub fn misses(&self) -> u64 {
         self.counters.misses.load(Ordering::Relaxed)
     }
@@ -133,14 +122,11 @@ impl SimCache {
         if !self.enabled() {
             return None;
         }
-        let decoded = if self.reads_enabled() {
-            self.store
-                .load(key)
-                .and_then(|payload| ConfigValue::parse(&payload).ok())
-                .and_then(|value| decode(&value).ok())
-        } else {
-            None
-        };
+        let decoded = self
+            .store
+            .load(key)
+            .and_then(|payload| ConfigValue::parse(&payload).ok())
+            .and_then(|value| decode(&value).ok());
         let counter = if decoded.is_some() {
             &self.counters.hits
         } else {
@@ -154,7 +140,7 @@ impl SimCache {
     /// Write failures (read-only cache dir, disk full) are swallowed:
     /// the result was computed either way.
     fn store_value(&self, key: &CacheKey, payload_value: &ConfigValue) {
-        if !self.writes_enabled() {
+        if self.policy != CachePolicy::ReadWrite {
             return;
         }
         let text = payload_value.to_text();
@@ -668,14 +654,13 @@ mod tests {
         );
         assert_eq!((rw.hits(), rw.misses(), rw.stores()), (1, 0, 1));
 
-        // Refresh ignores the now-present entry on read but rewrites.
-        let refresh = SimCache::new(&dir, CachePolicy::Refresh);
-        assert_eq!(SimResult::lookup(&refresh, &key, &bench, &identity), None);
-        result.store(&refresh, &key, &identity);
+        // Read-only serves the now-present entry but still never writes.
         assert_eq!(
-            (refresh.hits(), refresh.misses(), refresh.stores()),
-            (0, 1, 1)
+            SimResult::lookup(&ro, &key, &bench, &identity).as_ref(),
+            Some(&result)
         );
+        result.store(&ro, &key, &identity);
+        assert_eq!((ro.hits(), ro.misses(), ro.stores()), (1, 1, 0));
 
         // A benchmark-name mismatch in the decoded payload is a miss,
         // and so is an entry stored for another spec of the same name.

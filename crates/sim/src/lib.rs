@@ -69,15 +69,13 @@ pub use run::{
     Mpki, Observer, Phases, Pulled, SimResult, Tenants, BLOCK_RECORDS,
 };
 pub use scenario::{
-    adversarial_search, parse_scenario_file, run_scenario_with_cache, scenario_by_name,
-    scenario_report_predictors, simulate_scenario, simulate_scenario_multi,
-    AdversarialSearchResult, ScenarioFlush, ScenarioReport, ScenarioRow, ScenarioRun, ScenarioSpec,
-    TenantSpec, TenantTally, SCENARIO_NAMES, SCENARIO_REPORT_NAMES,
+    parse_scenario_file, run_scenario_with_cache, scenario_by_name, scenario_report_predictors,
+    simulate_scenario, simulate_scenario_multi, ScenarioFlush, ScenarioReport, ScenarioRow,
+    ScenarioRun, ScenarioSpec, TenantSpec, TenantTally, SCENARIO_NAMES, SCENARIO_REPORT_NAMES,
 };
 pub use speculative::{speculative_imli_fidelity, SpeculationReport};
 pub use sweep::{
-    parse_predictor_file, parse_sweep_file, run_sweep, run_sweep_with_cache, solve_budget,
-    SweepFileConfig, SweepReport, SweepRow, BUDGET_TOLERANCE, STANDARD_BUDGETS_KBIT,
-    SWEEP_FAMILIES,
+    parse_predictor_file, run_sweep, run_sweep_with_cache, solve_budget, SweepReport, SweepRow,
+    BUDGET_TOLERANCE, STANDARD_BUDGETS_KBIT, SWEEP_FAMILIES,
 };
 pub use table::TextTable;

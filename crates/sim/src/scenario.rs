@@ -19,18 +19,14 @@
 //! * [`simulate_scenario_multi`] — one column driven over the event
 //!   stream, applying flush events in place (partial:
 //!   [`flush_history`](bp_components::ConditionalPredictor::flush_history);
-//!   full: a cold rebuild from the spec);
-//! * [`adversarial_search`] — the seeded hill-climb over
-//!   [`Genome`]s maximizing MPKI against one registry config. No
-//!   wall-clock anywhere in the loop: a fixed seed reproduces the
-//!   identical worst-case stream.
+//!   full: a cold rebuild from the spec).
 
 use crate::cache::SimCache;
 use crate::column::Column;
 use crate::engine::{CellUpdate, Engine};
 use crate::registry::{lookup, PredictorSpec};
 use crate::report::PhaseSummary;
-use crate::run::{event_blocks, only, simulate_stream, Mpki, Tenants};
+use crate::run::{event_blocks, only, Mpki, Tenants};
 use bp_components::{json_string as json_str, ConfigError, ConfigValue, PredictorStats};
 use bp_trace::BranchStream;
 use bp_workloads::{
@@ -796,69 +792,10 @@ pub fn parse_scenario_file(text: &str) -> Result<ScenarioSpec, ConfigError> {
     Ok(spec)
 }
 
-/// Outcome of an [`adversarial_search`] run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AdversarialSearchResult {
-    /// The worst-case genome found. Replaying it
-    /// ([`Genome::stream`]) reproduces `mpki` exactly.
-    pub genome: Genome,
-    /// MPKI of the target config on the worst-case stream.
-    pub mpki: f64,
-    /// MPKI of the same config on the quiet reference benchmark at the
-    /// same instruction budget — the search must end strictly above it.
-    pub baseline_mpki: f64,
-    /// Streams evaluated (initial genome + one per iteration).
-    pub evaluations: u32,
-    /// Accepted (strictly improving) mutations.
-    pub improvements: u32,
-}
-
-/// Seeded hill-climb over branch-pattern [`Genome`]s maximizing the
-/// MPKI of one registry config.
-///
-/// Each iteration proposes one deterministic point mutation of the
-/// incumbent ([`Genome::mutated`], seeded from `seed` and the iteration
-/// index) and keeps it iff the target predictor — rebuilt cold for
-/// every evaluation, per the CBP protocol — mispredicts strictly more
-/// per kilo instruction. There is **no wall-clock anywhere in the
-/// loop**: the same `(target, seed, genes, instructions, iterations)`
-/// always walks the same path to the same worst-case genome, so a
-/// reported result is reproducible from its parameters alone.
-pub fn adversarial_search(
-    target: &PredictorSpec,
-    seed: u64,
-    genes: usize,
-    instructions: u64,
-    iterations: u32,
-) -> AdversarialSearchResult {
-    let eval = |g: &Genome| simulate_stream(target.make().as_mut(), g.stream(instructions)).mpki();
-    let mut best = Genome::seeded(seed, genes);
-    let mut best_mpki = eval(&best);
-    let mut improvements = 0u32;
-    for i in 0..iterations {
-        let mutation_seed = seed ^ (u64::from(i) + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let candidate = best.mutated(mutation_seed);
-        let mpki = eval(&candidate);
-        if mpki > best_mpki {
-            best = candidate;
-            best_mpki = mpki;
-            improvements += 1;
-        }
-    }
-    let baseline = bp_workloads::quick_benchmark("quiet-baseline", 1, instructions);
-    let baseline_mpki = crate::run::simulate(target.make().as_mut(), &baseline).mpki();
-    AdversarialSearchResult {
-        genome: best,
-        mpki: best_mpki,
-        baseline_mpki,
-        evaluations: iterations + 1,
-        improvements,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::run::simulate_stream;
     use bp_workloads::SingleTenant;
 
     fn two_predictors() -> Vec<PredictorSpec> {
@@ -1062,26 +999,5 @@ mod tests {
         ] {
             assert!(parse_scenario_file(bad).is_err(), "{bad}");
         }
-    }
-
-    #[test]
-    fn adversarial_search_is_reproducible_and_beats_quiet_baseline() {
-        let spec = lookup("tage-gsc+imli").expect("registered");
-        let a = adversarial_search(&spec, 0xBAD5EED, 8, 20_000, 12);
-        let b = adversarial_search(&spec, 0xBAD5EED, 8, 20_000, 12);
-        assert_eq!(a, b, "fixed seed must reproduce the identical search");
-        assert!(
-            a.mpki > a.baseline_mpki,
-            "worst case ({:.3} MPKI) must sit strictly above the quiet baseline ({:.3})",
-            a.mpki,
-            a.baseline_mpki
-        );
-        // The genome alone reproduces the reported MPKI.
-        let replayed = simulate_stream(spec.make().as_mut(), a.genome.stream(20_000)).mpki();
-        assert!((replayed - a.mpki).abs() < 1e-12);
-        assert_eq!(a.evaluations, 13);
-        // A different seed walks a different path.
-        let c = adversarial_search(&spec, 0x0DD5EED, 8, 20_000, 12);
-        assert_ne!(a.genome, c.genome);
     }
 }

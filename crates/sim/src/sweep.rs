@@ -20,9 +20,9 @@
 //!   byte-deterministic renderings (no timestamps, stable ordering,
 //!   fixed precision), the `SWEEP_<suite>.md` / `.json` artifacts of
 //!   `bp sweep`;
-//! * [`parse_predictor_file`] / [`parse_sweep_file`] — the `--config`
-//!   file formats of `bp grid` / `bp report` / `bp sweep`, parsed with
-//!   the same hand-rolled JSON subset as the config layer.
+//! * [`parse_predictor_file`] — the `--config` file format of
+//!   `bp grid` / `bp report` / `bp scenario`, parsed with the same
+//!   hand-rolled JSON subset as the config layer.
 
 use crate::engine::{Engine, GridStrategy};
 use crate::registry::{FamilyConfig, PredictorSpec, RegistryConfig};
@@ -875,60 +875,6 @@ pub fn parse_predictor_file(text: &str) -> Result<Vec<PredictorSpec>, ConfigErro
     Ok(specs)
 }
 
-/// Parsed `bp sweep --config` parameters.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SweepFileConfig {
-    /// Budgets in Kbit (`None` = the standard ladder).
-    pub budgets_kbit: Option<Vec<u64>>,
-    /// Families to sweep (`None` = [`SWEEP_FAMILIES`]).
-    pub families: Option<Vec<String>>,
-}
-
-/// Parses a `bp sweep --config` file:
-///
-/// ```json
-/// {"budgets_kbit": [64, 256], "families": ["gehl", "tage-sc-l+imli"]}
-/// ```
-///
-/// Both fields are optional; family names are checked against the
-/// solver's [`SWEEP_FAMILIES`] set.
-pub fn parse_sweep_file(text: &str) -> Result<SweepFileConfig, ConfigError> {
-    let doc = ConfigValue::parse(text)?;
-    doc.expect_keys("sweep config file", &["budgets_kbit", "families"])?;
-    let budgets_kbit = doc
-        .get("budgets_kbit")
-        .map(|v| -> Result<Vec<u64>, ConfigError> {
-            v.as_list("budgets_kbit")?
-                .iter()
-                .map(|b| b.as_u64("budgets_kbit"))
-                .collect()
-        })
-        .transpose()?;
-    let families = doc
-        .get("families")
-        .map(|v| -> Result<Vec<String>, ConfigError> {
-            v.as_list("families")?
-                .iter()
-                .map(|f| f.as_str("families").map(str::to_owned))
-                .collect()
-        })
-        .transpose()?;
-    if let Some(families) = &families {
-        for family in families {
-            if !SWEEP_FAMILIES.contains(&family.as_str()) {
-                return Err(ConfigError::new(format!(
-                    "unknown sweep family `{family}` (available: {})",
-                    SWEEP_FAMILIES.join(", ")
-                )));
-            }
-        }
-    }
-    Ok(SweepFileConfig {
-        budgets_kbit,
-        families,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1055,18 +1001,5 @@ mod tests {
         assert_eq!(specs[0].make().name(), "TAGE-GSC+IMLI");
         assert!(parse_predictor_file("{\"predictors\": []}").is_err());
         assert!(parse_predictor_file("{\"preds\": []}").is_err());
-    }
-
-    #[test]
-    fn sweep_file_parses_and_validates() {
-        let parsed = parse_sweep_file("{\"budgets_kbit\": [64, 256], \"families\": [\"gehl\"]}")
-            .expect("parses");
-        assert_eq!(parsed.budgets_kbit, Some(vec![64, 256]));
-        assert_eq!(parsed.families, Some(vec!["gehl".to_owned()]));
-        assert_eq!(
-            parse_sweep_file("{}").expect("empty ok"),
-            SweepFileConfig::default()
-        );
-        assert!(parse_sweep_file("{\"families\": [\"zap\"]}").is_err());
     }
 }

@@ -117,19 +117,6 @@ impl LocalScConfig {
 }
 
 impl ScConfig {
-    /// Validates the geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics on non-power-of-two table sizes or empty length lists.
-    /// The non-panicking twin is [`ScConfig::check`].
-    pub fn validate(&self) {
-        if let Err(e) = self.check() {
-            // bp-lint: allow(panic-surface, "documented legacy panicking API; the validate-then-build path uses the non-panicking check()")
-            panic!("{e}");
-        }
-    }
-
     /// Checks the geometry, returning the first violation instead of
     /// panicking.
     pub fn check(&self) -> Result<(), ConfigError> {
@@ -341,9 +328,10 @@ impl StatisticalCorrector {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails [`ScConfig::validate`].
+    /// Panics if the configuration fails [`ScConfig::check`].
     pub fn new(config: ScConfig) -> Self {
-        config.validate();
+        // bp-lint: allow(panic-surface, "the constructor's documented # Panics contract; the validate-then-build path calls check() first")
+        config.check().unwrap_or_else(|e| panic!("{e}"));
         let cb = config.counter_bits;
         StatisticalCorrector {
             bias: CounterBank::new(2, config.bias_entries, cb),
@@ -627,7 +615,7 @@ mod tests {
             imli: Some(ImliConfig::default()),
             ..ScConfig::default()
         };
-        cfg.validate();
+        cfg.check().expect("valid config");
         let mut sc = StatisticalCorrector::new(cfg);
         let body = 0x4008u64;
         let back = BranchRecord::conditional(0x4010, 0x4000, true);

@@ -76,20 +76,6 @@ impl TageConfig {
         ((self.min_history as f64 * ratio) + 0.5) as usize
     }
 
-    /// Validates the geometry.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an empty table list, non-increasing history bounds, or
-    /// out-of-range widths. The non-panicking twin is
-    /// [`TageConfig::check`].
-    pub fn validate(&self) {
-        if let Err(e) = self.check() {
-            // bp-lint: allow(panic-surface, "documented legacy panicking API; the validate-then-build path uses the non-panicking check()")
-            panic!("{e}");
-        }
-    }
-
     /// Checks the geometry, returning the first violation instead of
     /// panicking.
     pub fn check(&self) -> Result<(), ConfigError> {
@@ -338,10 +324,11 @@ impl Tage {
     ///
     /// # Panics
     ///
-    /// Panics if the configuration fails [`TageConfig::validate`].
+    /// Panics if the configuration fails [`TageConfig::check`].
     // bp-lint: allow-item(hot-path-alloc, "table construction is cold; steady-state predict/update is allocation-free (tests/hotpath_allocations.rs)")
     pub fn new(config: TageConfig) -> Self {
-        config.validate();
+        // bp-lint: allow(panic-surface, "the constructor's documented # Panics contract; the validate-then-build path calls check() first")
+        config.check().unwrap_or_else(|e| panic!("{e}"));
         let capacity = (config.max_history + 1).next_power_of_two().max(2048);
         let mut history = HistoryState::new(capacity, config.path_bits);
         let mut index_folds = Vec::new();

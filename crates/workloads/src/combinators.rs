@@ -14,9 +14,9 @@
 //!   its tenant id;
 //! * [`context_switch`] — periodic [`FlushMode`] flush events injected
 //!   into any event stream on instruction-count boundaries;
-//! * [`Genome`] / [`AdversarialStream`] — branch-pattern genomes for
-//!   the seeded adversarial-stream search in `bp-sim` (the genome is
-//!   the searchable representation; the stream replays it exactly).
+//! * [`Genome`] / [`AdversarialStream`] — seeded branch-pattern
+//!   genomes, the adversarial tenants of `bp-sim` scenarios (the
+//!   stream replays its genome exactly).
 //!
 //! Everything is a pure function of its inputs: no wall-clock, no
 //! global state, no iteration-order dependence. The degenerate cases
@@ -457,10 +457,9 @@ pub struct Gene {
     pub period: u8,
 }
 
-/// A branch-pattern genome: the searchable representation of an
-/// adversarial stream. The genome is plain data — replaying it
-/// ([`Genome::stream`]) is exact and deterministic, so a search result
-/// is reproducible from the genome alone.
+/// A branch-pattern genome: the plain-data description of an
+/// adversarial stream. Replaying it ([`Genome::stream`]) is exact and
+/// deterministic, so the stream is reproducible from the genome alone.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Genome {
     /// The genes, visited round-robin by the stream.
@@ -473,7 +472,7 @@ impl Genome {
     /// # Panics
     ///
     /// Panics if `genes` is 0.
-    // bp-lint: allow-item(hot-path-alloc, "genome construction/mutation is search-time setup, never on the predict/update path")
+    // bp-lint: allow-item(hot-path-alloc, "genome construction is scenario setup, never on the predict/update path")
     pub fn seeded(seed: u64, genes: usize) -> Genome {
         assert!(genes > 0, "genome needs at least one gene");
         let mut state = seed_state(seed);
@@ -485,22 +484,6 @@ impl Genome {
             })
             .collect();
         Genome { genes }
-    }
-
-    /// One deterministic point mutation from `seed`: flip a pattern
-    /// bit, re-draw a period, or move a gene to a different slot.
-    // bp-lint: allow-item(hot-path-alloc, "genome construction/mutation is search-time setup, never on the predict/update path")
-    pub fn mutated(&self, seed: u64) -> Genome {
-        let mut state = seed_state(seed);
-        let mut next = self.clone();
-        let i = (xorshift(&mut state) % next.genes.len() as u64) as usize;
-        let gene = &mut next.genes[i];
-        match xorshift(&mut state) % 3 {
-            0 => gene.pattern ^= 1u64 << (xorshift(&mut state) % 64),
-            1 => gene.period = (xorshift(&mut state) % 64 + 1) as u8,
-            _ => gene.slot = (xorshift(&mut state) % 64) as u8,
-        }
-        next
     }
 
     /// Replays this genome as a branch stream of (at least)
@@ -788,22 +771,6 @@ mod tests {
         assert_eq!(a.len(), 5_000, "one instruction per record");
         assert!(a.iter().all(|r| r.is_conditional()));
         assert!(a.iter().all(|r| r.pc >= ADVERSARIAL_PC_BASE));
-    }
-
-    #[test]
-    fn genome_mutation_is_deterministic_single_point() {
-        let g = Genome::seeded(9, 6);
-        let m1 = g.mutated(77);
-        let m2 = g.mutated(77);
-        assert_eq!(m1, m2, "mutation must be a pure function of the seed");
-        assert_ne!(m1, g, "mutation changes the genome");
-        let differing = g
-            .genes
-            .iter()
-            .zip(&m1.genes)
-            .filter(|(a, b)| a != b)
-            .count();
-        assert_eq!(differing, 1, "exactly one gene mutates");
     }
 
     #[test]

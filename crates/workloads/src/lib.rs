@@ -34,8 +34,8 @@
 //! the combinator layer: [`interleave`] mixes N tenant streams under a
 //! deterministic schedule into disjoint PC regions, [`context_switch`]
 //! injects periodic predictor flushes, and [`Genome`] replays
-//! adversarial branch-pattern genomes ([`AdversarialStream`]) for the
-//! worst-case search in `bp-sim`.
+//! adversarial branch-pattern genomes ([`AdversarialStream`]) as
+//! scenario tenants in `bp-sim`.
 //!
 //! ```
 //! use bp_workloads::{cbp4_suite, generate};

@@ -17,7 +17,7 @@
 //!                               per-static-branch misprediction profile
 //! bp compare <bench> [instr]    all registered predictors on one benchmark
 //! bp grid <suite> [--jobs N] [--json] [--instr N]
-//!         [--family F] [--predictors a,b,c]
+//!         [--family F] [--predictors a,b,c] [--config FILE]
 //!                               the full (predictor × benchmark) grid on
 //!                               the parallel engine
 //! bp report <suite> [--jobs N] [--instr N] [--warmup N] [--json]
@@ -40,8 +40,7 @@
 //!                               artifacts (built-ins: paper_mix,
 //!                               paper_switch, hostile_mix)
 //! bp sweep <suite> [--budgets 8,16,...] [--families a,b,c]
-//!          [--config FILE] [--jobs N] [--instr N] [--json]
-//!          [--out-dir D] [--quick]
+//!          [--jobs N] [--instr N] [--json] [--out-dir D] [--quick]
 //!                               storage-budget sweep: solve each
 //!                               family for each Kbit budget (within
 //!                               2% exact storage), run the fused
@@ -78,7 +77,7 @@
 //! ```
 //!
 //! `bp grid|report|sweep|scenario|claims` additionally take `--cache [DIR]`
-//! (default `.bp-cache`) and `--cache-mode rw|ro|refresh`: cells whose
+//! (default `.bp-cache`) and `--cache-mode rw|ro`: cells whose
 //! content-addressed key (config text × workload × budgets) is already
 //! in the cache are spliced in without simulating, and only the misses
 //! run. Artifacts are byte-identical with the cache off, cold, or warm.
@@ -91,11 +90,10 @@ use imli_repro::bench::trace_bench::{json_string, run_trace_io_bench};
 use imli_repro::lint::{find_workspace_root, lint_workspace};
 use imli_repro::sim::{
     family_members, lookup, make_predictor, paper_report_predictors, parse_predictor_file,
-    parse_scenario_file, parse_sweep_file, registry, run_report_with_cache,
-    run_scenario_with_cache, run_sweep_with_cache, scenario_by_name, scenario_report_predictors,
-    simulate, simulate_stream, CachePolicy, CacheStore, CellUpdate, Engine, GridStrategy,
-    MispredictionProfile, PredictorFamily, PredictorSpec, SimCache, TextTable, SCENARIO_NAMES,
-    STANDARD_BUDGETS_KBIT, SWEEP_FAMILIES,
+    parse_scenario_file, registry, run_report_with_cache, run_scenario_with_cache,
+    run_sweep_with_cache, scenario_by_name, scenario_report_predictors, simulate, simulate_stream,
+    CachePolicy, CacheStore, CellUpdate, Engine, MispredictionProfile, PredictorFamily,
+    PredictorSpec, SimCache, TextTable, SCENARIO_NAMES, STANDARD_BUDGETS_KBIT, SWEEP_FAMILIES,
 };
 use imli_repro::trace::{read_trace, Trace, TraceReader};
 use imli_repro::workloads::{
@@ -165,13 +163,13 @@ fn usage() -> ExitCode {
          bp simulate <config> <bench-or-file> [instr]\n  bp profile <config> <bench> [instr] [top]\n  \
          bp compare <bench> [instr]\n  \
          bp grid <suite> [--jobs N] [--json] [--instr N] [--family F] [--predictors a,b,c] \
-         [--config FILE] [--strategy auto|cell|fused] [--cache [DIR]] [--cache-mode M]\n  \
+         [--config FILE] [--cache [DIR]] [--cache-mode M]\n  \
          bp report <suite> [--jobs N] [--instr N] [--warmup N] [--json] [--family F] \
          [--predictors a,b,c] [--config FILE] [--out-dir D] [--cache [DIR]] [--cache-mode M]\n  \
          bp scenario <name-or-file> [--jobs N] [--instr N] [--json] [--family F] \
          [--predictors a,b,c] [--config FILE] [--out-dir D] [--cache [DIR]] [--cache-mode M]\n  \
-         bp sweep <suite> [--budgets 8,16,...] [--families a,b,c] [--config FILE] [--jobs N] \
-         [--instr N] [--json] [--out-dir D] [--quick] [--cache [DIR]] [--cache-mode M]\n  \
+         bp sweep <suite> [--budgets 8,16,...] [--families a,b,c] [--jobs N] [--instr N] \
+         [--json] [--out-dir D] [--quick] [--cache [DIR]] [--cache-mode M]\n  \
          bp claims [--jobs N] [--instr N] [--json] [--out-dir D] [--cache [DIR]] \
          [--cache-mode M]\n  \
          bp bench [--quick] [--instr N] [--out FILE]\n  \
@@ -357,8 +355,7 @@ fn parse_cache_mode(v: &str) -> Result<CachePolicy, String> {
     match v.to_ascii_lowercase().as_str() {
         "rw" | "read-write" => Ok(CachePolicy::ReadWrite),
         "ro" | "read-only" => Ok(CachePolicy::ReadOnly),
-        "refresh" => Ok(CachePolicy::Refresh),
-        other => Err(format!("unknown cache mode {other} (rw, ro, refresh)")),
+        other => Err(format!("unknown cache mode {other} (rw, ro)")),
     }
 }
 
@@ -373,32 +370,85 @@ fn build_cache(dir: Option<String>, mode: Option<CachePolicy>) -> Result<Option<
     }
 }
 
-/// Prints the cache tally line (to stderr: the deterministic artifact
-/// and `--json` streams stay byte-identical with the cache on or off).
-fn report_cache_outcome(cache: Option<&SimCache>, cells: usize) {
-    if let Some(cache) = cache {
-        eprintln!(
-            "cache: {}/{} cells hit, {} stored ({})",
-            cache.hits(),
-            cells,
-            cache.stores(),
-            cache.store().root().display()
-        );
-    }
-}
-
 /// The flags of the grid-shaped commands, parsed by
 /// [`parse_sweep_flags`]; each command accepts its own subset and
-/// rejects the rest as unknown.
+/// rejects the rest as unknown. A value a command may default is
+/// `None` when its flag is absent.
 struct SweepFlags {
     jobs: Option<usize>,
     json: bool,
-    instructions: u64,
-    predictors: Vec<PredictorSpec>,
+    instructions: Option<u64>,
+    predictors: Option<Vec<PredictorSpec>>,
     warmup: Option<u64>,
+    budgets: Option<Vec<u64>>,
+    families: Option<Vec<String>>,
+    quick: bool,
     out_dir: String,
-    strategy: GridStrategy,
     cache: Option<SimCache>,
+}
+
+impl SweepFlags {
+    /// The worker count: `--jobs`, else one per available core.
+    fn workers(&self) -> usize {
+        self.jobs.unwrap_or_else(|| Engine::new().jobs())
+    }
+
+    /// The engine `--jobs` and `--cache` ask for.
+    fn engine(&self) -> Engine {
+        Engine::with_jobs(self.workers()).with_cache(self.cache.clone())
+    }
+
+    /// Ends a run of `cells` cells: closes the progress line and prints
+    /// the cache tally, both on stderr, so the artifacts and the
+    /// `--json` stream stay byte-identical with the cache on or off.
+    fn end_run(&self, cells: usize) {
+        if !self.json {
+            eprintln!();
+        }
+        if let Some(cache) = &self.cache {
+            eprintln!(
+                "cache: {}/{} cells hit, {} stored ({})",
+                cache.hits(),
+                cells,
+                cache.stores(),
+                cache.store().root().display()
+            );
+        }
+    }
+
+    /// The tail of every artifact command: [`end_run`](Self::end_run),
+    /// write the rendered pair to `<out_dir>/<stem>.md` and `.json`,
+    /// then print the JSON (`--json`) or `summary` and the two paths.
+    fn finish(
+        &self,
+        cells: usize,
+        stem: &str,
+        (markdown, json): (String, String),
+        summary: &str,
+    ) -> Result<(), CmdError> {
+        self.end_run(cells);
+        let out_dir = &self.out_dir;
+        std::fs::create_dir_all(out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
+        let dir = std::path::Path::new(out_dir);
+        let (md_path, json_path) = (
+            dir.join(format!("{stem}.md")),
+            dir.join(format!("{stem}.json")),
+        );
+        for (path, text) in [(&md_path, &markdown), (&json_path, &json)] {
+            std::fs::write(path, text)
+                .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        }
+        if self.json {
+            out!("{json}");
+        } else {
+            outln!(
+                "{summary}wrote {} and {}",
+                md_path.display(),
+                json_path.display()
+            );
+        }
+        Ok(())
+    }
 }
 
 /// The flags every grid-shaped command accepts, and those that pick its
@@ -408,29 +458,29 @@ const PREDICTOR_FLAGS: &[&str] = &["--family", "--predictors", "--config"];
 
 /// Parses the flags of a grid-shaped command (`--jobs`, `--instr`,
 /// `--json`, `--family`, `--predictors`, `--config`, `--cache [DIR]`,
-/// `--cache-mode M`, `--strategy`, `--warmup`, `--out-dir`), accepting
-/// only those in the `accepted` lists. `command` names the subcommand
-/// for error messages.
+/// `--cache-mode M`, `--warmup`, `--budgets`, `--families`, `--quick`,
+/// `--out-dir`), accepting only those in the `accepted` lists.
+/// `command` names the subcommand for error messages.
 fn parse_sweep_flags(
     command: &str,
-    flags: &[String],
-    default_instructions: u64,
-    initial_predictors: Vec<PredictorSpec>,
+    args: &[String],
     accepted: &[&[&str]],
 ) -> Result<SweepFlags, String> {
     let mut parsed = SweepFlags {
         jobs: None,
         json: false,
-        instructions: default_instructions,
-        predictors: initial_predictors,
+        instructions: None,
+        predictors: None,
         warmup: None,
+        budgets: None,
+        families: None,
+        quick: false,
         out_dir: ".".to_owned(),
-        strategy: GridStrategy::Auto,
         cache: None,
     };
     let mut cache_dir: Option<String> = None;
     let mut cache_mode: Option<CachePolicy> = None;
-    let mut it = flags.iter();
+    let mut it = args.iter();
     while let Some(flag) = it.next() {
         if !accepted.iter().any(|set| set.contains(&flag.as_str())) {
             return Err(format!("unknown {command} flag {flag}"));
@@ -456,7 +506,8 @@ fn parse_sweep_flags(
                 );
             }
             "--instr" => {
-                parsed.instructions = parse_u64(value("instruction count")?, "instruction count")?;
+                parsed.instructions =
+                    Some(parse_u64(value("instruction count")?, "instruction count")?);
             }
             "--json" => parsed.json = true,
             "--family" => {
@@ -467,21 +518,22 @@ fn parse_sweep_flags(
                     .ok_or_else(|| {
                         format!("unknown family {v} (tage, gehl, perceptron, baseline)")
                     })?;
-                parsed.predictors = family_members(family);
+                parsed.predictors = Some(family_members(family));
             }
             "--predictors" => {
                 let v = value("comma-separated list")?;
-                parsed.predictors = v
-                    .split(',')
-                    .map(|name| {
-                        lookup(name.trim()).ok_or_else(|| {
-                            format!(
-                                "unknown predictor {} (try `bp list predictors`)",
-                                name.trim()
-                            )
+                parsed.predictors = Some(
+                    v.split(',')
+                        .map(|name| {
+                            lookup(name.trim()).ok_or_else(|| {
+                                format!(
+                                    "unknown predictor {} (try `bp list predictors`)",
+                                    name.trim()
+                                )
+                            })
                         })
-                    })
-                    .collect::<Result<_, _>>()?;
+                        .collect::<Result<_, _>>()?,
+                );
             }
             "--config" => {
                 // A config file *replaces* the predictor set with
@@ -491,20 +543,28 @@ fn parse_sweep_flags(
                 let text = std::fs::read_to_string(path)
                     .map_err(|e| format!("cannot read {path}: {e}"))?;
                 parsed.predictors =
-                    parse_predictor_file(&text).map_err(|e| format!("{path}: {e}"))?;
-            }
-            "--strategy" => {
-                let v = value("strategy name")?;
-                parsed.strategy = match v.to_ascii_lowercase().as_str() {
-                    "auto" => GridStrategy::Auto,
-                    "cell" | "per-cell" => GridStrategy::PerCell,
-                    "fused" | "fused-columns" => GridStrategy::FusedColumns,
-                    other => return Err(format!("unknown strategy {other} (auto, cell, fused)")),
-                };
+                    Some(parse_predictor_file(&text).map_err(|e| format!("{path}: {e}"))?);
             }
             "--warmup" => {
                 parsed.warmup = Some(parse_u64(value("instruction count")?, "instruction count")?);
             }
+            "--budgets" => {
+                parsed.budgets = Some(
+                    value("comma-separated Kbit list")?
+                        .split(',')
+                        .map(|b| parse_u64(b.trim(), "budget (Kbit)"))
+                        .collect::<Result<_, _>>()?,
+                );
+            }
+            "--families" => {
+                parsed.families = Some(
+                    value("comma-separated family list")?
+                        .split(',')
+                        .map(|f| f.trim().to_owned())
+                        .collect(),
+                );
+            }
+            "--quick" => parsed.quick = true,
             "--out-dir" => {
                 parsed.out_dir = value("directory")?.to_owned();
             }
@@ -515,66 +575,27 @@ fn parse_sweep_flags(
     Ok(parsed)
 }
 
-/// Writes a command's artifact pair, `<out_dir>/<stem>.md` and
-/// `<out_dir>/<stem>.json`, and returns both paths.
-fn write_artifacts(
-    out_dir: &str,
-    stem: &str,
-    markdown: &str,
-    json: &str,
-) -> Result<(std::path::PathBuf, std::path::PathBuf), String> {
-    std::fs::create_dir_all(out_dir).map_err(|e| format!("cannot create {out_dir}: {e}"))?;
-    let dir = std::path::Path::new(out_dir);
-    let paths = (
-        dir.join(format!("{stem}.md")),
-        dir.join(format!("{stem}.json")),
-    );
-    for (path, text) in [(&paths.0, markdown), (&paths.1, json)] {
-        std::fs::write(path, text).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-    }
-    Ok(paths)
-}
-
 /// Parses and runs `bp grid <suite> [--jobs N] [--json] [--instr N]
-/// [--family F] [--predictors a,b,c]`.
-fn run_grid(suite_name: &str, flags: &[String]) -> Result<(), CmdError> {
+/// [--family F] [--predictors a,b,c] [--config FILE]`.
+fn run_grid(suite_name: &str, args: &[String]) -> Result<(), CmdError> {
     let benchmarks = suite_by_name(suite_name)
         .ok_or_else(|| format!("unknown suite {suite_name} (try cbp4, cbp3, or paper)"))?;
-    let SweepFlags {
-        jobs,
-        json,
-        instructions,
-        predictors,
-        strategy,
-        cache,
-        ..
-    } = parse_sweep_flags(
-        "grid",
-        flags,
-        1_000_000,
-        registry(),
-        &[SHARED_FLAGS, PREDICTOR_FLAGS, &["--strategy"]],
-    )?;
+    let mut flags = parse_sweep_flags("grid", args, &[SHARED_FLAGS, PREDICTOR_FLAGS])?;
+    let instructions = flags.instructions.unwrap_or(1_000_000);
+    let predictors = flags.predictors.take().unwrap_or_else(registry);
 
-    let engine = jobs
-        .map_or_else(Engine::new, Engine::with_jobs)
-        .with_strategy(strategy)
-        .with_cache(cache);
+    let engine = flags.engine();
     let started = std::time::Instant::now();
-    let show_progress = !json;
     let grid = engine.run_grid_with_progress(
         &predictors,
         &benchmarks,
         instructions,
-        &progress(show_progress),
+        &progress(!flags.json),
     );
     let elapsed = started.elapsed();
-    if show_progress {
-        eprintln!();
-    }
-    report_cache_outcome(engine.cache(), predictors.len() * benchmarks.len());
+    flags.end_run(predictors.len() * benchmarks.len());
 
-    if json {
+    if flags.json {
         outln!(
             "{}",
             grid_to_json(suite_name, instructions, engine.jobs(), &grid)
@@ -617,40 +638,32 @@ fn run_grid(suite_name: &str, flags: &[String]) -> Result<(), CmdError> {
 
 /// Parses and runs `bp report <suite> [--jobs N] [--instr N]
 /// [--warmup N] [--json] [--family F] [--predictors a,b,c]
-/// [--out-dir D]`: the attributed (predictor × benchmark) grid, folded
-/// into the deterministic paper-style report and written to
-/// `REPORT_<suite>.md` / `REPORT_<suite>.json`.
+/// [--config FILE] [--out-dir D]`: the attributed (predictor ×
+/// benchmark) grid, folded into the deterministic paper-style report
+/// and written to `REPORT_<suite>.md` / `REPORT_<suite>.json`.
 ///
 /// The `paper` suite is the quick path: the eight benchmarks the paper
 /// analyzes per-name, against the Table 1/2 configuration ladder. The
 /// report depends only on its inputs — two runs with the same flags
 /// produce byte-identical files.
-fn run_report_cmd(suite_name: &str, flags: &[String]) -> Result<(), CmdError> {
+fn run_report_cmd(suite_name: &str, args: &[String]) -> Result<(), CmdError> {
     let benchmarks = suite_by_name(suite_name)
         .ok_or_else(|| format!("unknown suite {suite_name} (try cbp4, cbp3, or paper)"))?;
-    let default_predictors: Vec<PredictorSpec> = if suite_name.eq_ignore_ascii_case("paper") {
-        paper_report_predictors()
-    } else {
-        registry()
-    };
-    let SweepFlags {
-        jobs,
-        json,
-        instructions,
-        predictors,
-        warmup,
-        out_dir,
-        strategy: _,
-        cache,
-    } = parse_sweep_flags(
+    let mut flags = parse_sweep_flags(
         "report",
-        flags,
-        500_000,
-        default_predictors,
+        args,
         &[SHARED_FLAGS, PREDICTOR_FLAGS, &["--warmup", "--out-dir"]],
     )?;
+    let instructions = flags.instructions.unwrap_or(500_000);
+    let predictors = flags.predictors.take().unwrap_or_else(|| {
+        if suite_name.eq_ignore_ascii_case("paper") {
+            paper_report_predictors()
+        } else {
+            registry()
+        }
+    });
     // Default warmup: the first fifth of each benchmark.
-    let warmup = warmup.unwrap_or(instructions / 5);
+    let warmup = flags.warmup.unwrap_or(instructions / 5);
     if warmup >= instructions {
         return Err(format!(
             "warmup ({warmup}) must be smaller than the instruction budget ({instructions})"
@@ -658,57 +671,42 @@ fn run_report_cmd(suite_name: &str, flags: &[String]) -> Result<(), CmdError> {
         .into());
     }
 
-    let engine = jobs.map_or_else(Engine::new, Engine::with_jobs);
-    let show_progress = !json;
     let report = run_report_with_cache(
         &suite_name.to_ascii_lowercase(),
         &predictors,
         &benchmarks,
         instructions,
         warmup,
-        engine.jobs(),
-        cache.as_ref(),
-        &progress(show_progress),
+        flags.workers(),
+        flags.cache.as_ref(),
+        &progress(!flags.json),
     );
-    if show_progress {
-        eprintln!();
+    // The Mrec/s column is live telemetry from the engine's per-cell
+    // timings; it goes to stdout only — the written report files stay
+    // byte-deterministic.
+    let mut table = TextTable::new(vec!["config", "mean MPKI", "steady MPKI", "Kbit", "Mrec/s"]);
+    for (p, row) in report.rows.iter().enumerate() {
+        table.row(vec![
+            row.name.clone(),
+            format!("{:.3}", row.mean_mpki()),
+            format!("{:.3}", row.steady_mpki()),
+            format!("{:.0}", row.storage_kbit()),
+            format!("{:.2}", report.row_records_per_sec(p) / 1e6),
+        ]);
     }
-    report_cache_outcome(cache.as_ref(), predictors.len() * benchmarks.len());
-
-    let json_doc = report.to_json();
-    let stem = format!("REPORT_{}", suite_name.to_ascii_lowercase());
-    let (md_path, json_path) = write_artifacts(&out_dir, &stem, &report.to_markdown(), &json_doc)?;
-
-    if json {
-        out!("{json_doc}");
-    } else {
-        // The Mrec/s column is live telemetry from the engine's
-        // per-cell timings; it goes to stdout only — the written
-        // report files stay byte-deterministic.
-        let mut table =
-            TextTable::new(vec!["config", "mean MPKI", "steady MPKI", "Kbit", "Mrec/s"]);
-        for (p, row) in report.rows.iter().enumerate() {
-            table.row(vec![
-                row.name.clone(),
-                format!("{:.3}", row.mean_mpki()),
-                format!("{:.3}", row.steady_mpki()),
-                format!("{:.0}", row.storage_kbit()),
-                format!("{:.2}", report.row_records_per_sec(p) / 1e6),
-            ]);
-        }
-        outln!(
-            "{} report: {} predictors x {} benchmarks at {} instructions (warmup {})\n{table}\
-             wrote {} and {}",
+    flags.finish(
+        predictors.len() * benchmarks.len(),
+        &format!("REPORT_{}", suite_name.to_ascii_lowercase()),
+        (report.to_markdown(), report.to_json()),
+        &format!(
+            "{} report: {} predictors x {} benchmarks at {} instructions (warmup {})\n{table}",
             suite_name,
             report.rows.len(),
             report.benchmarks.len(),
             instructions,
             warmup,
-            md_path.display(),
-            json_path.display(),
-        );
-    }
-    Ok(())
+        ),
+    )
 }
 
 /// Parses and runs `bp scenario <name-or-file> [--jobs N] [--instr N]
@@ -724,7 +722,7 @@ fn run_report_cmd(suite_name: &str, flags: &[String]) -> Result<(), CmdError> {
 /// replaces the predictor set with custom configurations, as in
 /// `bp report`. Artifacts `SCENARIO_<name>.md` / `SCENARIO_<name>.json`
 /// are byte-deterministic: same inputs, same bytes, any `--jobs`.
-fn run_scenario_cmd(spec_arg: &str, flags: &[String]) -> Result<(), CmdError> {
+fn run_scenario_cmd(spec_arg: &str, args: &[String]) -> Result<(), CmdError> {
     let mut scenario = match scenario_by_name(spec_arg) {
         Some(s) => s,
         None => {
@@ -737,71 +735,51 @@ fn run_scenario_cmd(spec_arg: &str, flags: &[String]) -> Result<(), CmdError> {
             parse_scenario_file(&text).map_err(|e| format!("{spec_arg}: {e}"))?
         }
     };
-    let SweepFlags {
-        jobs,
-        json,
-        instructions,
-        predictors,
-        out_dir,
-        cache,
-        ..
-    } = parse_sweep_flags(
+    let mut flags = parse_sweep_flags(
         "scenario",
-        flags,
-        scenario.instructions,
-        scenario_report_predictors(),
+        args,
         &[SHARED_FLAGS, PREDICTOR_FLAGS, &["--out-dir"]],
     )?;
-    scenario.instructions = instructions;
+    scenario.instructions = flags.instructions.unwrap_or(scenario.instructions);
+    let predictors = flags
+        .predictors
+        .take()
+        .unwrap_or_else(scenario_report_predictors);
 
-    let engine = jobs.map_or_else(Engine::new, Engine::with_jobs);
-    let show_progress = !json;
     let report = run_scenario_with_cache(
         &scenario,
         &predictors,
-        engine.jobs(),
-        cache.as_ref(),
-        &progress(show_progress),
+        flags.workers(),
+        flags.cache.as_ref(),
+        &progress(!flags.json),
     )?;
-    if show_progress {
-        eprintln!();
+    let mut table = TextTable::new(vec!["config", "family", "combined MPKI", "flushes"]);
+    for row in &report.rows {
+        table.row(vec![
+            row.name.clone(),
+            row.family.clone(),
+            format!("{:.3}", row.run.mpki()),
+            row.run.flushes.to_string(),
+        ]);
     }
-    report_cache_outcome(cache.as_ref(), predictors.len());
-
-    let json_doc = report.to_json();
-    let stem = format!("SCENARIO_{}", report.scenario);
-    let (md_path, json_path) = write_artifacts(&out_dir, &stem, &report.to_markdown(), &json_doc)?;
-
-    if json {
-        out!("{json_doc}");
-    } else {
-        let mut table = TextTable::new(vec!["config", "family", "combined MPKI", "flushes"]);
-        for row in &report.rows {
-            table.row(vec![
-                row.name.clone(),
-                row.family.clone(),
-                format!("{:.3}", row.run.mpki()),
-                row.run.flushes.to_string(),
-            ]);
-        }
-        outln!(
-            "scenario {}: {} tenants x {} instructions, schedule {}, flush {}\n{table}\
-             wrote {} and {}",
+    flags.finish(
+        predictors.len(),
+        &format!("SCENARIO_{}", report.scenario),
+        (report.to_markdown(), report.to_json()),
+        &format!(
+            "scenario {}: {} tenants x {} instructions, schedule {}, flush {}\n{table}",
             report.scenario,
             report.tenants.len(),
             report.instructions,
             report.schedule,
             report.flush,
-            md_path.display(),
-            json_path.display(),
-        );
-    }
-    Ok(())
+        ),
+    )
 }
 
 /// Parses and runs `bp sweep <suite> [--budgets 8,16,...]
-/// [--families a,b,c] [--config FILE] [--jobs N] [--instr N] [--json]
-/// [--out-dir D] [--quick]`: the storage-budget sweep.
+/// [--families a,b,c] [--jobs N] [--instr N] [--json] [--out-dir D]
+/// [--quick]`: the storage-budget sweep.
 ///
 /// For every (budget, family) pair the solver produces a configuration
 /// whose **exact** `storage_items()` total lands within 2% of the
@@ -810,97 +788,37 @@ fn run_scenario_cmd(spec_arg: &str, flags: &[String]) -> Result<(), CmdError> {
 /// written as the byte-deterministic `SWEEP_<suite>.md` /
 /// `SWEEP_<suite>.json` artifacts. `--quick` is the CI smoke setting
 /// (the paper's 64/256-Kbit points at a small instruction budget).
-fn run_sweep_cmd(suite_name: &str, flags: &[String]) -> Result<(), CmdError> {
+fn run_sweep_cmd(suite_name: &str, args: &[String]) -> Result<(), CmdError> {
     let benchmarks = suite_by_name(suite_name)
         .ok_or_else(|| format!("unknown suite {suite_name} (try cbp4, cbp3, or paper)"))?;
-    let mut budgets: Vec<u64> = STANDARD_BUDGETS_KBIT.to_vec();
-    let mut budgets_explicit = false;
-    let mut families: Vec<String> = SWEEP_FAMILIES.iter().map(|&f| f.to_owned()).collect();
-    let mut jobs: Option<usize> = None;
-    let mut instructions: Option<u64> = None;
-    let mut json = false;
-    let mut quick = false;
-    let mut out_dir = ".".to_owned();
-    let mut cache_dir: Option<String> = None;
-    let mut cache_mode: Option<CachePolicy> = None;
-    let mut it = flags.iter();
-    while let Some(flag) = it.next() {
-        if flag == "--cache" {
-            cache_dir = Some(take_cache_dir(&mut it));
-            continue;
-        }
-        let mut value = |what: &str| {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{flag} needs a {what}"))
-        };
-        match flag.as_str() {
-            "--cache-mode" => cache_mode = Some(parse_cache_mode(value("cache mode")?)?),
-            "--budgets" => {
-                budgets = value("comma-separated Kbit list")?
-                    .split(',')
-                    .map(|b| parse_u64(b.trim(), "budget (Kbit)"))
-                    .collect::<Result<_, _>>()?;
-                budgets_explicit = true;
-            }
-            "--families" => {
-                families = value("comma-separated family list")?
-                    .split(',')
-                    .map(|f| f.trim().to_owned())
-                    .collect();
-            }
-            "--config" => {
-                let path = value("config file path")?;
-                let text = std::fs::read_to_string(path)
-                    .map_err(|e| format!("cannot read {path}: {e}"))?;
-                let parsed = parse_sweep_file(&text).map_err(|e| format!("{path}: {e}"))?;
-                if let Some(b) = parsed.budgets_kbit {
-                    budgets = b;
-                    budgets_explicit = true;
-                }
-                if let Some(f) = parsed.families {
-                    families = f;
-                }
-            }
-            "--jobs" => {
-                let v = value("worker count")?;
-                jobs = Some(
-                    v.parse::<usize>()
-                        .ok()
-                        .filter(|&n| n >= 1)
-                        .ok_or_else(|| format!("bad worker count: {v}"))?,
-                );
-            }
-            "--instr" => {
-                instructions = Some(parse_u64(value("instruction count")?, "instruction count")?);
-            }
-            "--json" => json = true,
-            "--quick" => quick = true,
-            "--out-dir" => out_dir = value("directory")?.to_owned(),
-            other => return Err(format!("unknown sweep flag {other}").into()),
-        }
-    }
-    if quick {
-        // The CI smoke shape: the paper's two headline budgets at a
-        // small instruction budget. Budgets set explicitly (via
-        // --budgets or a --config file) and explicit --instr win.
-        if !budgets_explicit {
-            budgets = vec![64, 256];
-        }
-        if instructions.is_none() {
-            instructions = Some(50_000);
-        }
-    }
-    let instructions = instructions.unwrap_or(500_000);
+    let mut flags = parse_sweep_flags(
+        "sweep",
+        args,
+        &[
+            SHARED_FLAGS,
+            &["--budgets", "--families", "--quick", "--out-dir"],
+        ],
+    )?;
+    // --quick is the CI smoke shape: the paper's two headline budgets
+    // at a small instruction budget. Explicit --budgets and --instr win.
+    let (default_budgets, default_instructions) = if flags.quick {
+        (vec![64, 256], 50_000)
+    } else {
+        (STANDARD_BUDGETS_KBIT.to_vec(), 500_000)
+    };
+    let budgets = flags.budgets.take().unwrap_or(default_budgets);
+    let instructions = flags.instructions.unwrap_or(default_instructions);
+    let families = flags
+        .families
+        .take()
+        .unwrap_or_else(|| SWEEP_FAMILIES.iter().map(|&f| f.to_owned()).collect());
     if budgets.is_empty() || families.is_empty() {
         return Err("sweep needs at least one budget and one family"
             .to_owned()
             .into());
     }
 
-    let cache = build_cache(cache_dir, cache_mode)?;
-    let engine_jobs = jobs.unwrap_or_else(|| Engine::new().jobs());
-    let show_progress = !json;
+    let jobs = flags.workers();
     let started = std::time::Instant::now();
     let report = run_sweep_with_cache(
         &suite_name.to_ascii_lowercase(),
@@ -908,58 +826,44 @@ fn run_sweep_cmd(suite_name: &str, flags: &[String]) -> Result<(), CmdError> {
         &budgets,
         &families,
         instructions,
-        engine_jobs,
-        cache.as_ref(),
-        &progress(show_progress),
+        jobs,
+        flags.cache.as_ref(),
+        &progress(!flags.json),
     )
     .map_err(|e| e.to_string())?;
     let elapsed = started.elapsed();
-    if show_progress {
-        eprintln!();
-    }
-    report_cache_outcome(
-        cache.as_ref(),
-        budgets.len() * families.len() * benchmarks.len(),
-    );
-
-    let json_doc = report.to_json();
-    let stem = format!("SWEEP_{}", suite_name.to_ascii_lowercase());
-    let (md_path, json_path) = write_artifacts(&out_dir, &stem, &report.to_markdown(), &json_doc)?;
-
-    if json {
-        out!("{json_doc}");
-    } else {
-        let mut table = TextTable::new(vec![
-            "config",
-            "target Kbit",
-            "actual Kbit",
-            "err %",
-            "mean MPKI",
+    let mut table = TextTable::new(vec![
+        "config",
+        "target Kbit",
+        "actual Kbit",
+        "err %",
+        "mean MPKI",
+    ]);
+    for row in &report.rows {
+        table.row(vec![
+            format!("{}@{}", row.family, row.budget_kbit),
+            row.budget_kbit.to_string(),
+            format!("{:.2}", row.storage_bits as f64 / 1024.0),
+            format!("{:+.2}", row.budget_error() * 100.0),
+            format!("{:.3}", row.mean_mpki()),
         ]);
-        for row in &report.rows {
-            table.row(vec![
-                format!("{}@{}", row.family, row.budget_kbit),
-                row.budget_kbit.to_string(),
-                format!("{:.2}", row.storage_bits as f64 / 1024.0),
-                format!("{:+.2}", row.budget_error() * 100.0),
-                format!("{:.3}", row.mean_mpki()),
-            ]);
-        }
-        outln!(
+    }
+    flags.finish(
+        budgets.len() * families.len() * benchmarks.len(),
+        &format!("SWEEP_{}", suite_name.to_ascii_lowercase()),
+        (report.to_markdown(), report.to_json()),
+        &format!(
             "{} sweep: {} budgets x {} families x {} benchmarks at {} instructions, {} jobs, \
-             {:.2}s\n{table}wrote {} and {}",
+             {:.2}s\n{table}",
             suite_name,
             report.budgets_kbit.len(),
             report.families.len(),
             report.benchmarks.len(),
             instructions,
-            engine_jobs,
+            jobs,
             elapsed.as_secs_f64(),
-            md_path.display(),
-            json_path.display(),
-        );
-    }
-    Ok(())
+        ),
+    )
 }
 
 /// Parses and runs `bp claims [--jobs N] [--instr N] [--json]
@@ -967,52 +871,28 @@ fn run_sweep_cmd(suite_name: &str, flags: &[String]) -> Result<(), CmdError> {
 /// ledger, one grid over both suites, written to the byte-deterministic
 /// `CLAIMS_paper.md` / `CLAIMS_paper.json`. There is one ledger, so the
 /// command takes no suite and no predictor flags.
-fn run_claims_cmd(flags: &[String]) -> Result<(), CmdError> {
-    let SweepFlags {
-        jobs,
-        json,
+fn run_claims_cmd(args: &[String]) -> Result<(), CmdError> {
+    let flags = parse_sweep_flags("claims", args, &[SHARED_FLAGS, &["--out-dir"]])?;
+    let instructions = flags.instructions.unwrap_or(DEFAULT_INSTRUCTIONS);
+    let ledger = run_claims(&flags.engine(), instructions, &progress(!flags.json));
+    let mut summary = String::new();
+    for row in ledger.rows.iter().filter(|r| !r.holds) {
+        let suite = row.suite.map_or("", |s| s.label());
+        summary += &format!("fails: {} {suite}: {}\n", row.claim.id, row.ours);
+    }
+    summary += &format!(
+        "claims: {} of {} rows hold at {} instructions\n",
+        ledger.holding(),
+        ledger.rows.len(),
         instructions,
-        out_dir,
-        cache,
-        ..
-    } = parse_sweep_flags(
-        "claims",
-        flags,
-        DEFAULT_INSTRUCTIONS,
-        Vec::new(),
-        &[SHARED_FLAGS, &["--out-dir"]],
-    )?;
-    let engine = jobs
-        .map_or_else(Engine::new, Engine::with_jobs)
-        .with_cache(cache);
-    let ledger = run_claims(&engine, instructions, &progress(!json));
-    if !json {
-        eprintln!();
-    }
+    );
     let m = &ledger.measured;
-    report_cache_outcome(engine.cache(), m.configs.len() * m.benchmarks.len());
-
-    let json_doc = ledger.to_json();
-    let (md_path, json_path) =
-        write_artifacts(&out_dir, "CLAIMS_paper", &ledger.to_markdown(), &json_doc)?;
-
-    if json {
-        out!("{json_doc}");
-    } else {
-        for row in ledger.rows.iter().filter(|r| !r.holds) {
-            let suite = row.suite.map_or("", |s| s.label());
-            outln!("fails: {} {suite}: {}", row.claim.id, row.ours);
-        }
-        outln!(
-            "claims: {} of {} rows hold at {} instructions\nwrote {} and {}",
-            ledger.holding(),
-            ledger.rows.len(),
-            instructions,
-            md_path.display(),
-            json_path.display(),
-        );
-    }
-    Ok(())
+    flags.finish(
+        m.configs.len() * m.benchmarks.len(),
+        "CLAIMS_paper",
+        (ledger.to_markdown(), ledger.to_json()),
+        &summary,
+    )
 }
 
 /// Parses and runs `bp cache <stats|gc|clear> [DIR]`: result-cache
@@ -1053,8 +933,8 @@ fn run_cache_cmd(args: &[String]) -> Result<(), CmdError> {
     Ok(())
 }
 
-/// Parses and runs `bp bench [--quick] [--instr N] [--out FILE]`: the
-/// `bp lint [--json] [--fix-audit]`: the workspace invariant lint gate.
+/// Parses and runs `bp lint [--json] [--fix-audit]`: the workspace
+/// invariant lint gate.
 ///
 /// Scans every workspace `.rs` file (excluding `vendor/` and `target/`)
 /// with the four rule families (unsafe-audit, determinism,

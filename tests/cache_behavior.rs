@@ -430,7 +430,7 @@ fn corrupted_entries_are_recomputed_and_repaired_never_fatal() {
 }
 
 #[test]
-fn read_only_and_refresh_policies_behave() {
+fn read_only_policy_reads_but_never_writes() {
     let predictors: Vec<PredictorSpec> = registry().into_iter().take(2).collect();
     let benchmarks = benchmarks();
     let dir = scratch("policies");
@@ -444,18 +444,20 @@ fn read_only_and_refresh_policies_behave() {
     assert_eq!(ro.misses() as usize, total);
     assert_eq!(ro.stores(), 0);
     assert!(entry_files(&dir).is_empty());
-    // Refresh: ignores entries, rewrites them.
+    // ReadOnly over a warmed store: every cell hits, nothing written.
     let warm_up = SimCache::new(&dir, CachePolicy::ReadWrite);
     Engine::with_jobs(2)
         .with_cache(Some(warm_up.clone()))
         .run_grid(&predictors, &benchmarks, INSTR);
-    let refresh = SimCache::new(&dir, CachePolicy::Refresh);
-    let refreshed = Engine::with_jobs(2)
-        .with_cache(Some(refresh.clone()))
+    let files = entry_files(&dir);
+    let warm_ro = SimCache::new(&dir, CachePolicy::ReadOnly);
+    let served = Engine::with_jobs(2)
+        .with_cache(Some(warm_ro.clone()))
         .run_grid(&predictors, &benchmarks, INSTR);
-    assert_eq!(baseline, refreshed);
-    assert_eq!(refresh.hits(), 0, "refresh never reads");
-    assert_eq!(refresh.stores() as usize, total);
+    assert_eq!(baseline, served);
+    assert_eq!(warm_ro.hits() as usize, total);
+    assert_eq!(warm_ro.stores(), 0);
+    assert_eq!(entry_files(&dir), files);
     nuke(&dir);
 }
 
