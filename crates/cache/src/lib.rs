@@ -33,6 +33,18 @@
 //! structured text that callers parse strictly, and a parse failure is
 //! likewise treated as a miss.
 //!
+//! ## What a probe costs
+//!
+//! A warm report is a few dozen probes, so the key work per probe is a
+//! real share of it. `load` and `save` render the key once: each string
+//! field is JSON-escaped once, straight into the envelope prefix, and
+//! the FNV-1a hash runs once over the canonical key text assembled from
+//! those escaped slices. The file path and the prefix's `"hash"` field
+//! both come from that one hash; `stats` and `gc` check each file the
+//! same way. A hit hands back the payload cut out of the file's own
+//! buffer. None of this changes a byte on disk: the hash, the file
+//! names and the envelope are pinned by a golden test.
+//!
 //! ## Invalidation
 //!
 //! There is no time-based expiry and no mtime logic (this crate is
@@ -47,9 +59,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 use std::fs;
 use std::io;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
 /// Version stamp folded into every cache key hash and embedded in
@@ -83,7 +96,11 @@ const ENTRY_SUFFIX: &str = "\n}\n";
 /// );
 /// ```
 pub fn fnv1a_128(bytes: &[u8]) -> u128 {
-    let mut hash = FNV128_OFFSET_BASIS;
+    fnv1a_128_extend(FNV128_OFFSET_BASIS, bytes)
+}
+
+/// Continue an FNV-1a hash from state `hash` over `bytes`.
+fn fnv1a_128_extend(mut hash: u128, bytes: &[u8]) -> u128 {
     for &b in bytes {
         hash ^= b as u128;
         hash = hash.wrapping_mul(FNV128_PRIME);
@@ -123,22 +140,27 @@ impl CacheKey {
     /// injective (no field can smuggle a delimiter), and the schema
     /// version is folded in so bumps re-key everything.
     pub fn canonical_text(&self) -> String {
-        let mut out =
-            String::with_capacity(self.kind.len() + self.config.len() + self.workload.len() + 96);
-        out.push_str("bp-cache-key v");
-        push_u64(&mut out, CACHE_SCHEMA_VERSION as u64);
-        out.push_str("\nkind: ");
-        push_json_string(&mut out, &self.kind);
-        out.push_str("\nconfig: ");
-        push_json_string(&mut out, &self.config);
-        out.push_str("\nworkload: ");
-        push_json_string(&mut out, &self.workload);
-        out.push_str("\ninstructions: ");
-        push_u64(&mut out, self.instructions);
-        out.push_str("\nwarmup: ");
-        push_u64(&mut out, self.warmup);
-        out.push('\n');
+        let escaped = [&self.kind, &self.config, &self.workload].map(|field| {
+            let mut out = String::with_capacity(field.len() + 2);
+            push_json_string(&mut out, field);
+            out
+        });
+        let mut out = String::with_capacity(escaped.iter().map(String::len).sum::<usize>() + 96);
+        self.write_key_text(&mut out, escaped.each_ref().map(String::as_str));
         out
+    }
+
+    /// Write the canonical key text to `out`, given the three string
+    /// fields (kind, config, workload) already JSON-escaped. The one
+    /// definition of the key text: [`CacheKey::canonical_text`]
+    /// collects it, and [`CacheKey::envelope`] hashes it as it goes.
+    fn write_key_text(&self, out: &mut impl fmt::Write, [kind, config, workload]: [&str; 3]) {
+        let _ = write!(
+            out,
+            "bp-cache-key v{CACHE_SCHEMA_VERSION}\nkind: {kind}\nconfig: {config}\n\
+             workload: {workload}\ninstructions: {}\nwarmup: {}\n",
+            self.instructions, self.warmup
+        );
     }
 
     /// The key's 128-bit content hash.
@@ -148,71 +170,140 @@ impl CacheKey {
 
     /// The hash as 32 lowercase hex digits — the entry's file stem.
     pub fn hash_hex(&self) -> String {
-        let mut out = String::with_capacity(32);
-        let _ = write!(out, "{:032x}", self.hash());
-        out
+        format!("{:032x}", self.hash())
     }
 
-    /// Render the deterministic envelope prefix for this key: the
-    /// entry file is exactly `prefix + payload + "\n}\n"`.
+    /// Render this key once for the store: the deterministic envelope
+    /// prefix (the entry file is exactly `prefix + payload + "\n}\n"`)
+    /// with the key's hash embedded in it. Each string field is escaped
+    /// once, straight into the prefix, and the hash runs over the
+    /// canonical key text assembled from those escaped slices, so a
+    /// probe or a store costs one escape pass and one hash.
     ///
     /// Embedding the full key (not just its hash) is what lets
     /// [`CacheStore::load`] detect hash collisions by a single byte
     /// comparison.
-    fn entry_prefix(&self) -> String {
-        let mut out =
+    fn envelope(&self) -> Envelope {
+        let mut prefix =
             String::with_capacity(self.kind.len() + self.config.len() + self.workload.len() + 192);
-        out.push_str("{\n  \"bp-cache\": ");
-        push_u64(&mut out, CACHE_SCHEMA_VERSION as u64);
-        out.push_str(",\n  \"hash\": \"");
-        out.push_str(&self.hash_hex());
-        out.push_str("\",\n  \"kind\": ");
-        push_json_string(&mut out, &self.kind);
-        out.push_str(",\n  \"config\": ");
-        push_json_string(&mut out, &self.config);
-        out.push_str(",\n  \"workload\": ");
-        push_json_string(&mut out, &self.workload);
-        out.push_str(",\n  \"instructions\": ");
-        push_u64(&mut out, self.instructions);
-        out.push_str(",\n  \"warmup\": ");
-        push_u64(&mut out, self.warmup);
-        out.push_str(",\n  \"payload\": ");
-        out
+        let _ = write!(
+            prefix,
+            "{{\n  \"bp-cache\": {CACHE_SCHEMA_VERSION},\n  \"hash\": \""
+        );
+        let hex_at = prefix.len();
+        prefix.push_str(HEX_PLACEHOLDER);
+        prefix.push_str("\",\n  \"kind\": ");
+        let kind = push_json_string(&mut prefix, &self.kind);
+        prefix.push_str(",\n  \"config\": ");
+        let config = push_json_string(&mut prefix, &self.config);
+        prefix.push_str(",\n  \"workload\": ");
+        let workload = push_json_string(&mut prefix, &self.workload);
+        let _ = write!(
+            prefix,
+            ",\n  \"instructions\": {},\n  \"warmup\": {},\n  \"payload\": ",
+            self.instructions, self.warmup
+        );
+
+        let mut hash = Fnv128(FNV128_OFFSET_BASIS);
+        self.write_key_text(&mut hash, [kind, config, workload].map(|r| &prefix[r]));
+        let hex = format!("{:032x}", hash.0);
+        prefix.replace_range(hex_at..hex_at + HEX_PLACEHOLDER.len(), &hex);
+        Envelope { prefix, hex_at }
+    }
+
+    /// The envelope prefix alone: the entry file is exactly
+    /// `prefix + payload + "\n}\n"`.
+    #[cfg(test)]
+    fn entry_prefix(&self) -> String {
+        self.envelope().prefix
     }
 
     /// Render the complete entry file contents for `payload`.
     pub fn entry_text(&self, payload: &str) -> String {
-        let mut out = self.entry_prefix();
+        self.envelope().into_entry_text(payload)
+    }
+}
+
+/// Stands in for the hash's 32 hex digits while the envelope prefix is
+/// rendered; the digits overwrite it in place once the hash is known.
+const HEX_PLACEHOLDER: &str = "00000000000000000000000000000000";
+
+/// Streaming FNV-1a state: text written to it is hashed as it comes,
+/// exactly as [`fnv1a_128`] hashes the concatenation.
+struct Fnv128(u128);
+
+impl fmt::Write for Fnv128 {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0 = fnv1a_128_extend(self.0, s.as_bytes());
+        Ok(())
+    }
+}
+
+/// One [`CacheKey`] rendered for the store: the entry's envelope
+/// prefix, whose `"hash"` field holds the key's 32 hex digits.
+struct Envelope {
+    prefix: String,
+    /// Byte offset of the hex digits inside `prefix`.
+    hex_at: usize,
+}
+
+impl Envelope {
+    /// The key's hash as 32 lowercase hex digits.
+    fn hex(&self) -> &str {
+        &self.prefix[self.hex_at..self.hex_at + HEX_PLACEHOLDER.len()]
+    }
+
+    /// Does `text` frame a payload as this key's entry: this exact
+    /// prefix (the full key, hash included), then the fixed suffix?
+    fn frames(&self, text: &str) -> bool {
+        text.len() >= self.prefix.len() + ENTRY_SUFFIX.len()
+            && text.starts_with(&self.prefix)
+            && text.ends_with(ENTRY_SUFFIX)
+    }
+
+    /// The complete entry file contents for `payload`, built on the
+    /// prefix's own buffer.
+    fn into_entry_text(self, payload: &str) -> String {
+        let mut out = self.prefix;
+        out.reserve(payload.len() + ENTRY_SUFFIX.len());
         out.push_str(payload);
         out.push_str(ENTRY_SUFFIX);
         out
     }
 }
 
-/// Append `v` in decimal without going through `format!`.
-fn push_u64(out: &mut String, v: u64) {
-    let _ = write!(out, "{v}");
-}
-
 /// Minimal JSON string escaper, byte-compatible with
 /// `bp_components::config::json_string` (asserted by a dev-dependency
 /// test). Duplicated here so the cache crate stays dependency-free.
-fn push_json_string(out: &mut String, s: &str) {
+/// Returns the byte range of the quoted, escaped string within `out`.
+///
+/// Every byte that needs escaping is ASCII, so the scan works on bytes
+/// and copies each unescaped run whole (UTF-8 continuation bytes are
+/// all `>= 0x80` and never split a run at a non-boundary).
+fn push_json_string(out: &mut String, s: &str) -> Range<usize> {
+    let start = out.len();
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    let mut run = 0;
+    for (i, &b) in s.as_bytes().iter().enumerate() {
+        if b >= 0x20 && b != b'"' && b != b'\\' {
+            continue;
+        }
+        out.push_str(&s[run..i]);
+        run = i + 1;
+        match b {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            _ => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
     }
+    out.push_str(&s[run..]);
     out.push('"');
+    start..out.len()
 }
 
 /// Inverse of [`push_json_string`] for envelope re-parsing during
@@ -275,14 +366,22 @@ fn expect_lit(text: &str, pos: usize, lit: &str) -> Option<usize> {
     }
 }
 
+/// The key of [`parse_entry`]'s verified envelope.
+#[cfg(test)]
+fn parse_entry_key(text: &str) -> Option<CacheKey> {
+    parse_entry(text).map(|(key, _)| key)
+}
+
 /// Re-parse an entry envelope back into its [`CacheKey`] without
 /// knowing the key in advance (the `stats`/`gc` path; `load` never
 /// parses — it compares bytes against a known key).
 ///
 /// Accepts only envelopes this crate could have written for the
 /// *current* schema version: the parsed key's regenerated prefix must
-/// byte-match the file, which re-verifies the embedded hash too.
-fn parse_entry_key(text: &str) -> Option<CacheKey> {
+/// byte-match the file, which re-verifies the embedded hash too. The
+/// key's [`Envelope`] comes back with it, so the caller reads the hash
+/// without rendering the key a second time.
+fn parse_entry(text: &str) -> Option<(CacheKey, Envelope)> {
     let pos = expect_lit(text, 0, "{\n  \"bp-cache\": ")?;
     let (schema, pos) = read_u64(text, pos)?;
     if schema != CACHE_SCHEMA_VERSION as u64 {
@@ -309,11 +408,8 @@ fn parse_entry_key(text: &str) -> Option<CacheKey> {
     };
     // Regenerating the prefix re-checks field ordering, the embedded
     // hash, and every escaped byte in one comparison.
-    if text.starts_with(&key.entry_prefix()) && text.ends_with(ENTRY_SUFFIX) {
-        Some(key)
-    } else {
-        None
-    }
+    let envelope = key.envelope();
+    envelope.frames(text).then_some((key, envelope))
 }
 
 /// How a consumer participates in the cache. The policy layer lives
@@ -379,9 +475,13 @@ impl CacheStore {
 
     /// The path a `key`'s entry lives at (whether or not it exists).
     pub fn entry_path(&self, key: &CacheKey) -> PathBuf {
-        let hex = key.hash_hex();
-        let prefix = hex.get(..2).unwrap_or("00");
-        self.root.join(prefix).join(format!("{hex}.json"))
+        self.path_of(&key.envelope())
+    }
+
+    /// The path of the entry `envelope` was rendered for.
+    fn path_of(&self, envelope: &Envelope) -> PathBuf {
+        let hex = envelope.hex();
+        self.root.join(&hex[..2]).join(format!("{hex}.json"))
     }
 
     /// Look up `key`; returns the stored payload on a verified hit.
@@ -390,14 +490,17 @@ impl CacheStore {
     /// this exact key renders (full-key equality — detects collisions)
     /// and end with the envelope suffix (detects truncation). Anything
     /// else — missing file, unreadable file, mismatch — is `None`.
+    /// The key is rendered and hashed once per probe, and the payload
+    /// is cut out of the file's own buffer.
     pub fn load(&self, key: &CacheKey) -> Option<String> {
-        let text = fs::read_to_string(self.entry_path(key)).ok()?;
-        let prefix = key.entry_prefix();
-        if !text.starts_with(&prefix) || !text.ends_with(ENTRY_SUFFIX) {
+        let envelope = key.envelope();
+        let mut text = fs::read_to_string(self.path_of(&envelope)).ok()?;
+        if !envelope.frames(&text) {
             return None;
         }
-        let payload = text.get(prefix.len()..text.len() - ENTRY_SUFFIX.len())?;
-        Some(payload.to_string())
+        text.truncate(text.len() - ENTRY_SUFFIX.len());
+        text.replace_range(..envelope.prefix.len(), "");
+        Some(text)
     }
 
     /// Store `payload` under `key`, overwriting any existing entry.
@@ -407,13 +510,14 @@ impl CacheStore {
     /// the addressable name. Errors are returned for the caller to
     /// ignore or report; a failed write never corrupts an entry.
     pub fn save(&self, key: &CacheKey, payload: &str) -> io::Result<()> {
-        let path = self.entry_path(key);
+        let envelope = key.envelope();
+        let path = self.path_of(&envelope);
         if let Some(dir) = path.parent() {
             fs::create_dir_all(dir)?;
         }
         let mut tmp = path.clone();
         tmp.set_extension("json.tmp");
-        fs::write(&tmp, key.entry_text(payload))?;
+        fs::write(&tmp, envelope.into_entry_text(payload))?;
         fs::rename(&tmp, &path)
     }
 
@@ -512,15 +616,17 @@ fn sorted_children(dir: &Path, keep: impl Fn(&str) -> bool) -> Vec<PathBuf> {
 
 /// Full validity check for one entry file: envelope parses under the
 /// current schema, regenerated prefix byte-matches, and the filename
-/// is `<hash_hex>.json` for the embedded key.
+/// is `<hash_hex>.json` for the embedded key. One render and one hash
+/// per file, as on the `load` path.
 fn entry_file_is_valid(path: &Path) -> bool {
     let Ok(text) = fs::read_to_string(path) else {
         return false;
     };
-    let Some(key) = parse_entry_key(&text) else {
+    let Some((_, envelope)) = parse_entry(&text) else {
         return false;
     };
-    path.file_name().and_then(|n| n.to_str()) == Some(format!("{}.json", key.hash_hex()).as_str())
+    let name = path.file_name().and_then(|n| n.to_str());
+    name.and_then(|n| n.strip_suffix(".json")) == Some(envelope.hex())
 }
 
 #[cfg(test)]
@@ -731,6 +837,66 @@ mod tests {
             1,
         );
         assert_eq!(parse_entry_key(&bumped), None);
+    }
+
+    #[test]
+    fn cache_format_is_pinned() {
+        // Literals captured from the store before keys were rendered
+        // once per probe: the hash, the file name and every envelope
+        // byte must never move without a CACHE_SCHEMA_VERSION bump, or
+        // every existing cache silently stops hitting. The config holds
+        // each escape class: quote, backslash, newline, tab and a
+        // non-ASCII character.
+        let k = CacheKey {
+            kind: "report".to_string(),
+            config: "{\n\t\"kind\": \"tage \\\"q\\\" \\\\ é ☃\"\n}\n".to_string(),
+            workload: "SPEC2K6-04".to_string(),
+            instructions: 500_000,
+            warmup: 100_000,
+        };
+        let hex = "24e085455269b10f5cbf5cdc06fcf17b";
+        assert_eq!(k.hash_hex(), hex);
+        assert_eq!(
+            k.entry_text("{\n  \"mpki\": 1.5\n}"),
+            "{\n  \"bp-cache\": 1,\n  \"hash\": \"24e085455269b10f5cbf5cdc06fcf17b\",\n  \
+             \"kind\": \"report\",\n  \
+             \"config\": \"{\\n\\t\\\"kind\\\": \\\"tage \\\\\\\"q\\\\\\\" \\\\\\\\ é ☃\\\"\\n}\\n\",\n  \
+             \"workload\": \"SPEC2K6-04\",\n  \"instructions\": 500000,\n  \
+             \"warmup\": 100000,\n  \"payload\": {\n  \"mpki\": 1.5\n}\n}\n"
+        );
+        let store = CacheStore::new("root");
+        assert_eq!(
+            store.entry_path(&k),
+            Path::new("root").join("24").join(format!("{hex}.json"))
+        );
+    }
+
+    #[test]
+    fn envelope_hashes_the_canonical_text() {
+        // The probe path hashes the key text assembled from the
+        // envelope's escaped slices; it must agree with hashing the
+        // canonical text whole, whatever the fields hold.
+        let samples = [
+            "",
+            "plain",
+            "q\"b\\n\nr\rt\t",
+            "ctl\u{1}\u{1f}",
+            "☃ snow \u{1F600}",
+        ];
+        for kind in samples {
+            for config in samples {
+                let k = CacheKey {
+                    kind: kind.to_string(),
+                    config: config.to_string(),
+                    workload: "w\"\u{7}".to_string(),
+                    instructions: 7,
+                    warmup: 0,
+                };
+                let envelope = k.envelope();
+                assert_eq!(envelope.hex(), k.hash_hex(), "{kind:?} {config:?}");
+                assert_eq!(parse_entry_key(&k.entry_text("{}")), Some(k.clone()));
+            }
+        }
     }
 
     #[test]

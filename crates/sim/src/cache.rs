@@ -16,7 +16,10 @@
 //!   `--jobs 8`, and a sweep config solved under one budget label hits
 //!   under another. Grid and report cells key on the benchmark name and
 //!   store the benchmark's full [`workload_identity`] (name, seed,
-//!   kernel mix) in the payload, checked on every probe;
+//!   kernel mix) in the payload, checked on every probe. The public
+//!   builders render the config text per call; the engine renders it
+//!   once per spec and keys every cell of that row from it, through
+//!   the same per-kind constructors;
 //! * **payload codecs** serializing [`SimResult`], [`AttributedRun`],
 //!   and [`ScenarioRun`] through the deterministic
 //!   [`ConfigValue`] renderer and parsing them back *strictly*: any
@@ -166,13 +169,7 @@ pub fn workload_identity(bench: &BenchmarkSpec) -> String {
 /// grid position are deliberately absent; the rest of the benchmark's
 /// identity is checked from the payload ([`workload_identity`]).
 pub fn grid_cell_key(spec: &PredictorSpec, benchmark: &str, instructions: u64) -> CacheKey {
-    CacheKey {
-        kind: "sim".to_owned(),
-        config: spec.config.to_text(),
-        workload: benchmark.to_owned(),
-        instructions,
-        warmup: 0,
-    }
+    bench_key("sim", spec.config.to_text(), benchmark, instructions, 0)
 }
 
 /// Key of one attributed report cell; the warmup boundary joins the
@@ -183,13 +180,13 @@ pub fn report_cell_key(
     instructions: u64,
     warmup_instructions: u64,
 ) -> CacheKey {
-    CacheKey {
-        kind: "report".to_owned(),
-        config: spec.config.to_text(),
-        workload: benchmark.to_owned(),
+    bench_key(
+        "report",
+        spec.config.to_text(),
+        benchmark,
         instructions,
-        warmup: warmup_instructions,
-    }
+        warmup_instructions,
+    )
 }
 
 /// Key of one scenario run: the workload identity is the scenario's
@@ -197,12 +194,24 @@ pub fn report_cell_key(
 /// *any* change to tenants, schedule, flush policy, or budget re-keys
 /// the run.
 pub fn scenario_cell_key(spec: &PredictorSpec, scenario: &ScenarioSpec) -> CacheKey {
+    ScenarioRun::key(&spec.config.to_text(), scenario, ())
+}
+
+/// Key of one benchmark-keyed cell of `kind` (`"sim"` or `"report"`)
+/// over already-rendered config text.
+fn bench_key(
+    kind: &str,
+    config: String,
+    benchmark: &str,
+    instructions: u64,
+    warmup: u64,
+) -> CacheKey {
     CacheKey {
-        kind: "scenario".to_owned(),
-        config: spec.config.to_text(),
-        workload: scenario.canonical_text(),
-        instructions: scenario.instructions,
-        warmup: 0,
+        kind: kind.to_owned(),
+        config,
+        workload: benchmark.to_owned(),
+        instructions,
+        warmup,
     }
 }
 
@@ -232,8 +241,8 @@ impl Payload for SimResult {
     /// Instructions per benchmark.
     type Params = u64;
 
-    fn key(spec: &PredictorSpec, bench: &BenchmarkSpec, instructions: u64) -> CacheKey {
-        grid_cell_key(spec, &bench.name, instructions)
+    fn key(config: &str, bench: &BenchmarkSpec, instructions: u64) -> CacheKey {
+        bench_key("sim", config.to_owned(), &bench.name, instructions, 0)
     }
 
     fn lookup(cache: &SimCache, key: &CacheKey, bench: &BenchmarkSpec, id: &str) -> Option<Self> {
@@ -265,8 +274,8 @@ impl Payload for AttributedRun {
     /// Instructions per benchmark and the warmup boundary.
     type Params = (u64, u64);
 
-    fn key(spec: &PredictorSpec, bench: &BenchmarkSpec, (instr, warmup): (u64, u64)) -> CacheKey {
-        report_cell_key(spec, &bench.name, instr, warmup)
+    fn key(config: &str, bench: &BenchmarkSpec, (instr, warmup): (u64, u64)) -> CacheKey {
+        bench_key("report", config.to_owned(), &bench.name, instr, warmup)
     }
 
     fn lookup(cache: &SimCache, key: &CacheKey, bench: &BenchmarkSpec, id: &str) -> Option<Self> {
@@ -297,8 +306,14 @@ impl Payload for ScenarioRun {
     type Workload = ScenarioSpec;
     type Params = ();
 
-    fn key(spec: &PredictorSpec, scenario: &ScenarioSpec, (): ()) -> CacheKey {
-        scenario_cell_key(spec, scenario)
+    fn key(config: &str, scenario: &ScenarioSpec, (): ()) -> CacheKey {
+        CacheKey {
+            kind: "scenario".to_owned(),
+            config: config.to_owned(),
+            workload: scenario.canonical_text(),
+            instructions: scenario.instructions,
+            warmup: 0,
+        }
     }
 
     fn lookup(cache: &SimCache, key: &CacheKey, scenario: &ScenarioSpec, _: &str) -> Option<Self> {

@@ -7,7 +7,8 @@
 //! [`Engine::run_cells`], generic over the cell payload ([`SimResult`],
 //! [`AttributedRun`], [`ScenarioRun`]). It runs these steps in order:
 //!
-//! 1. under an enabled cache, build every cell key and probe it;
+//! 1. under an enabled cache, render each spec's config text once, build
+//!    every cell key from it and probe it;
 //! 2. report the hits' progress, in cell order;
 //! 3. dedup the misses by (config text, workload);
 //! 4. group the misses into work units: one [`Column`] per workload
@@ -32,6 +33,7 @@ use crate::cache::{CacheKey, SimCache};
 use crate::column::Column;
 use crate::registry::PredictorSpec;
 use crate::run::SimResult;
+use bp_components::PredictorConfig as _;
 use bp_workloads::BenchmarkSpec;
 use std::collections::BTreeMap;
 use std::num::NonZeroUsize;
@@ -219,8 +221,9 @@ impl Engine {
         let cache = match &self.cache {
             Some(cache) if cache.enabled() => {
                 let identities: Vec<String> = workloads.iter().map(Workload::identity).collect();
+                let configs: Vec<String> = specs.iter().map(|s| s.config.to_text()).collect();
                 let keys: Vec<CacheKey> = (0..total)
-                    .map(|idx| T::key(&specs[idx / n_w], &workloads[idx % n_w], params))
+                    .map(|idx| T::key(&configs[idx / n_w], &workloads[idx % n_w], params))
                     .collect();
                 for (idx, (cell, key)) in cells.iter_mut().zip(&keys).enumerate() {
                     let w = idx % n_w;
@@ -340,8 +343,9 @@ pub(crate) trait Payload: Clone + Send {
     /// Run parameters shared by every cell (instruction budgets).
     type Params: Copy + Sync;
 
-    /// The cell's cache key.
-    fn key(spec: &PredictorSpec, workload: &Self::Workload, params: Self::Params) -> CacheKey;
+    /// The cell's cache key, given its spec's config text (rendered
+    /// once per spec, not once per cell).
+    fn key(config: &str, workload: &Self::Workload, params: Self::Params) -> CacheKey;
     /// A verified cached payload, if any.
     fn lookup(cache: &SimCache, key: &CacheKey, w: &Self::Workload, id: &str) -> Option<Self>;
     /// Writes the payload back under the cache's policy.

@@ -6,6 +6,8 @@
 //! * **Key identity**: the cache key depends on config text, workload,
 //!   and budgets only — never on worker count or predictor-list order
 //!   — and separates every registry configuration and budget change;
+//!   the engine keys each cell exactly as the public per-cell builders
+//!   do;
 //! * **Verify-then-trust**: truncated, bit-flipped, or wrong-key
 //!   entries are silently recomputed (and repaired), never trusted and
 //!   never fatal;
@@ -342,6 +344,73 @@ fn keys_separate_every_registry_config_and_budget() {
         scenario_cell_key(spec, &other).hash_hex(),
         "scenario spec change must re-key"
     );
+}
+
+/// The store under `dir` holds exactly the entries of `keys`, and each
+/// key loads: the engine keyed every cell byte-for-byte as the public
+/// builder that made `keys` does.
+fn assert_entries_are_exactly(dir: &Path, keys: &[CacheKey]) {
+    let store = CacheStore::new(dir);
+    let expected: BTreeSet<String> = keys
+        .iter()
+        .map(|key| {
+            let path = store.entry_path(key);
+            let rel = path.strip_prefix(dir).expect("entry under the root");
+            rel.to_string_lossy().replace('\\', "/")
+        })
+        .collect();
+    assert_eq!(entry_files(dir), expected);
+    for key in keys {
+        assert!(store.load(key).is_some(), "{key:?} must hit");
+    }
+}
+
+#[test]
+fn engine_keys_equal_the_public_cell_keys_every_config() {
+    let predictors = registry();
+    let benchmarks = benchmarks();
+    let warmup = INSTR / 5;
+    let mut scenario = scenario_by_name("paper_mix").expect("built-in");
+    scenario.instructions = 5_000;
+    let bench_keys = |key: &dyn Fn(&PredictorSpec, &str) -> CacheKey| -> Vec<CacheKey> {
+        predictors
+            .iter()
+            .flat_map(|spec| benchmarks.iter().map(move |b| key(spec, &b.name)))
+            .collect()
+    };
+
+    let dir = scratch("keys-grid");
+    Engine::with_jobs(2)
+        .with_cache(Some(SimCache::new(&dir, CachePolicy::ReadWrite)))
+        .run_grid(&predictors, &benchmarks, INSTR);
+    assert_entries_are_exactly(&dir, &bench_keys(&|s, b| grid_cell_key(s, b, INSTR)));
+    nuke(&dir);
+
+    let dir = scratch("keys-report");
+    let cache = SimCache::new(&dir, CachePolicy::ReadWrite);
+    run_report_with_cache(
+        "cbp4",
+        &predictors,
+        &benchmarks,
+        INSTR,
+        warmup,
+        2,
+        Some(&cache),
+        &|_| {},
+    );
+    let keys = bench_keys(&|s, b| report_cell_key(s, b, INSTR, warmup));
+    assert_entries_are_exactly(&dir, &keys);
+    nuke(&dir);
+
+    let dir = scratch("keys-scenario");
+    let cache = SimCache::new(&dir, CachePolicy::ReadWrite);
+    run_scenario_with_cache(&scenario, &predictors, 2, Some(&cache), &|_| {}).expect("runs");
+    let keys: Vec<CacheKey> = predictors
+        .iter()
+        .map(|spec| scenario_cell_key(spec, &scenario))
+        .collect();
+    assert_entries_are_exactly(&dir, &keys);
+    nuke(&dir);
 }
 
 #[test]
