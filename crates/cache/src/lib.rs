@@ -415,11 +415,10 @@ fn parse_entry(text: &str) -> Option<(CacheKey, Envelope)> {
 /// How a consumer participates in the cache. The policy layer lives
 /// here, next to the store, so every consumer shares one vocabulary;
 /// enforcement (gating reads and writes) is the consumer's job — the
-/// store itself is policy-free.
+/// store itself is policy-free. Running without a cache is the
+/// consumer's `None`, not a policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CachePolicy {
-    /// Cache disabled: no reads, no writes, no counting.
-    Off,
     /// Probe before computing, write back what was computed.
     #[default]
     ReadWrite,

@@ -20,8 +20,8 @@ use std::collections::VecDeque;
 /// Speculation (paper §4.3.2): only the 16-bit PIPE vector needs
 /// checkpointing; the bit table tolerates stale reads because the
 /// branches that benefit sit in long-running loops whose previous-outer
-/// outcomes committed long ago. [`OuterHistory::set_update_delay`] models
-/// that commit delay explicitly.
+/// outcomes committed long ago. The `delay` argument of
+/// [`OuterHistory::new`] models that commit delay explicitly.
 #[derive(Debug, Clone)]
 pub struct OuterHistory {
     table: Vec<u64>,
@@ -144,20 +144,6 @@ impl OuterHistory {
     /// Restores the PIPE vector from a checkpoint.
     pub fn set_pipe(&mut self, pipe: u16) {
         self.pipe = pipe;
-    }
-
-    /// Reconfigures the commit delay (pending updates are preserved).
-    pub fn set_update_delay(&mut self, delay: usize) {
-        self.delay = delay;
-        while self.pending.len() > self.delay {
-            let (_, i, t) = self.pending.pop_front().expect("non-empty queue");
-            self.write_bit(i, t);
-        }
-    }
-
-    /// Number of distinct static branches tracked.
-    pub fn tracked_branches(&self) -> usize {
-        self.pipe_mask as usize + 1
     }
 
     /// Iterations tracked per branch.
@@ -287,20 +273,8 @@ mod tests {
     }
 
     #[test]
-    fn set_update_delay_flushes_excess() {
-        let mut oh = OuterHistory::new(1024, 16, 10);
-        for m in 0..5 {
-            oh.update(0x40, m, true);
-        }
-        assert!(!oh.same_iteration(0x40, 0));
-        oh.set_update_delay(0);
-        assert!(oh.same_iteration(0x40, 4), "flush applies pending writes");
-    }
-
-    #[test]
     fn geometry_and_storage() {
         let oh = OuterHistory::new(1024, 16, 0);
-        assert_eq!(oh.tracked_branches(), 16);
         assert_eq!(oh.iterations_per_branch(), 64);
         assert_eq!(oh.storage_bits(), 1024 + 16);
     }

@@ -202,28 +202,22 @@ impl ImliState {
         bits
     }
 
-    /// Labels and sizes of the enabled components, for budget tables.
-    pub fn budget_breakdown(&self) -> Vec<(String, u64)> {
-        let mut parts = vec![("imli-counter".to_owned(), self.counter.bits() as u64)];
+    /// The enabled components as [`StorageItem`]s, for host predictors
+    /// assembling their [`bp_components::StorageBudget`] itemization.
+    /// Sums to exactly [`storage_bits`](ImliState::storage_bits).
+    pub fn storage_items(&self) -> Vec<StorageItem> {
+        let mut items = vec![StorageItem::new("imli-counter", self.counter.bits() as u64)];
         if let Some(sic) = &self.sic {
-            parts.push((sic.label().to_owned(), sic.storage_bits()));
+            items.push(StorageItem::new(sic.label(), sic.storage_bits()));
         }
         if let Some(oh) = &self.oh {
-            parts.push((oh.label().to_owned(), oh.storage_bits()));
-            parts.push(("outer-history+pipe".to_owned(), self.outer.storage_bits()));
+            items.push(StorageItem::new(oh.label(), oh.storage_bits()));
+            items.push(StorageItem::new(
+                "outer-history+pipe",
+                self.outer.storage_bits(),
+            ));
         }
-        parts
-    }
-
-    /// [`budget_breakdown`](ImliState::budget_breakdown) as
-    /// [`StorageItem`]s, for host predictors assembling their
-    /// [`bp_components::StorageBudget`] itemization. Sums to exactly
-    /// [`storage_bits`](ImliState::storage_bits).
-    pub fn storage_items(&self) -> Vec<StorageItem> {
-        self.budget_breakdown()
-            .into_iter()
-            .map(|(label, bits)| StorageItem::new(label, bits))
-            .collect()
+        items
     }
 }
 
@@ -319,9 +313,9 @@ mod tests {
         // Everything except the 6 rounding bits of the paper's "4 bytes
         // for PIPE + counter" line item.
         assert_eq!(state.storage_bits(), 10 + 3072 + 1536 + 1024 + 16);
-        let breakdown = state.budget_breakdown();
-        assert_eq!(breakdown.len(), 4);
-        let total: u64 = breakdown.iter().map(|(_, b)| b).sum();
+        let items = state.storage_items();
+        assert_eq!(items.len(), 4);
+        let total: u64 = items.iter().map(|i| i.bits).sum();
         assert_eq!(total, state.storage_bits());
     }
 

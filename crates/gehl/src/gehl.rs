@@ -389,29 +389,6 @@ impl Gehl {
         pc_bits(pc) ^ mix64(hist ^ ((i as u64 + 1) << 53))
     }
 
-    /// Storage breakdown: (component, bits).
-    // bp-lint: allow-item(hot-path-alloc, "storage accounting is reporting-time only, never on the predict/update path")
-    pub fn budget_breakdown(&self) -> Vec<(String, u64)> {
-        let mut parts = vec![("gehl-global".to_owned(), self.tables.storage_bits())];
-        if let Some(local) = &self.local_tables {
-            parts.push((
-                "gehl-local".to_owned(),
-                local.storage_bits()
-                    + self
-                        .local_history
-                        .as_ref()
-                        .map_or(0, LocalHistoryTable::storage_bits),
-            ));
-        }
-        if let Some(lp) = &self.loop_pred {
-            parts.push(("loop".to_owned(), lp.storage_bits()));
-        }
-        if let Some(imli) = &self.imli {
-            parts.push(("imli".to_owned(), imli.storage_bits()));
-        }
-        parts
-    }
-
     /// The shared prediction path behind both [`predict`] and
     /// [`predict_attributed`] — one flow, so they can never diverge.
     ///

@@ -1,6 +1,6 @@
 //! Behavioural tests of the GEHL family through the public API.
 
-use bp_components::{ConditionalPredictor, StorageBudget};
+use bp_components::ConditionalPredictor;
 use bp_gehl::{Gehl, GehlConfig};
 use bp_trace::BranchRecord;
 
@@ -107,20 +107,4 @@ fn config_accessors() {
     assert!(Gehl::gehl().imli().is_none());
     let ftl = GehlConfig::ftl();
     assert!(ftl.local.is_some() && ftl.loop_predictor.is_some());
-}
-
-/// Budget breakdown sums to the reported storage for every variant.
-#[test]
-fn budget_breakdown_sums_to_total() {
-    for p in [
-        Gehl::gehl(),
-        Gehl::gehl_imli(),
-        Gehl::ftl(),
-        Gehl::ftl_imli(),
-        Gehl::gehl_sic(),
-        Gehl::gehl_oh(),
-    ] {
-        let parts: u64 = p.budget_breakdown().iter().map(|(_, b)| b).sum();
-        assert_eq!(parts, p.storage_bits(), "{}", p.name());
-    }
 }

@@ -31,13 +31,14 @@ impl FoldedHistory {
     ///
     /// # Panics
     ///
-    /// Panics if `compressed_len` is 0 or larger than 32, or if
-    /// `original_len` is 0.
+    /// Panics if `compressed_len` is 0 or larger than 31, or if
+    /// `original_len` is 0. At 31 bits or fewer the rotated register
+    /// still fits a `u32`; no predictor folds wider than 24.
     pub fn new(original_len: usize, compressed_len: usize) -> Self {
         assert!(original_len > 0, "original length must be positive");
         assert!(
-            (1..=32).contains(&compressed_len),
-            "compressed length must be in 1..=32, got {compressed_len}"
+            (1..=31).contains(&compressed_len),
+            "compressed length must be in 1..=31, got {compressed_len}"
         );
         FoldedHistory {
             comp: 0,
@@ -68,31 +69,14 @@ impl FoldedHistory {
     #[inline]
     pub fn update(&mut self, inserted: bool, evicted: bool) {
         let clen = u32::from(self.compressed_len);
-        let mask = ((1u64 << clen) - 1) as u32;
-        let wide = (u64::from(self.comp) << 1) | u64::from(inserted);
-        let mut comp = (wide ^ (wide >> clen)) as u32 & mask;
-        comp ^= u32::from(evicted) << self.outpoint;
-        self.comp = comp & mask;
+        let wide = (self.comp << 1) | u32::from(inserted);
+        let comp = (wide ^ (wide >> clen)) & ((1 << clen) - 1);
+        self.comp = comp ^ (u32::from(evicted) << self.outpoint);
     }
 
     /// Resets the fold to the all-zero (empty-history) state.
     pub fn clear(&mut self) {
         self.comp = 0;
-    }
-
-    /// Overwrites the folded value (used when restoring a checkpoint).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `value` does not fit in `compressed_len` bits.
-    pub fn set_value(&mut self, value: u32) {
-        // The escape hatch must short-circuit *before* the shift: for a
-        // 32-bit fold `1u32 << 32` is itself shift overflow.
-        assert!(
-            self.compressed_len == 32 || value < (1u32 << self.compressed_len),
-            "value wider than fold"
-        );
-        self.comp = value;
     }
 
     /// Reference implementation: folds the `original_len` most recent bits
@@ -138,33 +122,12 @@ mod tests {
     }
 
     #[test]
-    fn clear_and_set_value() {
+    fn clear_zeroes_the_fold() {
         let mut f = FoldedHistory::new(16, 8);
         f.update(true, false);
         assert_ne!(f.value(), 0);
         f.clear();
         assert_eq!(f.value(), 0);
-        f.set_value(0xAB);
-        assert_eq!(f.value(), 0xAB);
-    }
-
-    #[test]
-    #[should_panic(expected = "wider")]
-    fn set_value_checks_width() {
-        let mut f = FoldedHistory::new(16, 4);
-        f.set_value(16);
-    }
-
-    #[test]
-    fn full_width_fold_accepts_any_checkpoint_value() {
-        // Regression: the width assert used to evaluate
-        // `1u32 << 32` before the == 32 escape hatch, panicking with
-        // shift overflow for every legal 32-bit fold restore.
-        let mut f = FoldedHistory::new(64, 32);
-        f.set_value(u32::MAX);
-        assert_eq!(f.value(), u32::MAX);
-        f.set_value(0xDEAD_BEEF);
-        assert_eq!(f.value(), 0xDEAD_BEEF);
     }
 
     #[test]

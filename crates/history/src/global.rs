@@ -1,25 +1,6 @@
-//! Global direction history with pointer-based speculation repair.
+//! Global direction history: a circular bit buffer with a monotonic head.
 
 use std::fmt;
-
-/// Checkpoint of a [`GlobalHistory`]: just the speculative head pointer.
-///
-/// This is the paper's point (§2.3.1): repairing speculative *global*
-/// history after a misprediction only requires restoring a small pointer,
-/// unlike local history which needs an associative search over the window
-/// of in-flight branches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct GlobalHistoryCheckpoint {
-    head: u64,
-}
-
-impl GlobalHistoryCheckpoint {
-    /// Width in bits of the state that a hardware implementation would
-    /// store in a checkpoint for a history buffer of capacity `capacity`.
-    pub fn cost_bits(capacity: usize) -> u32 {
-        usize::BITS - (capacity.max(2) - 1).leading_zeros()
-    }
-}
 
 /// Global branch direction history.
 ///
@@ -27,10 +8,8 @@ impl GlobalHistoryCheckpoint {
 /// head is a monotonically increasing counter. Reading bit `i` returns the
 /// direction of the branch `i` occurrences ago (0 = most recent).
 ///
-/// Wrong-path pushes write *ahead* of any committed data, so restoring a
-/// checkpoint is just rewinding the head pointer: the bits behind it were
-/// never clobbered (as long as the wrong path is shorter than the buffer,
-/// which holds by construction for any realistic in-flight window).
+/// The simulator is trace-driven, so every push is a committed outcome
+/// and the head only moves forwards.
 ///
 /// The newest 64 outcomes are also kept in a register (`recent`, bit 0
 /// newest), so [`low_bits`](Self::low_bits) — read on every prediction
@@ -125,8 +104,8 @@ impl GlobalHistory {
     /// `len - 31` and `len` pushes old: already pushed, so the pushes in
     /// between cannot change it, and younger than the capacity, so not
     /// yet overwritten. It is one unaligned 32-bit read from at most two
-    /// buffer words; the `head` guard keeps a restore to fewer than
-    /// `len` pushes reading zeros.
+    /// buffer words; the `head` guard keeps the taps of a buffer with
+    /// fewer than `len` pushes reading zeros.
     ///
     /// # Panics
     ///
@@ -179,49 +158,12 @@ impl GlobalHistory {
     }
 
     /// Erases every recorded outcome (a context-switch flush): all bits
-    /// read back as not-taken, exactly as after construction.
-    ///
-    /// The monotonic head pointer is deliberately **kept**: checkpoints
-    /// taken before the flush stay restorable under the same
-    /// future/depth invariants as [`restore`](Self::restore), and
-    /// checkpoints taken after it can never alias pre-flush ones. Only
-    /// the buffer contents are cleared — post-restore reads then see
-    /// the flushed (all-zero) bits, which is the correct architectural
-    /// outcome: a flush destroys history, repair cannot resurrect it.
+    /// read back as not-taken, exactly as after construction. The head
+    /// is kept, so [`pushes`](Self::pushes) still counts every outcome
+    /// ever pushed.
     pub fn flush(&mut self) {
         self.words.fill(0);
         self.recent = 0;
-    }
-
-    /// Takes a checkpoint: the current speculative head pointer.
-    #[inline]
-    pub fn checkpoint(&self) -> GlobalHistoryCheckpoint {
-        GlobalHistoryCheckpoint { head: self.head }
-    }
-
-    /// Rewinds to a previous checkpoint, discarding wrong-path outcomes.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint is in the future, or if more outcomes than
-    /// the buffer capacity were pushed since the checkpoint (the bits would
-    /// have been physically overwritten — a real pipeline can never be that
-    /// deep relative to its history buffer).
-    pub fn restore(&mut self, cp: GlobalHistoryCheckpoint) {
-        assert!(cp.head <= self.head, "checkpoint is in the future");
-        // Strictly less than capacity: the `capacity`-th wrong-path push
-        // wraps onto slot `(head - 1) & mask` and silently clobbers the
-        // most recent *committed* bit, so `== capacity` is already too
-        // deep to repair.
-        assert!(
-            self.head - cp.head < self.capacity() as u64,
-            "wrong path longer than history capacity"
-        );
-        self.head = cp.head;
-        // Cold path (wrong-path repair): rebuild the register from the
-        // buffer, which `bit` already reads with the pre-history and
-        // flush semantics.
-        self.recent = (0..64).fold(0, |acc, age| acc | (u64::from(self.bit(age)) << age));
     }
 }
 
@@ -316,56 +258,36 @@ mod tests {
     }
 
     #[test]
-    fn low_bits_matches_per_bit_reference_across_flush_and_restore() {
-        // Random pushes, flushes, and checkpoint/wrong-path/restore
-        // rounds. Restores land both while fewer than 64 outcomes were
-        // ever pushed (the register's pre-history zeros come back from
-        // the buffer) and after the buffer has wrapped.
+    fn low_bits_matches_per_bit_reference_across_flushes() {
+        // Random push runs and flushes. Flushes land both while fewer
+        // than 64 outcomes were ever pushed (the eviction taps keep their
+        // pre-history zeros) and after the buffer has wrapped.
         for capacity in [64usize, 128, 256] {
             let mut h = GlobalHistory::new(capacity);
             let mut x = 0x9E37_79B9_7F4A_7C15u64 ^ capacity as u64;
-            // A young restore: 10 pushes, then a wrong path that carries
-            // the register past 64 outcomes.
             for _ in 0..10 {
                 h.push(xorshift(&mut x) & 1 == 1);
             }
-            let cp = h.checkpoint();
-            for _ in 0..(capacity - 1) {
-                h.push(true);
-            }
-            h.restore(cp);
-            assert_views_match_bits(&h, &format!("capacity {capacity}, young restore"));
-            let mut restores_wrapped = 0;
+            h.flush();
+            assert_views_match_bits(&h, &format!("capacity {capacity}, young flush"));
+            let mut flushes_wrapped = 0;
             for round in 0..400 {
                 let r = xorshift(&mut x);
-                match r % 8 {
-                    0 => h.flush(),
-                    1..=3 => {
-                        let cp = h.checkpoint();
-                        // Wrong paths up to the deepest legal one.
-                        let wrong = (r >> 8) as usize % capacity;
-                        for _ in 0..wrong {
-                            h.push(xorshift(&mut x) & 1 == 1);
-                        }
-                        if r & 0x10_0000 != 0 {
-                            h.flush();
-                        }
-                        h.restore(cp);
-                        if h.pushes() > capacity as u64 {
-                            restores_wrapped += 1;
-                        }
+                if r.is_multiple_of(8) {
+                    h.flush();
+                    if h.pushes() > capacity as u64 {
+                        flushes_wrapped += 1;
                     }
-                    _ => {
-                        for _ in 0..(r >> 8) % 9 {
-                            h.push(xorshift(&mut x) & 1 == 1);
-                        }
+                } else {
+                    for _ in 0..(r >> 8) % 9 {
+                        h.push(xorshift(&mut x) & 1 == 1);
                     }
                 }
                 assert_views_match_bits(&h, &format!("capacity {capacity}, round {round}"));
             }
             assert!(
-                restores_wrapped > 0,
-                "capacity {capacity}: no restore after a wrap"
+                flushes_wrapped > 0,
+                "capacity {capacity}: no flush after a wrap"
             );
         }
     }
@@ -383,65 +305,6 @@ mod tests {
         assert!(!h.bit(63));
         // Older than capacity: unreadable, defined as false.
         assert!(!h.bit(64));
-    }
-
-    #[test]
-    fn checkpoint_restore_rewinds_speculation() {
-        let mut h = GlobalHistory::new(128);
-        for i in 0..20 {
-            h.push(i % 3 == 0);
-        }
-        let before: Vec<bool> = (0..20).map(|i| h.bit(i)).collect();
-        let cp = h.checkpoint();
-        for _ in 0..40 {
-            h.push(true); // wrong path
-        }
-        h.restore(cp);
-        let after: Vec<bool> = (0..20).map(|i| h.bit(i)).collect();
-        assert_eq!(before, after);
-        assert_eq!(h.pushes(), 20);
-    }
-
-    #[test]
-    fn most_recent_committed_bit_survives_capacity_minus_one_wrong_path() {
-        // Regression: restore accepted a wrong path of *exactly*
-        // `capacity` pushes, whose last push wraps onto the slot of the
-        // most recent committed outcome. At `capacity - 1` pushes that
-        // bit must still be intact after repair.
-        let mut h = GlobalHistory::new(64);
-        for _ in 0..63 {
-            h.push(false);
-        }
-        h.push(true); // the most recent committed bit
-        let cp = h.checkpoint();
-        for _ in 0..63 {
-            h.push(false); // wrong path, one short of capacity
-        }
-        h.restore(cp);
-        assert!(h.bit(0), "most recent committed bit was clobbered");
-        assert_eq!(h.pushes(), 64);
-    }
-
-    #[test]
-    #[should_panic(expected = "wrong path longer")]
-    fn restore_rejects_wrong_path_of_exactly_capacity() {
-        let mut h = GlobalHistory::new(64);
-        h.push(true);
-        let cp = h.checkpoint();
-        for _ in 0..64 {
-            h.push(false);
-        }
-        h.restore(cp);
-    }
-
-    #[test]
-    #[should_panic(expected = "future")]
-    fn restore_rejects_future_checkpoint() {
-        let mut h = GlobalHistory::new(64);
-        h.push(true);
-        let cp = h.checkpoint();
-        let mut h2 = GlobalHistory::new(64);
-        h2.restore(cp);
     }
 
     #[test]
@@ -463,45 +326,6 @@ mod tests {
     }
 
     #[test]
-    fn pre_flush_checkpoint_stays_restorable() {
-        // A checkpoint taken before a flush obeys the same restore
-        // invariants; the restored view sees the flushed (zero) bits.
-        let mut h = GlobalHistory::new(64);
-        for _ in 0..10 {
-            h.push(true);
-        }
-        let cp = h.checkpoint();
-        for _ in 0..30 {
-            h.push(true);
-        }
-        h.flush();
-        h.restore(cp);
-        assert_eq!(h.pushes(), 10);
-        assert!(
-            !h.bit(0),
-            "flush destroys history; repair cannot resurrect it"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "wrong path longer")]
-    fn flush_does_not_relax_restore_depth_invariant() {
-        // Flushing at an exact capacity boundary must not make a
-        // too-deep restore legal: the head is monotonic across flushes.
-        let mut h = GlobalHistory::new(64);
-        h.push(true);
-        let cp = h.checkpoint();
-        for _ in 0..32 {
-            h.push(false);
-        }
-        h.flush();
-        for _ in 0..32 {
-            h.push(false);
-        }
-        h.restore(cp); // 64 == capacity pushes since cp: still rejected
-    }
-
-    #[test]
     #[should_panic(expected = "eviction window 31")]
     fn evictions_reject_windows_reaching_unpushed_outcomes() {
         let _ = GlobalHistory::new(64).evictions(31);
@@ -511,12 +335,6 @@ mod tests {
     #[should_panic(expected = "eviction window 64")]
     fn evictions_reject_windows_at_capacity() {
         let _ = GlobalHistory::new(64).evictions(64);
-    }
-
-    #[test]
-    fn checkpoint_cost_is_logarithmic() {
-        assert_eq!(GlobalHistoryCheckpoint::cost_bits(2048), 11);
-        assert_eq!(GlobalHistoryCheckpoint::cost_bits(64), 6);
     }
 
     #[test]

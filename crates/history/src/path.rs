@@ -63,7 +63,7 @@ impl PathHistory {
         self.len == 0
     }
 
-    /// Overwrites the register (checkpoint restore).
+    /// Overwrites the register (a flush writes 0).
     pub fn set_value(&mut self, value: u64) {
         self.value = value;
     }

@@ -1,7 +1,7 @@
 //! Bundled history state: global + folded + path, kept consistent.
 
 use crate::folded::FoldedHistory;
-use crate::global::{GlobalHistory, GlobalHistoryCheckpoint};
+use crate::global::GlobalHistory;
 use crate::path::PathHistory;
 
 /// Identifier of a fold registered with [`HistoryState::add_fold`].
@@ -66,12 +66,8 @@ pub struct HistoryState {
     /// OR of both selections without a per-fold branch.
     windows: Vec<u32>,
     /// Pushes since `windows` was read; `WINDOW` marks it stale, so the
-    /// next push reads it again (after 32 pushes, a flush, a restore or
-    /// a new fold).
+    /// next push reads it again (after 32 pushes, a flush or a new fold).
     phase: u32,
-    /// Whether any fold is 32 bits wide (forces the u64 scalar loop; no
-    /// registry predictor uses folds wider than 16 bits).
-    wide_fold: bool,
     /// Host support for the AVX2 fold kernel, probed once at
     /// construction.
     avx2: bool,
@@ -83,32 +79,6 @@ const WINDOW: u32 = 32;
 
 /// Folds per AVX2 iteration.
 const LANES: usize = 8;
-
-/// Checkpoint of a [`HistoryState`]: the global head pointer plus the
-/// folded values and path register.
-///
-/// In hardware the folds are recomputed or checkpointed alongside the
-/// fetch state; their total size (a few hundred bits for a full TAGE) is
-/// reported by [`HistoryCheckpoint::cost_bits`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HistoryCheckpoint {
-    global: GlobalHistoryCheckpoint,
-    folds: Vec<u32>,
-    path: u64,
-}
-
-impl HistoryCheckpoint {
-    /// Number of state bits a hardware checkpoint of this content would
-    /// occupy (global head pointer + every fold + path register).
-    pub fn cost_bits(&self, state: &HistoryState) -> u64 {
-        let mut bits = u64::from(GlobalHistoryCheckpoint::cost_bits(state.global.capacity()));
-        for &clen in &state.clens[..state.folds] {
-            bits += u64::from(clen);
-        }
-        bits += state.path.len() as u64;
-        bits
-    }
-}
 
 fn detect_avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
@@ -143,7 +113,6 @@ impl HistoryState {
             short_taps: Vec::new(),
             windows: Vec::new(),
             phase: WINDOW,
-            wide_fold: false,
             avx2: detect_avx2(),
         }
     }
@@ -151,11 +120,16 @@ impl HistoryState {
     /// Registers a fold of the `original_len` most recent outcomes into
     /// `compressed_len` bits; returns its id.
     ///
+    /// The new fold starts empty, so it equals its from-scratch value
+    /// only when registered before the first push or right after a
+    /// [`flush`](Self::flush); hosts register every fold at construction.
+    ///
     /// # Panics
     ///
     /// Panics if `original_len` exceeds the global capacity (the evicted
     /// bit would be unreadable) or under [`FoldedHistory::new`]'s
-    /// conditions.
+    /// conditions (so no fold is wider than 31 bits, and every fold step
+    /// runs in `u32`).
     pub fn add_fold(&mut self, original_len: usize, compressed_len: usize) -> FoldId {
         assert!(
             original_len < self.global.capacity(),
@@ -177,11 +151,7 @@ impl HistoryState {
             self.windows.resize(padded, 0);
         }
         self.clens[id] = compressed_len as u32;
-        self.masks[id] = if compressed_len == 32 {
-            u32::MAX
-        } else {
-            (1u32 << compressed_len) - 1
-        };
+        self.masks[id] = (1 << compressed_len) - 1;
         self.outbits[id] = 1 << (original_len % compressed_len);
         self.lens[id] = original_len;
         if original_len <= WINDOW as usize {
@@ -189,7 +159,6 @@ impl HistoryState {
         }
         self.folds += 1;
         self.phase = WINDOW;
-        self.wide_fold |= compressed_len == 32;
         id
     }
 
@@ -207,7 +176,7 @@ impl HistoryState {
     /// iteration (`vpsrlvd` for the per-fold widths) on hosts that have
     /// it, through the bit-identical scalar loop otherwise. The windows
     /// are re-read from the buffer every 32 pushes, and on the first
-    /// push after [`flush`](Self::flush), [`restore`](Self::restore) or
+    /// push after [`flush`](Self::flush) or
     /// [`add_fold`](Self::add_fold): no per-push buffer read and no
     /// per-push scratch store sits on the inter-branch critical path
     /// (the next lookup's indices read the fold registers this step
@@ -242,10 +211,8 @@ impl HistoryState {
     /// is the 32 newest outcomes before it, bit 0 newest.
     fn fold_step(&mut self, taken: bool, recent: u32) {
         #[cfg(target_arch = "x86_64")]
-        if self.avx2 && !self.wide_fold {
-            // SAFETY: AVX2 support was verified at construction;
-            // `wide_fold` guarantees every clen <= 31 so the u32 lane
-            // arithmetic cannot overflow a lane.
+        if self.avx2 {
+            // SAFETY: AVX2 support was verified at construction.
             unsafe { self.fold_step_avx2(taken, recent) };
             return;
         }
@@ -253,14 +220,15 @@ impl HistoryState {
     }
 
     /// Scalar fold step: the [`FoldedHistory::update`] recurrence over
-    /// the flat arrays, in u64 so 32-bit-wide folds stay exact.
+    /// the flat arrays, exact in `u32` because every fold is at most 31
+    /// bits wide.
     fn fold_step_scalar(&mut self, taken: bool, recent: u32) {
         let phase_bit = 1 << self.phase;
         for i in 0..self.folds {
             let taps = (recent & self.short_taps[i]) | (self.windows[i] & phase_bit);
             let out = if taps != 0 { self.outbits[i] } else { 0 };
-            let wide = (u64::from(self.comps[i]) << 1) | u64::from(taken);
-            let comp = (wide ^ (wide >> self.clens[i])) as u32 & self.masks[i];
+            let wide = (self.comps[i] << 1) | u32::from(taken);
+            let comp = (wide ^ (wide >> self.clens[i])) & self.masks[i];
             self.comps[i] = comp ^ out;
         }
     }
@@ -268,14 +236,11 @@ impl HistoryState {
     /// AVX2 fold step: the scalar step for eight folds per iteration,
     /// with a per-lane variable shift (`vpsrlvd`) for the heterogeneous
     /// widths and a compare-and-mask for the taps, over every lane of
-    /// the padded vectors. Exactly the [`FoldedHistory::update`]
-    /// recurrence in u32 — sound because every clen <= 31, so `wide`
-    /// needs at most 32 bits.
+    /// the padded vectors. Exactly the scalar step's `u32` recurrence.
     ///
     /// # Safety
     ///
-    /// The caller must verify AVX2 support and that no fold is 32 bits
-    /// wide.
+    /// The caller must verify AVX2 support.
     #[cfg(target_arch = "x86_64")]
     #[target_feature(enable = "avx2")]
     unsafe fn fold_step_avx2(&mut self, taken: bool, recent: u32) {
@@ -346,61 +311,21 @@ impl HistoryState {
         self.path.value()
     }
 
-    /// Number of registered folds.
-    pub fn fold_count(&self) -> usize {
-        self.folds
-    }
-
     /// Erases every component of the bundle (a context-switch flush):
     /// the global buffer's bits, every fold register, and the path
     /// register all read back as after construction.
     ///
     /// Allocation-free — only existing buffers are zeroed — so scenario
     /// drive loops may flush in steady state. The global head pointer is
-    /// deliberately kept (see [`GlobalHistory::flush`]): checkpoints
-    /// taken before the flush remain restorable under the usual depth
-    /// invariants, and restoring one reproduces the *flushed* view, the
-    /// correct architectural outcome. The fold registers equal their
-    /// naive recomputation over the (now all-zero) global buffer, which
-    /// is 0 — the post-flush invariant the property tests pin. The
+    /// kept (see [`GlobalHistory::flush`]). The fold registers equal
+    /// their naive recomputation over the (now all-zero) global buffer,
+    /// which is 0 — the post-flush invariant the property tests pin. The
     /// eviction windows go stale and are re-read on the next push.
     pub fn flush(&mut self) {
         self.global.flush();
         self.comps.fill(0);
         self.phase = WINDOW;
         self.path.set_value(0);
-    }
-
-    /// Takes a checkpoint of the entire bundle.
-    // bp-lint: allow-item(hot-path-alloc, "checkpoint capture is wrong-path recovery, off the per-branch predict/update path")
-    pub fn checkpoint(&self) -> HistoryCheckpoint {
-        HistoryCheckpoint {
-            global: self.global.checkpoint(),
-            folds: self.folds().to_vec(),
-            path: self.path.value(),
-        }
-    }
-
-    /// Restores a checkpoint taken earlier on this bundle. The eviction
-    /// windows go stale and are re-read on the next push.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the checkpoint does not match this bundle's fold layout
-    /// or violates [`GlobalHistory::restore`]'s conditions.
-    pub fn restore(&mut self, cp: &HistoryCheckpoint) {
-        assert_eq!(
-            cp.folds.len(),
-            self.folds,
-            "checkpoint fold layout mismatch"
-        );
-        self.global.restore(cp.global);
-        for (i, &v) in cp.folds.iter().enumerate() {
-            assert!(v <= self.masks[i], "value wider than fold");
-            self.comps[i] = v;
-        }
-        self.phase = WINDOW;
-        self.path.set_value(cp.path);
     }
 }
 
@@ -427,35 +352,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_restore_round_trips() {
-        let mut hs = HistoryState::new(256, 20);
-        let f1 = hs.add_fold(60, 11);
-        let f2 = hs.add_fold(13, 7);
-        drive(
-            &mut hs,
-            &[(true, 0x10), (false, 0x20), (true, 0x32), (true, 0x44)],
-        );
-        let cp = hs.checkpoint();
-        let (v1, v2, p) = (hs.fold(f1), hs.fold(f2), hs.path());
-        drive(&mut hs, &[(false, 0x66), (false, 0x68), (true, 0x6a)]);
-        hs.restore(&cp);
-        assert_eq!(hs.fold(f1), v1);
-        assert_eq!(hs.fold(f2), v2);
-        assert_eq!(hs.path(), p);
-        assert_eq!(hs.fold_count(), 2);
-    }
-
-    #[test]
-    fn checkpoint_cost_accounts_all_parts() {
-        let mut hs = HistoryState::new(2048, 27);
-        hs.add_fold(100, 12);
-        hs.add_fold(100, 10);
-        let cp = hs.checkpoint();
-        // 11 (head) + 12 + 10 + 27 (path)
-        assert_eq!(cp.cost_bits(&hs), 11 + 12 + 10 + 27);
-    }
-
-    #[test]
     #[should_panic(expected = "shorter than the global capacity")]
     fn rejects_fold_longer_than_buffer() {
         let mut hs = HistoryState::new(64, 8);
@@ -470,18 +366,10 @@ mod tests {
     }
 
     #[test]
-    fn full_width_folds_use_the_u64_scalar_path() {
-        // clen == 32 disables the u32 SIMD kernel; the u64 scalar loop
-        // must still match the reference fold exactly.
+    #[should_panic(expected = "compressed length must be in 1..=31")]
+    fn rejects_32_bit_fold_width() {
         let mut hs = HistoryState::new(256, 16);
-        let f = hs.add_fold(64, 32);
-        let stream: Vec<bool> = (0..100).map(|i| i % 3 == 0).collect();
-        for &taken in &stream {
-            hs.push(taken, 0x40);
-        }
-        let global = hs.global().clone();
-        let naive = FoldedHistory::new(64, 32).fold_naive(|age| global.bit(age));
-        assert_eq!(hs.fold(f), naive);
+        hs.add_fold(64, 32);
     }
 
     #[test]
@@ -555,21 +443,6 @@ mod tests {
                 hs.push(x & 1 == 1, x >> 8);
             }
         }
-    }
-
-    #[test]
-    fn pre_flush_checkpoint_restores_to_flushed_view() {
-        let mut hs = HistoryState::new(256, 16);
-        let f = hs.add_fold(31, 9);
-        drive(&mut hs, &[(true, 0x10), (true, 0x20), (false, 0x30)]);
-        let cp = hs.checkpoint();
-        drive(&mut hs, &[(false, 0x40), (true, 0x50)]);
-        hs.flush();
-        hs.restore(&cp);
-        // The head rewinds but the destroyed bits stay destroyed; the
-        // fold registers come back from the checkpoint by definition.
-        assert_eq!(hs.global().low_bits(31), 0);
-        assert_ne!(hs.fold(f), 0);
     }
 
     proptest! {
@@ -649,27 +522,6 @@ mod tests {
                 .fold_naive(|age| global.bit(age));
             prop_assert_eq!(hs.fold(f), naive);
         }
-
-        /// Restoring a checkpoint after arbitrary wrong-path pushes
-        /// reproduces the pre-speculation state exactly.
-        #[test]
-        fn speculation_repair_is_exact(
-            good in proptest::collection::vec((any::<bool>(), 0u64..1024), 1..100),
-            wrong in proptest::collection::vec((any::<bool>(), 0u64..1024), 1..100),
-        ) {
-            let mut hs = HistoryState::new(256, 16);
-            let f = hs.add_fold(31, 9);
-            for &(t, pc) in &good {
-                hs.push(t, pc);
-            }
-            let cp = hs.checkpoint();
-            let snapshot = (hs.fold(f), hs.path(), hs.global().low_bits(64));
-            for &(t, pc) in &wrong {
-                hs.push(t, pc);
-            }
-            hs.restore(&cp);
-            prop_assert_eq!(snapshot, (hs.fold(f), hs.path(), hs.global().low_bits(64)));
-        }
     }
 
     /// Capacity of the window-boundary bundles.
@@ -735,61 +587,41 @@ mod tests {
         /// Folds on both sides of every window boundary — register taps
         /// (segments up to 32), window taps (longer ones) and a segment
         /// one short of the capacity — stay equal to their naive
-        /// recomputation through pushes, flushes and checkpoint /
-        /// wrong-path / restore rounds, on the AVX2 kernel (widths
-        /// 1..=31) and on the u64 scalar loop (the same folds plus one
-        /// 32 bits wide). Each case starts with a restore to fewer
-        /// pushes than the longest segments after a wrong path longer
-        /// than `CAP - len` for them, where only the pre-history guard
-        /// keeps the taps reading zeros; later wrong paths are as deep
-        /// as every segment stays intact for.
+        /// recomputation through pushes, flushes and flush-then-
+        /// `add_fold` rounds, on the AVX2 kernel and on the scalar loop.
+        /// Each case starts cold: it is checked after fewer pushes than
+        /// the longest segments, where only the pre-history guard keeps
+        /// their taps reading zeros, and again once the buffer has
+        /// wrapped.
         #[test]
         fn folds_match_naive_across_window_boundaries(
             widths in proptest::collection::vec(1usize..32, 20..21),
-            wide_len in 0usize..10,
             young in 0usize..639,
             ops in proptest::collection::vec((0u8..8, any::<u64>()), 1..24),
             seed in any::<u64>(),
         ) {
-            let mut narrow = HistoryState::new(CAP, 16);
+            let mut kernel = HistoryState::new(CAP, 16);
             for (i, &width) in widths.iter().enumerate() {
-                narrow.add_fold(WINDOW_LENS[i % WINDOW_LENS.len()], width);
+                kernel.add_fold(WINDOW_LENS[i % WINDOW_LENS.len()], width);
             }
-            let mut wide = narrow.clone();
-            wide.add_fold(WINDOW_LENS[wide_len], 32);
-            let mut bundles = [narrow, wide];
+            let mut scalar = kernel.clone();
+            scalar.avx2 = false;
+            let mut bundles = [kernel, scalar];
             let mut x = seed | 1;
 
-            push_checked(&mut bundles, young, false, &mut x, "young pushes")?;
-            // Longer than `CAP - 640`, and as deep as a restore allows.
-            let deep = CAP - 1 - young;
-            let cps: Vec<_> = bundles.iter().map(HistoryState::checkpoint).collect();
-            push_checked(&mut bundles, deep, false, &mut x, "deep wrong path")?;
-            for (hs, cp) in bundles.iter_mut().zip(&cps) {
-                hs.restore(cp);
-                check_naive(hs, "young restore")?;
-            }
-
+            push_checked(&mut bundles, young, false, &mut x, "cold start")?;
+            push_checked(&mut bundles, CAP, false, &mut x, "wrap")?;
             for (kind, r) in ops {
                 match kind {
-                    0 => {
+                    0 | 1 => {
                         for hs in bundles.iter_mut() {
                             hs.flush();
+                            if kind == 1 {
+                                // A new fold starts empty: consistent
+                                // only over a flushed buffer.
+                                hs.add_fold(WINDOW_LENS[(r % 10) as usize], (r >> 8) as usize % 31 + 1);
+                            }
                             check_naive(hs, "flush")?;
-                        }
-                    }
-                    1..=3 => {
-                        // The deepest wrong path after which every
-                        // segment's outcomes are still in the buffer and
-                        // a restore is legal.
-                        let head = bundles[0].global().pushes() as usize;
-                        let legal = (CAP - head.min(CAP - 1)).min(CAP - 1);
-                        let wrong = (r % (legal as u64 + 1)) as usize;
-                        let cps: Vec<_> = bundles.iter().map(HistoryState::checkpoint).collect();
-                        push_checked(&mut bundles, wrong, false, &mut x, "wrong path")?;
-                        for (hs, cp) in bundles.iter_mut().zip(&cps) {
-                            hs.restore(cp);
-                            check_naive(hs, "restore")?;
                         }
                     }
                     _ => push_checked(&mut bundles, (r % 70) as usize, true, &mut x, "pushes")?,
@@ -798,8 +630,9 @@ mod tests {
         }
 
         /// The scalar loop and the AVX2 kernel step the same random fold
-        /// population to the same registers after every push (on hosts
-        /// without AVX2 both bundles run the scalar loop).
+        /// population to the same registers after every push, flush and
+        /// mid-stream `add_fold` (on hosts without AVX2 both bundles run
+        /// the scalar loop).
         #[test]
         fn scalar_loop_matches_avx2_kernel(
             geometry in proptest::collection::vec((1usize..CAP, 1usize..32), 1..40),
@@ -811,17 +644,16 @@ mod tests {
             }
             let mut scalar = kernel.clone();
             scalar.avx2 = false;
-            let (mut cp, mut cp_pushes) = (kernel.checkpoint(), 0);
             for (kind, r) in ops {
                 match kind {
                     0 => {
                         kernel.flush();
                         scalar.flush();
                     }
-                    1 => (cp, cp_pushes) = (kernel.checkpoint(), kernel.global().pushes()),
-                    2 if kernel.global().pushes() - cp_pushes < CAP as u64 => {
-                        kernel.restore(&cp);
-                        scalar.restore(&cp);
+                    1 => {
+                        let (len, width) = ((r % (CAP as u64 - 1)) as usize + 1, (r >> 16) as usize % 31 + 1);
+                        kernel.add_fold(len, width);
+                        scalar.add_fold(len, width);
                     }
                     _ => {
                         kernel.push(r & 1 == 1, r >> 8);

@@ -91,13 +91,6 @@ impl SimCache {
         self.policy
     }
 
-    /// Does this cache participate at all? [`CachePolicy::Off`] makes
-    /// every operation a silent no-op, so `Engine` code can hold a
-    /// `SimCache` unconditionally.
-    pub fn enabled(&self) -> bool {
-        self.policy != CachePolicy::Off
-    }
-
     /// Verified cache hits so far.
     pub fn hits(&self) -> u64 {
         self.counters.hits.load(Ordering::Relaxed)
@@ -122,9 +115,6 @@ impl SimCache {
         key: &CacheKey,
         decode: impl FnOnce(&ConfigValue) -> Result<T, ConfigError>,
     ) -> Option<T> {
-        if !self.enabled() {
-            return None;
-        }
         let decoded = self
             .store
             .load(key)
@@ -645,12 +635,6 @@ mod tests {
         let result = simulate_stream(spec.make().as_mut(), bench.stream(10_000));
         let key = grid_cell_key(&spec, &bench.name, 10_000);
         let identity = workload_identity(&bench);
-
-        let off = SimCache::new(&dir, CachePolicy::Off);
-        result.store(&off, &key, &identity);
-        assert_eq!(SimResult::lookup(&off, &key, &bench, &identity), None);
-        assert_eq!((off.hits(), off.misses(), off.stores()), (0, 0, 0));
-        assert!(!off.enabled());
 
         let ro = SimCache::new(&dir, CachePolicy::ReadOnly);
         result.store(&ro, &key, &identity);

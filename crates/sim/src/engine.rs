@@ -7,7 +7,7 @@
 //! [`Engine::run_cells`], generic over the cell payload ([`SimResult`],
 //! [`AttributedRun`], [`ScenarioRun`]). It runs these steps in order:
 //!
-//! 1. under an enabled cache, render each spec's config text once, build
+//! 1. under a cache, render each spec's config text once, build
 //!    every cell key from it and probe it;
 //! 2. report the hits' progress, in cell order;
 //! 3. dedup the misses by (config text, workload);
@@ -217,22 +217,19 @@ impl Engine {
         let total = specs.len() * n_w;
         let mut cells: Vec<Option<(T, f64)>> = (0..total).map(|_| None).collect();
 
-        // 1. Keys and probes, only under an enabled cache.
-        let cache = match &self.cache {
-            Some(cache) if cache.enabled() => {
-                let identities: Vec<String> = workloads.iter().map(Workload::identity).collect();
-                let configs: Vec<String> = specs.iter().map(|s| s.config.to_text()).collect();
-                let keys: Vec<CacheKey> = (0..total)
-                    .map(|idx| T::key(&configs[idx / n_w], &workloads[idx % n_w], params))
-                    .collect();
-                for (idx, (cell, key)) in cells.iter_mut().zip(&keys).enumerate() {
-                    let w = idx % n_w;
-                    *cell = T::lookup(cache, key, &workloads[w], &identities[w]).map(|t| (t, 0.0));
-                }
-                Some((cache, keys, identities))
+        // 1. Keys and probes, only under a cache.
+        let cache = self.cache.as_ref().map(|cache| {
+            let identities: Vec<String> = workloads.iter().map(Workload::identity).collect();
+            let configs: Vec<String> = specs.iter().map(|s| s.config.to_text()).collect();
+            let keys: Vec<CacheKey> = (0..total)
+                .map(|idx| T::key(&configs[idx / n_w], &workloads[idx % n_w], params))
+                .collect();
+            for (idx, (cell, key)) in cells.iter_mut().zip(&keys).enumerate() {
+                let w = idx % n_w;
+                *cell = T::lookup(cache, key, &workloads[w], &identities[w]).map(|t| (t, 0.0));
             }
-            _ => None,
-        };
+            (cache, keys, identities)
+        });
 
         // 2. Hits report progress first, in cell order.
         let update = |idx: usize, payload: &T, completed: usize| CellUpdate {

@@ -88,10 +88,9 @@ impl FamilyConfig {
             FamilyConfig::Bimodal(_) | FamilyConfig::GShare(_) => PredictorFamily::Baseline,
         }
     }
-}
 
-impl PredictorConfig for FamilyConfig {
-    fn validate(&self) -> Result<(), ConfigError> {
+    /// Checks the geometry, returning the first violation.
+    pub fn validate(&self) -> Result<(), ConfigError> {
         match self {
             FamilyConfig::TageSc(c) => PredictorConfig::validate(c),
             FamilyConfig::Gehl(c) => PredictorConfig::validate(c),
@@ -101,7 +100,8 @@ impl PredictorConfig for FamilyConfig {
         }
     }
 
-    fn build(&self) -> Box<dyn ConditionalPredictor + Send> {
+    /// Builds a fresh, cold predictor from this configuration.
+    pub fn build(&self) -> Box<dyn ConditionalPredictor + Send> {
         match self {
             FamilyConfig::TageSc(c) => c.build(),
             FamilyConfig::Gehl(c) => c.build(),
@@ -111,7 +111,9 @@ impl PredictorConfig for FamilyConfig {
         }
     }
 
-    fn storage_bits_estimate(&self) -> u64 {
+    /// Exact storage cost in bits of the predictor
+    /// [`build`](FamilyConfig::build) would produce.
+    pub fn storage_bits_estimate(&self) -> u64 {
         match self {
             FamilyConfig::TageSc(c) => c.storage_bits_estimate(),
             FamilyConfig::Gehl(c) => c.storage_bits_estimate(),
@@ -121,7 +123,10 @@ impl PredictorConfig for FamilyConfig {
         }
     }
 
-    fn to_value(&self) -> ConfigValue {
+    /// Serializes the family fields. The family tag is the `"kind"`
+    /// field one level up, so a family config parses only through
+    /// [`RegistryConfig`].
+    pub fn to_value(&self) -> ConfigValue {
         match self {
             FamilyConfig::TageSc(c) => c.to_value(),
             FamilyConfig::Gehl(c) => c.to_value(),
@@ -129,14 +134,6 @@ impl PredictorConfig for FamilyConfig {
             FamilyConfig::Bimodal(c) => c.to_value(),
             FamilyConfig::GShare(c) => c.to_value(),
         }
-    }
-
-    /// Not directly parseable: the family tag lives one level up, in
-    /// [`RegistryConfig`]'s `"kind"` field. Always errors.
-    fn from_value(_value: &ConfigValue) -> Result<Self, ConfigError> {
-        Err(ConfigError::new(
-            "family configs parse through RegistryConfig (need the `kind` tag)",
-        ))
     }
 }
 
@@ -183,7 +180,7 @@ impl RegistryConfig {
 
 impl PredictorConfig for RegistryConfig {
     fn validate(&self) -> Result<(), ConfigError> {
-        PredictorConfig::validate(&self.base)?;
+        self.base.validate()?;
         if let Some(wh) = &self.wormhole {
             wh.check()?;
         }

@@ -370,21 +370,6 @@ impl TageSc {
         self.lanes[0].sc.imli().map(|s| s.checkpoint())
     }
 
-    /// Storage breakdown of the first lane's predictor: (component,
-    /// bits).
-    // bp-lint: allow-item(hot-path-alloc, "reporting helper, cold; never on the per-branch path")
-    pub fn budget_breakdown(&self) -> Vec<(String, u64)> {
-        let lane = &self.lanes[0];
-        let mut parts = vec![
-            ("tage".to_owned(), self.tage.storage_bits()),
-            ("sc".to_owned(), lane.sc.storage_bits()),
-        ];
-        if let Some(lp) = &lane.loop_pred {
-            parts.push(("loop".to_owned(), lp.storage_bits()));
-        }
-        parts
-    }
-
     /// The one prediction flow: one TAGE lookup for `pc`, then every
     /// lane's prediction, handed to `sink` as `(lane, prediction,
     /// attribution)` in lane order. Behind [`predict`] and

@@ -308,8 +308,7 @@ pub struct Tage {
 
 /// The low `bits` bits set, saturating at the full word — the guard for
 /// path-history masks, where a legal 64-bit configuration would
-/// otherwise hit `1u64 << 64` (shift overflow; the same bug class as
-/// `FoldedHistory::set_value`'s 32-bit escape hatch).
+/// otherwise hit `1u64 << 64` (shift overflow).
 #[inline]
 fn low_mask(bits: usize) -> u64 {
     if bits >= 64 {
@@ -672,7 +671,7 @@ impl Tage {
     /// Erases the direction/folded/path histories (a context-switch
     /// flush) while keeping every learned table — base counters, tagged
     /// entries, useful bits, the `use_alt_on_na` register. Allocation-
-    /// free; see [`HistoryState::flush`] for the checkpoint interplay.
+    /// free; see [`HistoryState::flush`].
     pub fn flush_history(&mut self) {
         self.history.flush();
     }
@@ -824,8 +823,7 @@ mod tests {
         // Regression: `table_index` masked the path with
         // `(1 << hlen.min(path_bits)) - 1`, which is shift overflow
         // (debug panic) for a legal 64-bit path-history configuration
-        // whenever a table's history length reaches 64 — the same bug
-        // class PR 2 fixed in `FoldedHistory::set_value`.
+        // whenever a table's history length reaches 64.
         let mut tage = Tage::new(TageConfig {
             path_bits: 64,
             ..TageConfig::default()

@@ -1,7 +1,7 @@
 //! Behavioural tests of the statistical corrector and the composed
 //! TAGE-SC predictors through the public API.
 
-use bp_components::{ConditionalPredictor, StorageBudget};
+use bp_components::ConditionalPredictor;
 use bp_tage::{ScConfig, StatisticalCorrector, TageSc, TageScConfig};
 use bp_trace::BranchRecord;
 use imli::ImliConfig;
@@ -110,19 +110,4 @@ fn with_imli_overrides_config() {
     );
     let p = TageSc::new(config);
     assert_eq!(p.name(), "renamed");
-}
-
-/// Storage accounting of the composed predictor equals the sum of its
-/// breakdown parts.
-#[test]
-fn budget_breakdown_sums_to_total() {
-    for p in [
-        TageSc::tage_gsc(),
-        TageSc::tage_gsc_imli(),
-        TageSc::tage_sc_l(),
-        TageSc::tage_sc_l_imli(),
-    ] {
-        let parts: u64 = p.budget_breakdown().iter().map(|(_, b)| b).sum();
-        assert_eq!(parts, p.storage_bits(), "{}", p.name());
-    }
 }

@@ -55,7 +55,7 @@ mod spec;
 mod stream;
 mod suites;
 
-pub use cache::{cache_benchmark, TraceFileSink};
+pub use cache::cache_benchmark;
 pub use combinators::{
     context_switch, interleave, AdversarialStream, ContextSwitchStream, EventRecords, EventStream,
     FlushMode, Gene, Genome, InterleaveSchedule, InterleavedStream, ScenarioEvent, SingleTenant,
